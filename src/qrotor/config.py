@@ -211,6 +211,8 @@ def parse_config(path) -> RunConfig:
     )
     if lineshape.j_max < 0:
         raise ConfigError("lineshape.j_max must be non-negative")
+    if lineshape.tau <= 0:
+        raise ConfigError("lineshape.tau must be positive")
 
     sen = raw.get("sensor", {})
     try:

@@ -290,10 +290,37 @@ class Lineshape:
             raise InvalidInputError("probabilities must lie in [0, 1]")
 
 
+# Block sizes of the stack average: each temporary holds at most
+# 4096 grid points x 256 rings of float64, about 8 MB, whatever the inputs.
+_GRID_CHUNK = 4096
+_RING_CHUNK = 256
+
+
 def stack_average(delta, omega_r: float, tau: float, ring_shifts) -> np.ndarray:
-    """Mean of P0(delta + shift_j) over the ring stack."""
-    d = np.asarray(delta, dtype=float)[..., None] + np.asarray(ring_shifts, dtype=float)
-    return transition_probability(d, omega_r, tau).mean(axis=-1)
+    """Mean of P0(delta + shift_j) over the ring stack.
+
+    Equal shifts are folded into (value, count) pairs first, so a symmetric
+    profile such as s j^2 costs j_max + 1 rings instead of 2 j_max + 1, and an
+    unshifted stack costs one.  The weighted sum then runs over blocks of
+    grid points and of sorted shifts.  Each point's sum goes through the ring
+    blocks in the same fixed order, so memory stays bounded and a point's
+    value depends only on that point: splitting the grid across workers gives
+    bit-identical results.
+    """
+    shifts, counts = np.unique(np.asarray(ring_shifts, dtype=float), return_counts=True)
+    if shifts.size == 0:
+        raise InvalidInputError("the ring stack is empty (j_max must be non-negative)")
+    d = np.asarray(delta, dtype=float)
+    points = d.reshape(-1, 1)
+    total = np.zeros(len(points))
+    for g in range(0, len(points), _GRID_CHUNK):
+        rows = slice(g, g + _GRID_CHUNK)
+        for r in range(0, shifts.size, _RING_CHUNK):
+            rings = slice(r, r + _RING_CHUNK)
+            p = transition_probability(points[rows] + shifts[rings], omega_r, tau)
+            p *= counts[rings]
+            total[rows] += p.sum(axis=-1)
+    return (total / counts.sum()).reshape(d.shape)
 
 
 def lineshape_from_rabi(
@@ -310,8 +337,6 @@ def lineshape_from_rabi(
 
     The stack holds N = 2 j_max + 1 singly occupied rings, |j| <= j_max.
     """
-    if j_max < 0:
-        raise InvalidInputError("j_max must be non-negative")
     j = np.arange(-j_max, j_max + 1)
     shifts = shift_model.shifts(j, beam, species, kick_oam_L)
     prob = stack_average(delta_grid, omega_r, tau, shifts)
@@ -347,19 +372,29 @@ def ensemble_lineshape(
     )
 
 
+# Peak search window in units of Omega_R, and scan steps per narrowest feature.
+_PEAK_WINDOW = (-5.0, 1.0)
+_SCAN_STEPS_PER_FEATURE = 100
+
+
 def lineshape_peak(
     omega_r: float, tau: float, j_max: int, shift_model,
     beam=None, species=None, kick_oam_L=None,
-    search_span: float = 5.0, scan_points: int = 4001,
 ):
     """Continuous peak (delta_max, P_max) of the stack-averaged lineshape.
 
-    Scans [-search_span, +1] Omega_R, then refines the best grid point with a
-    bounded scalar minimiser.
+    Scans [-5, +1] Omega_R, then refines the best grid point with a bounded
+    scalar minimiser over +/- 2 scan steps.  The scan spacing is 1/100 of the
+    narrowest feature P0 can have: its width Omega_R, or the fringe period
+    2 pi / tau when the pulse is longer than 2 pi / Omega_R.  At
+    tau = pi / Omega_R that is 0.01 Omega_R (601 points).
     """
     j = np.arange(-j_max, j_max + 1)
     shifts = shift_model.shifts(j, beam, species, kick_oam_L)
-    xs = np.linspace(-search_span * omega_r, 1.0 * omega_r, scan_points)
+    steps_per_omega_r = _SCAN_STEPS_PER_FEATURE * max(1.0, abs(tau) * omega_r / (2.0 * np.pi))
+    lo_edge, hi_edge = _PEAK_WINDOW
+    n = int(np.ceil((hi_edge - lo_edge) * steps_per_omega_r)) + 1
+    xs = np.linspace(lo_edge * omega_r, hi_edge * omega_r, n)
     ys = stack_average(xs, omega_r, tau, shifts)
     i = int(np.argmax(ys))
     lo = xs[max(i - 2, 0)]

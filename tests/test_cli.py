@@ -189,6 +189,32 @@ def test_spectrum_byte_identical_across_workers(runner, tmp_path):
     assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize("shift", [
+    {"model": "quadratic", "scale_s": 0.004},
+    {"model": "quadratic", "calibrate_delta_max_over_OmegaR": -0.3},
+])
+def test_lineshape_negative_jmax_is_config_error(runner, tmp_path, shift):
+    # an empty ring stack has no mean: exit 2, not a root-finder traceback
+    p = write_config(tmp_path, "ls.json", fast_lineshape_config(**shift))
+    res = runner.invoke(cli, ["lineshape", "--config", str(p),
+                              "--out", str(tmp_path / "c.csv"), "--jmax", "-1"])
+    assert res.exit_code == 2, res.output
+    assert "ring stack is empty" in res.output
+
+
+@pytest.mark.parametrize("tau", [-1.0, 0.0])
+def test_config_rejects_non_positive_pulse_duration(runner, tmp_path, tau):
+    cfg = fast_lineshape_config()
+    cfg["lineshape"]["tau"] = tau
+    p = write_config(tmp_path, "ls.json", cfg)
+    with pytest.raises(ConfigError, match="tau"):
+        parse_config(p)
+    res = runner.invoke(cli, ["lineshape", "--config", str(p),
+                              "--out", str(tmp_path / "c.csv")])
+    assert res.exit_code == 2
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_missing_output_path_is_config_error(runner, tmp_path):
     p = write_config(tmp_path, "min.json", MINIMAL)
     res = runner.invoke(cli, ["budget", "--config", str(p)])

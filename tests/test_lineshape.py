@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from qrotor.exceptions import InvalidInputError
 from qrotor.raman import (
@@ -12,6 +13,7 @@ from qrotor.raman import (
     fit_model,
     lineshape_from_rabi,
     lineshape_peak,
+    stack_average,
     transition_probability,
 )
 from qrotor.units import LI6
@@ -43,6 +45,75 @@ def test_ensemble_is_mean_of_rings():
     assert np.allclose(ls.probability, manual, rtol=1e-13)
     assert np.all(ls.probability >= 0.0)
     assert np.all(ls.probability <= 1.0)
+
+
+def naive_stack_average(delta, omega_r, tau, shifts):
+    d = np.asarray(delta, dtype=float)[..., None] + np.asarray(shifts, dtype=float)
+    return transition_probability(d, omega_r, tau).mean(axis=-1)
+
+
+RING_SHIFTS = {
+    "quadratic": 1e-3 * np.arange(-80, 81) ** 2.0,         # every shift twice but 0
+    "distinct": np.random.default_rng(3).uniform(-2.0, 0.5, 97),
+    "repeated": np.repeat([0.0, -0.3, 1.1], [5, 1, 7]),
+    "beyond_one_chunk": 2e-5 * np.arange(-700, 701) ** 2.0,  # 701 distinct shifts
+    "distinct_beyond_one_chunk": np.random.default_rng(4).normal(0.0, 1.0, 600),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RING_SHIFTS))
+def test_stack_average_matches_naive_ring_mean(name):
+    shifts = RING_SHIFTS[name]
+    grid = np.linspace(-6 * OMEGA_R, 2 * OMEGA_R, 301)
+    expected = naive_stack_average(grid, OMEGA_R, TAU, shifts)
+    assert np.allclose(stack_average(grid, OMEGA_R, TAU, shifts), expected,
+                       rtol=0.0, atol=1e-13)
+    square = stack_average(grid.reshape(7, 43), OMEGA_R, TAU, shifts)
+    assert np.allclose(square, expected.reshape(7, 43), rtol=0.0, atol=1e-13)
+    for d in (-0.7, grid[150]):
+        got = stack_average(d, OMEGA_R, TAU, shifts)
+        assert np.ndim(got) == 0
+        assert abs(float(got) - float(naive_stack_average(d, OMEGA_R, TAU, shifts))) < 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(RING_SHIFTS))
+def test_stack_average_independent_of_grid_split(name):
+    shifts = RING_SHIFTS[name]
+    grid = np.linspace(-8 * OMEGA_R, 8 * OMEGA_R, 4501)  # more than one grid block
+    whole = stack_average(grid, OMEGA_R, TAU, shifts)
+    for pieces in (2, 4):
+        parts = [stack_average(g, OMEGA_R, TAU, shifts) for g in np.array_split(grid, pieces)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_stack_average_rejects_empty_stack():
+    with pytest.raises(InvalidInputError, match="empty"):
+        stack_average(GRID, OMEGA_R, TAU, np.array([]))
+    with pytest.raises(InvalidInputError):
+        lineshape_from_rabi(OMEGA_R, TAU, -1, QuadraticShift(1e-3), GRID)
+
+
+def dense_peak(omega_r, tau, shifts):
+    """The peak from a 4001-point scan of [-5, 1] Omega_R and the same refinement."""
+    xs = np.linspace(-5.0 * omega_r, omega_r, 4001)
+    i = int(np.argmax(naive_stack_average(xs, omega_r, tau, shifts)))
+    res = minimize_scalar(
+        lambda d: -float(naive_stack_average(d, omega_r, tau, shifts)),
+        bounds=(xs[max(i - 2, 0)], xs[min(i + 2, len(xs) - 1)]),
+        method="bounded", options={"xatol": 1e-12 * omega_r},
+    )
+    return float(res.x), float(-res.fun)
+
+
+@pytest.mark.parametrize("tau", [TAU, 20 * np.pi / OMEGA_R])
+@pytest.mark.parametrize("s", [2e-4, 1.05e-3, 3e-3])
+def test_peak_scan_agrees_with_dense_scan(tau, s):
+    # the peak is flat: round-off pins delta_max to about sqrt(eps) only.
+    # (s = 0 with a long pulse has two equal peaks at +/- delta: no unique answer.)
+    d_max, p_max = lineshape_peak(OMEGA_R, tau, 80, QuadraticShift(s))
+    d_ref, p_ref = dense_peak(OMEGA_R, tau, s * np.arange(-80, 81) ** 2.0)
+    assert d_max == pytest.approx(d_ref, abs=1e-6 * OMEGA_R)
+    assert p_max == pytest.approx(p_ref, abs=1e-12)
 
 
 def test_skew_matches_shift_sign():
@@ -106,6 +177,13 @@ def test_calibration_saturates_at_family_extremum():
     cal = calibrate_quadratic_scale(OMEGA_R, TAU, 80, -0.5374 * OMEGA_R)
     assert not cal.on_target
     assert cal.delta_max / OMEGA_R == pytest.approx(-0.5319, abs=2e-3)
+
+
+def test_fig4_calibration_stays_on_the_saturated_branch():
+    # a local peak search can lock onto a neighbouring branch at -1.6699
+    cal = calibrate_quadratic_scale(3.142, np.pi / 3.142, 80, -0.5374 * 3.142)
+    assert not cal.on_target
+    assert cal.delta_max == pytest.approx(-1.67111, abs=1e-4)
 
 
 def test_shift_models_need_geometry_only_when_physical(fig_beam):
