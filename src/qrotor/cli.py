@@ -95,8 +95,8 @@ def cli():
 @_guarded
 def spectrum(config_path, out, fmt, parallel):
     """Bound-state level table of the ring trap."""
-    cfg, out_path, fmt, workers = _load(config_path, out, fmt, parallel)
-    spec = assemble_spectrum(cfg.beam, cfg.species, cfg.spectrum, workers=workers)
+    cfg, out_path, fmt, _ = _load(config_path, out, fmt, parallel)
+    spec = assemble_spectrum(cfg.beam, cfg.species, cfg.spectrum)
     rows = spectrum_rows(spec)
     header = ["n_z", "n_r", "m_ell", "energy_J", "energy_kB_nK", "degeneracy"]
     if fmt == "csv":

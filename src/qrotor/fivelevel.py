@@ -31,27 +31,15 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh, expm
+from scipy.linalg import eigh
 from scipy.optimize import curve_fit
 
 from .exceptions import InvalidInputError, ValidityError
-from .raman import RamanConfig, kick_peak_factor
-from .units import HBAR, C_LIGHT, MU_B, AtomSpecies
+from .raman import RamanConfig, kick_stark_scale
+from .units import HBAR, MU_B, AtomSpecies
 
 # |v_b|, |v_e| beyond this make the perturbative elimination meaningless.
 _PERTURBATIVE_LIMIT = 0.3
-
-
-def kick_stark_scale(cfg: RamanConfig) -> float:
-    """V_e = (4 alpha / (pi L!)) P_e L^L e^-L / (w_e^2 c), the optical factor."""
-    return (
-        4.0
-        * cfg.polarizability_at_omega_e
-        / math.pi
-        * kick_peak_factor(cfg.kick_oam_L)
-        * cfg.kick_power_P_e
-        / (cfg.kick_waist_w_e**2 * C_LIGHT)
-    )
 
 
 @dataclass(frozen=True)
@@ -94,14 +82,18 @@ class FiveLevelModel:
             h[j, i] += np.conj(v)
         return h
 
-    def hamiltonian(self, t: float) -> np.ndarray:
-        """Instantaneous Hamiltonian (J): static part plus the Stokes tone."""
+    def hamiltonian(self, t) -> np.ndarray:
+        """Instantaneous Hamiltonian (J): static part plus the Stokes tone.
+
+        ``t`` may be an array of times; the result then has shape
+        ``t.shape + (5, 5)``.
+        """
         _, w_s = self.magnetic_couplings
-        h = self.static_hamiltonian()
-        tone = w_s * np.exp(-1j * self.drive_frequency * t)
+        tone = w_s * np.exp(-1j * self.drive_frequency * np.asarray(t, dtype=float))
+        h = np.broadcast_to(self.static_hamiltonian(), tone.shape + (5, 5)).copy()
         for i, j in ((0, 2), (1, 3)):
-            h[i, j] += tone
-            h[j, i] += np.conj(tone)
+            h[..., i, j] += tone
+            h[..., j, i] += np.conj(tone)
         return h
 
     def perturbative_ratios(self) -> tuple[float, float]:
@@ -140,28 +132,40 @@ def evolve_populations(
     """Populations of all five states sampled once per drive period.
 
     The Hamiltonian is periodic at the drive frequency, so one period's
-    propagator is built by midpoint-exponential stepping (exact for the static
-    part at any detuning scale; the step only has to resolve the slow drive
-    phase) and then powered through its eigendecomposition.  Returns
-    ``(times, populations)`` with populations of shape (n_periods + 1, 5).
+    propagator is a product of midpoint steps exp(-i H(t_k) dt / hbar), which
+    is exact for the static part at any detuning scale; the step only has to
+    resolve the slow drive phase.  All midpoint Hamiltonians are
+    eigendecomposed in one batch, H = V diag(E) V^+, so each step is
+    V exp(-i E dt / hbar) V^+: exact and unitary to round-off however large
+    |H| dt / hbar is.  The steps are multiplied in time order, and the period
+    propagator is powered through its Floquet phases, exp(i k arg(lambda)).
+    Returns ``(times, populations)`` with populations of shape
+    (n_periods + 1, 5).
     """
     if n_periods < 1 or steps_per_period < 8:
         raise InvalidInputError("need n_periods >= 1 and steps_per_period >= 8")
     omega = model.drive_frequency
     period = 2.0 * np.pi / omega
     dt = period / steps_per_period
+    midpoints = (np.arange(steps_per_period) + 0.5) * dt
+    energies, vecs = np.linalg.eigh(model.hamiltonian(midpoints))
+    phases = np.exp(-1j * energies * (dt / HBAR))
+    steps = (vecs * phases[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
     u = np.eye(5, dtype=complex)
-    for k in range(steps_per_period):
-        h = model.hamiltonian((k + 0.5) * dt)
-        u = expm(-1j * h * dt / HBAR) @ u
+    for step in steps:
+        u = step @ u
 
     lam, w = np.linalg.eig(u)
-    lam = lam / np.abs(lam)          # unitary up to round-off
     c = np.linalg.solve(w, np.eye(5, dtype=complex)[:, 0])
-    k = np.arange(n_periods + 1)
-    amps = np.einsum("sj,jk,j->ks", w, lam[:, None] ** k, c)
-    populations = np.abs(amps) ** 2
-    return k * period, populations
+    theta = np.angle(lam)
+    # lam^(b q + r) = lam^(b q) lam^r: two short tables of exponentials in
+    # place of one per period and state.  The contraction runs in einsum on
+    # this thread; a BLAS product would wake its worker threads for it.
+    b = math.isqrt(n_periods) + 1
+    coarse = np.exp(1j * np.outer(np.arange(0, n_periods + 1, b), theta))
+    fine = np.exp(1j * np.outer(np.arange(b), theta))[:, None, :] * (w * c)
+    amps = np.einsum("qj,rsj->qrs", coarse, fine).reshape(-1, 5)[: n_periods + 1]
+    return np.arange(n_periods + 1) * period, np.abs(amps) ** 2
 
 
 def oscillation_frequency(times, population, guess: float) -> tuple[float, float]:
@@ -208,20 +212,14 @@ def adiabatic_eliminate(
     """Two-step elimination: hyperfine dressing first, then the excited state.
 
     The kick-pulse element is h_e = (1/2) |u_L + u_-L| d with the dipole scale
-    d = sqrt(alpha hbar |Delta_e|); dressing by the radio-frequency fields
+    d = sqrt(alpha hbar |Delta_e|), i.e. h_e^2 = V_e hbar |Delta_e| / 2 with
+    V_e the kick Stark scale; dressing by the radio-frequency fields
     multiplies it by (1 - |v_b(t)|^2 / 2), and the second elimination yields
     the off-diagonal -2 |h_e(t)|^2 / (hbar Delta_e) whose expansion is the
     static Stark part plus the cos(w_ps t) Raman drive.
     """
-    # |u_L + u_-L|^2 on the ring at phi = 0: both components add in phase.
-    u_sum_sq = (
-        8.0
-        * cfg.kick_power_P_e
-        * kick_peak_factor(cfg.kick_oam_L)
-        / (math.pi * C_LIGHT * cfg.kick_waist_w_e**2)
-    )
-    dipole = math.sqrt(abs(cfg.polarizability_at_omega_e) * HBAR * abs(cfg.Delta_e))
-    h_e = 0.5 * math.sqrt(u_sum_sq) * dipole
+    # (1/2) |u_L + u_-L| d, both components adding in phase on the ring at phi = 0.
+    h_e = math.sqrt(0.5 * abs(kick_stark_scale(cfg)) * HBAR * abs(cfg.Delta_e))
 
     g = species.g_factor
     v_b = g * MU_B * max(abs(cfg.B_p0), abs(cfg.B_s0)) / (

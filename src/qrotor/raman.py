@@ -114,6 +114,18 @@ def kick_peak_factor(L: int) -> float:
     return math.exp(L * math.log(L) - L - math.lgamma(L + 1))
 
 
+def kick_stark_scale(cfg: RamanConfig) -> float:
+    """V_e = (4 alpha / (pi L!)) P_e L^L e^-L / (w_e^2 c), the optical factor."""
+    return (
+        4.0
+        * cfg.polarizability_at_omega_e
+        / math.pi
+        * kick_peak_factor(cfg.kick_oam_L)
+        * cfg.kick_power_P_e
+        / (cfg.kick_waist_w_e**2 * C_LIGHT)
+    )
+
+
 def effective_coupling(
     cfg: RamanConfig, species: AtomSpecies, omega_2L0: float | None = None
 ) -> CouplingResult:
@@ -127,14 +139,7 @@ def effective_coupling(
     v_b = (
         g**2 * MU_B**2 * cfg.B_p0 * cfg.B_s0 / (3.0 * HBAR * cfg.Delta_hf)
     )
-    v_e = (
-        4.0
-        * cfg.polarizability_at_omega_e
-        / math.pi
-        * kick_peak_factor(cfg.kick_oam_L)
-        * cfg.kick_power_P_e
-        / (cfg.kick_waist_w_e**2 * C_LIGHT)
-    )
+    v_e = kick_stark_scale(cfg)
     v = v_e * v_b / (HBAR * cfg.Delta_hf)
     omega_r = 2.0 * math.sqrt(2.0) * v / HBAR
     return CouplingResult(
@@ -377,6 +382,11 @@ _PEAK_WINDOW = (-5.0, 1.0)
 _SCAN_STEPS_PER_FEATURE = 100
 
 
+def _features_per_omega_r(omega_r: float, tau: float) -> float:
+    """Omega_R over the narrowest feature of P0, min(Omega_R, 2 pi / tau)."""
+    return max(1.0, abs(tau) * omega_r / (2.0 * np.pi))
+
+
 def lineshape_peak(
     omega_r: float, tau: float, j_max: int, shift_model,
     beam=None, species=None, kick_oam_L=None,
@@ -391,7 +401,7 @@ def lineshape_peak(
     """
     j = np.arange(-j_max, j_max + 1)
     shifts = shift_model.shifts(j, beam, species, kick_oam_L)
-    steps_per_omega_r = _SCAN_STEPS_PER_FEATURE * max(1.0, abs(tau) * omega_r / (2.0 * np.pi))
+    steps_per_omega_r = _SCAN_STEPS_PER_FEATURE * _features_per_omega_r(omega_r, tau)
     lo_edge, hi_edge = _PEAK_WINDOW
     n = int(np.ceil((hi_edge - lo_edge) * steps_per_omega_r)) + 1
     xs = np.linspace(lo_edge * omega_r, hi_edge * omega_r, n)
@@ -429,6 +439,13 @@ def calibrate_quadratic_scale(
     saturates as the broadening grows, so targets beyond the extremum are
     unattainable; in that case the extremal s (closest approach) is returned
     with ``on_target = False``.
+
+    The root is asked for only to the precision delta_max(s) carries.  The
+    peak is flat, so rounding in P moves delta_max by about sqrt(eps) of P0's
+    narrowest feature; and delta_max(s) falls at most as fast as the mean
+    shift s <j^2>, <j^2> = j_max (j_max + 1) / 3, so s is resolved to that
+    precision over <j^2>.  An on-target peak lands within a few 1e-8 Omega_R
+    of the target.
     """
     if target_delta_max >= 0:
         raise InvalidInputError("target_delta_max must be negative for s >= 0 shifts")
@@ -446,7 +463,10 @@ def calibrate_quadratic_scale(
     s_ext, d_ext = float(extremum.x), float(extremum.fun)
     if target_delta_max >= d_ext:
         f = lambda s: dmax(s) - target_delta_max
-        s_star = brentq(f, 1e-9 * s_max, s_ext, xtol=1e-16, rtol=1e-13)
+        feature = omega_r / _features_per_omega_r(omega_r, tau)
+        resolution = np.sqrt(np.finfo(float).eps) * feature
+        mean_j2 = max(j_max * (j_max + 1), 1) / 3.0
+        s_star = brentq(f, 1e-9 * s_max, s_ext, xtol=resolution / mean_j2)
         return CalibrationResult(float(s_star), float(dmax(s_star)), target_delta_max, True)
     return CalibrationResult(s_ext, d_ext, target_delta_max, False)
 

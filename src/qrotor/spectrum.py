@@ -10,19 +10,21 @@ V_l(r) + (m^2 - 1/4) hbar^2 / (2 M r^2).
 
 Eigenvalues are Richardson-extrapolated from two grids (h and h/2), removing
 the leading O(h^2) discretisation error; the residual h^2 mismatch between the
-two grids doubles as the convergence diagnostic.
+two grids doubles as the convergence diagnostic.  Both grids are solved for
+eigenvalues only; fine-grid eigenfunctions are computed on request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .exceptions import ConvergenceError, InvalidInputError
 from .optics import BeamConfig, harmonic_decomposition, radial_trap_frequency, ring_minima
-from .output import parallel_map
 from .units import HBAR, K_B, AtomSpecies
 
 # Fractional disagreement between the raw fine-grid eigenvalue and its
@@ -62,13 +64,19 @@ class BoundStates:
     ``wavefunctions[:, n]`` is state n sampled on ``grid``, normalised so that
     the trapezoid integral of |psi|^2 against ``measure`` equals one
     (measure = 1 for axial dz, measure = r for the radial r dr weight).
+    The spectrum needs only the energies, so the eigenvectors are computed on
+    first access to ``wavefunctions``, from the same fine-grid operator.
     """
 
     energies: np.ndarray
     grid: np.ndarray
-    wavefunctions: np.ndarray
     measure: np.ndarray
     drift: float
+    _vectors: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def wavefunctions(self) -> np.ndarray:
+        return self._vectors()
 
 
 @dataclass(frozen=True)
@@ -88,8 +96,12 @@ def rotational_constant(r: float, species: AtomSpecies) -> float:
     return HBAR**2 / (2.0 * species.mass * r**2)
 
 
-def _fd_eigensolve(potential, lo: float, hi: float, n: int, mass: float, k: int):
-    """Lowest k eigenpairs of -(hbar^2/2m) d^2/dx^2 + V on [lo, hi], Dirichlet."""
+def _fd_operator(potential, lo: float, hi: float, n: int, mass: float, k: int):
+    """-(hbar^2/2m) d^2/dx^2 + V on [lo, hi], Dirichlet, as a tridiagonal.
+
+    Returns the interior grid, its spacing and the (diagonal, off-diagonal)
+    pair.
+    """
     if n < k + 4:
         raise InvalidInputError(
             f"grid of {n} points cannot resolve {k} eigenstates"
@@ -98,16 +110,20 @@ def _fd_eigensolve(potential, lo: float, hi: float, n: int, mass: float, k: int)
     h = x[1] - x[0]
     t = HBAR**2 / (2.0 * mass * h**2)
     inner = x[1:-1]
-    diag = 2.0 * t + potential(inner)
-    off = np.full(n - 3, -t)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
-    return vals, vecs, inner, h
+    return inner, h, 2.0 * t + potential(inner), np.full(n - 3, -t)
 
 
 def _solve_extrapolated(potential, lo, hi, n, mass, k):
-    """Two-grid solve with Richardson extrapolation of the eigenvalues."""
-    coarse, _, _, _ = _fd_eigensolve(potential, lo, hi, n, mass, k)
-    fine, vecs, grid, h = _fd_eigensolve(potential, lo, hi, 2 * n - 1, mass, k)
+    """Two-grid solve with Richardson extrapolation of the lowest k eigenvalues.
+
+    Returns ``(energies, grid, vectors, drift)``; ``vectors()`` computes the
+    fine-grid eigenvectors, normalised against dx, only when called.
+    """
+    lowest = {"select": "i", "select_range": (0, k - 1)}
+    _, _, diag, off = _fd_operator(potential, lo, hi, n, mass, k)
+    coarse = eigh_tridiagonal(diag, off, eigvals_only=True, **lowest)
+    grid, h, diag, off = _fd_operator(potential, lo, hi, 2 * n - 1, mass, k)
+    fine = eigh_tridiagonal(diag, off, eigvals_only=True, **lowest)
     energies = (4.0 * fine - coarse) / 3.0
     scale = np.maximum(np.abs(energies), np.abs(energies).max())
     drift = float(np.max(np.abs(fine - energies) / scale))
@@ -116,8 +132,11 @@ def _solve_extrapolated(potential, lo, hi, n, mass, k):
             "finite-difference eigensolve did not converge",
             diagnostics={"grid_points": n, "relative_drift": drift, "lo": lo, "hi": hi},
         )
-    psi = vecs / np.sqrt(h)
-    return energies, grid, psi, drift
+
+    def vectors():
+        return eigh_tridiagonal(diag, off, **lowest)[1] / np.sqrt(h)
+
+    return energies, grid, vectors, drift
 
 
 def solve_axial(
@@ -131,6 +150,7 @@ def solve_axial(
 
     Solves -(hbar^2/2M) d^2/dz^2 + W_j(z) on a symmetric box of +/- 6 b_z
     around z_j; returns the lowest n_z_max + 1 levels in ascending order.
+    Only eigenvalues are computed here; see ``BoundStates.wavefunctions``.
     """
     if n_z_max < 0:
         raise InvalidInputError("n_z_max must be non-negative")
@@ -139,10 +159,10 @@ def solve_axial(
     geo = ring_minima(beam, species, [j])[0]
     _, w_axial = harmonic_decomposition(beam, j)
     half = 6.0 * geo.b_z
-    energies, grid, psi, drift = _solve_extrapolated(
+    energies, grid, vectors, drift = _solve_extrapolated(
         w_axial, geo.z_j - half, geo.z_j + half, grid_points, species.mass, n_z_max + 1
     )
-    return BoundStates(energies, grid, psi, np.ones_like(grid), drift)
+    return BoundStates(energies, grid, np.ones_like(grid), drift, vectors)
 
 
 def solve_radial(
@@ -159,7 +179,8 @@ def solve_radial(
     ``radial_profile`` selects the full ring profile V_l(r) or its harmonic
     expansion about r_l (the oracle used to validate the grid machinery).
     Eigenfunctions are returned as psi(r) = chi(r)/sqrt(r), orthonormal under
-    the cylindrical measure r dr.
+    the cylindrical measure r dr; like the axial ones they are computed only
+    when ``wavefunctions`` is first read.
     """
     if n_r_max < 0:
         raise InvalidInputError("n_r_max must be non-negative")
@@ -183,33 +204,30 @@ def solve_radial(
 
     lo = max(geo.r_l - 8.0 * b_r, 1e-4 * geo.r_l)
     hi = geo.r_l + 8.0 * b_r
-    energies, grid, chi, drift = _solve_extrapolated(
+    energies, grid, vectors, drift = _solve_extrapolated(
         v_eff, lo, hi, grid_points, species.mass, n_r_max + 1
     )
-    psi = chi / np.sqrt(grid)[:, None]
-    return BoundStates(energies, grid, psi, grid.copy(), drift)
+    return BoundStates(
+        energies, grid, grid.copy(), drift, lambda: vectors() / np.sqrt(grid)[:, None]
+    )
 
 
 def assemble_spectrum(
-    beam: BeamConfig, species: AtomSpecies, limits: SpectrumLimits, workers: int = 1
+    beam: BeamConfig, species: AtomSpecies, limits: SpectrumLimits
 ) -> RotorSpectrum:
     """Combined spectrum eps(n_z, n_r, m_ell) = eps_z(n_z) + eps_r(n_r, m_ell).
 
     Energies are reported relative to the (0, 0, 0) ground level.  States with
     m_ell = 0 carry the hyperfine multiplicity 2F + 1; states with m_ell != 0
-    are doubled by the +/- m_ell orbital degeneracy.  Radial solves for
-    different m are independent and run on ``workers`` threads.
+    are doubled by the +/- m_ell orbital degeneracy.  The radial solves run
+    one after another: LAPACK's bisection holds the GIL, so threads would
+    not overlap them.
     """
     axial = solve_axial(beam, species, limits.j, limits.n_z_max)
-    m_values = list(range(limits.m_ell_max + 1))
-    solved = parallel_map(
-        lambda m: solve_radial(
-            beam, species, limits.j, m, limits.n_r_max, limits.grid_points
-        ),
-        m_values,
-        workers,
-    )
-    radial_by_m = dict(zip(m_values, solved))
+    radial_by_m = {
+        m: solve_radial(beam, species, limits.j, m, limits.n_r_max, limits.grid_points)
+        for m in range(limits.m_ell_max + 1)
+    }
 
     ground = axial.energies[0] + radial_by_m[0].energies[0]
     deg0 = int(round(2 * species.F_ground + 1))

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qrotor.exceptions import ValidityError
 from qrotor.fivelevel import (
@@ -46,6 +47,15 @@ def test_hamiltonian_hermitian_at_all_times(ladder_cfg):
         assert np.allclose(h, h.conj().T, atol=1e-40)
 
 
+def test_hamiltonian_takes_an_array_of_times(ladder_cfg):
+    model = FiveLevelModel(ladder_cfg, LI6, omega_2L0=1.0)
+    times = np.array([0.0, 0.37, 2.9, 17.3])
+    batch = model.hamiltonian(times)
+    assert batch.shape == (4, 5, 5)
+    for t, h in zip(times, batch):
+        assert np.array_equal(h, model.hamiltonian(t))
+
+
 def test_m_f_sign_enters_magnetic_couplings(ladder_cfg):
     up = FiveLevelModel(ladder_cfg, LI6, omega_2L0=1.0, m_F=0.5)
     down = FiveLevelModel(ladder_cfg, LI6, omega_2L0=1.0, m_F=-0.5)
@@ -61,6 +71,34 @@ def test_populations_frozen_without_drives(ladder_cfg):
     _, pops = evolve_populations(model, 50, 64)
     assert np.allclose(pops[:, 0], 1.0, atol=1e-12)
     assert np.allclose(pops[:, 1:], 0.0, atol=1e-12)
+
+
+def test_evolution_matches_midpoint_expm_product(ladder_cfg):
+    # independent propagator: a product of scipy expm midpoint steps, applied
+    # period by period to the initial state
+    model = tuned_model(FiveLevelModel(ladder_cfg, LI6, omega_2L0=1.0))
+    n_periods, steps = 200, 64
+    dt = 2 * np.pi / model.drive_frequency / steps
+    u = np.eye(5, dtype=complex)
+    for k in range(steps):
+        u = expm(-1j * model.hamiltonian((k + 0.5) * dt) * dt / HBAR) @ u
+    psi = np.eye(5, dtype=complex)[:, 0]
+    expected = [np.abs(psi) ** 2]
+    for _ in range(n_periods):
+        psi = u @ psi
+        expected.append(np.abs(psi) ** 2)
+    times, pops = evolve_populations(model, n_periods, steps)
+    assert np.allclose(times, np.arange(n_periods + 1) * steps * dt, rtol=1e-12)
+    assert np.max(np.abs(pops - np.array(expected))) < 1e-9
+
+
+def test_evolution_conserves_probability_over_criterion_9_run():
+    cfg = build_cfg(1.0, 300.0, 300.0, 0.025, 0.02)
+    omega_r = effective_coupling(cfg, LI6).Omega_R
+    model = tuned_model(FiveLevelModel(cfg, LI6, omega_2L0=1.0))
+    n_periods = int(np.ceil(2.2 * np.pi / omega_r / (2 * np.pi / model.drive_frequency)))
+    _, pops = evolve_populations(model, n_periods, 512)
+    assert np.max(np.abs(pops.sum(axis=1) - 1.0)) <= 1e-9
 
 
 @pytest.mark.parametrize("ratio", [150.0, 300.0])
@@ -111,6 +149,13 @@ def test_elimination_cos_amplitude_matches_coupling_chain(ladder_cfg):
     v = effective_coupling(ladder_cfg, LI6).V
     assert res.cos_amplitude == pytest.approx(2.0 * v, rel=1e-12)
     assert res.epsilon_2L == pytest.approx(HBAR * 1.0, rel=1e-15)
+
+
+def test_kick_stark_scale_is_the_one_optical_factor(ladder_cfg):
+    v_e = kick_stark_scale(ladder_cfg)
+    assert effective_coupling(ladder_cfg, LI6).V_e == v_e
+    h_e = adiabatic_eliminate(ladder_cfg, LI6, omega_2L0=1.0).h_e
+    assert h_e**2 == pytest.approx(v_e * HBAR * abs(ladder_cfg.Delta_e) / 2, rel=1e-12)
 
 
 def test_elimination_effective_hamiltonian_structure(ladder_cfg):

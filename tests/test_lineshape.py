@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+import qrotor.raman
 from qrotor.exceptions import InvalidInputError
 from qrotor.raman import (
     Lineshape,
@@ -169,6 +170,30 @@ def test_calibration_reaches_moderate_targets():
     assert cal.delta_max == pytest.approx(target, rel=1e-6)
     d_check, _ = lineshape_peak(OMEGA_R, TAU, 80, QuadraticShift(cal.scale_s))
     assert d_check == pytest.approx(target, rel=1e-6)
+
+
+def test_calibration_root_asks_only_for_resolved_digits(monkeypatch):
+    # delta_max(s) is resolved to ~sqrt(eps) Omega_R; a root finder asked for
+    # more bisects through rounding noise (about 25 peak searches per root)
+    calls = []
+    original = qrotor.raman.lineshape_peak
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qrotor.raman, "lineshape_peak", counting)
+    j_max = 12
+    calibrate_quadratic_scale(OMEGA_R, TAU, j_max, -0.6 * OMEGA_R)   # saturated
+    extremum_calls = len(calls)
+    root_calls = []
+    for fraction in (-0.30, -0.35, -0.40, -0.45, -0.50):
+        calls.clear()
+        cal = calibrate_quadratic_scale(OMEGA_R, TAU, j_max, fraction * OMEGA_R)
+        assert cal.on_target
+        assert abs(cal.delta_max - cal.target_delta_max) <= 1e-7 * OMEGA_R
+        root_calls.append(len(calls) - extremum_calls)
+    assert np.mean(root_calls) <= 16
 
 
 def test_calibration_saturates_at_family_extremum():

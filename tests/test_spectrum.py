@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qrotor.spectrum
 from qrotor.exceptions import ConvergenceError, InvalidInputError
 from qrotor.optics import radial_trap_frequency, ring_minima
 from qrotor.spectrum import (
@@ -163,8 +164,31 @@ def test_spectrum_rows_columns(small_spectrum):
     assert e_nk == pytest.approx(e_j / K_B * 1e9, rel=1e-12)
 
 
-def test_parallel_assembly_identical(fig_beam, li6, small_spectrum):
-    limits = SpectrumLimits(n_z_max=1, n_r_max=1, m_ell_max=3)
-    par = assemble_spectrum(fig_beam, li6, limits, workers=4)
-    for a, b in zip(par.levels, small_spectrum.levels):
-        assert a == b
+def test_energies_do_not_depend_on_reading_wavefunctions(fig_beam, li6):
+    plain = solve_radial(fig_beam, li6, 0, 2, 3)
+    read = solve_radial(fig_beam, li6, 0, 2, 3)
+    assert read.wavefunctions.shape == (len(read.grid), 4)
+    assert np.array_equal(plain.energies, read.energies)
+    assert read.wavefunctions is read.wavefunctions   # computed once
+
+
+def test_spectrum_energies_are_the_solver_energies(fig_beam, li6, small_spectrum):
+    axial = solve_axial(fig_beam, li6, 0, 1)
+    radial = {m: solve_radial(fig_beam, li6, 0, m, 1) for m in range(4)}
+    ground = axial.energies[0] + radial[0].energies[0]
+    for lv in small_spectrum.levels:
+        q = lv.qn
+        assert lv.energy == float(axial.energies[q.n_z] + radial[q.m_ell].energies[q.n_r] - ground)
+
+
+def test_spectrum_never_requests_eigenvectors(fig_beam, li6, monkeypatch):
+    requests = []
+    original = qrotor.spectrum.eigh_tridiagonal
+
+    def recording(*args, **kwargs):
+        requests.append(kwargs.get("eigvals_only", False))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qrotor.spectrum, "eigh_tridiagonal", recording)
+    assemble_spectrum(fig_beam, li6, SpectrumLimits(n_z_max=1, n_r_max=1, m_ell_max=3))
+    assert requests and all(requests)
