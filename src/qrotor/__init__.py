@@ -40,6 +40,6 @@ from .spectrum import (
     solve_axial,
     solve_radial,
 )
-from .units import CONSTANTS, LI6, AtomSpecies, recoil_energy
+from .units import LI6, AtomSpecies, recoil_energy
 
 __version__ = "0.1.0"

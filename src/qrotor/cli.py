@@ -4,12 +4,14 @@ Subcommands compute one artifact each and write CSV or JSON with fixed
 formatting (nine significant digits, fixed orderings), so repeated runs on the
 same configuration are byte-identical, at any worker count.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-convergence error,
-4 validity-inequality violation.
+Exit codes: 0 success, 2 configuration error (also an unsupported beam mode
+or an unwritable output), 3 numerical-convergence error, 4 validity-inequality
+violation.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import sys
 
@@ -17,13 +19,7 @@ import click
 import numpy as np
 
 from .config import RunConfig, parse_config
-from .exceptions import (
-    ConfigError,
-    ConvergenceError,
-    FitError,
-    InvalidInputError,
-    ValidityError,
-)
+from .exceptions import ConfigError, ConvergenceError, FitError, QRotorError, ValidityError
 from .output import parallel_map, write_csv, write_json
 from .raman import (
     Lineshape,
@@ -49,15 +45,19 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ConfigError, InvalidInputError) as err:
-            click.echo(f"error: {err}", err=True)
-            sys.exit(EXIT_CONFIG)
         except (ConvergenceError, FitError) as err:
             click.echo(f"error: {err}", err=True)
             sys.exit(EXIT_CONVERGENCE)
         except ValidityError as err:
             click.echo(f"error: {err} (ratio {err.ratio})", err=True)
             sys.exit(EXIT_VALIDITY)
+        except QRotorError as err:
+            # every other library error is an input this run cannot take
+            click.echo(f"error: {err}", err=True)
+            sys.exit(EXIT_CONFIG)
+        except OSError as err:
+            click.echo(f"error: cannot write the output: {err}", err=True)
+            sys.exit(EXIT_CONFIG)
 
     return wrapper
 
@@ -201,7 +201,7 @@ def budget(config_path, out, fmt, parallel):
     cfg, out_path, fmt, workers = _load(config_path, out, fmt, parallel)
     b = sensor_budget(cfg.sensor)
     payload = {
-        "inputs": cfg.resolved["sensor"],
+        "inputs": dataclasses.asdict(cfg.sensor),
         "dOmega_freq": b.dOmega_freq,
         "dOmega_rabi": b.dOmega_rabi,
         "dOmega_shot": b.dOmega_shot,

@@ -1,16 +1,17 @@
 """Run-configuration parsing and validation for the CLI.
 
-Configurations are JSON files with one section per module.  Only ``species``
-and ``beam`` are mandatory; every other section has physically sensible
-defaults, most of them derived from the trap geometry (e.g. the rotational
-frequency defaults to the value implied by the ring radius).  All sections are
-validated against the module invariants before any computation starts, and the
-fully resolved configuration can be echoed back.
+Configurations are JSON files with one section per module, each read against
+one table of ``{key: (type, default)}``: unknown keys and values of the wrong
+type are errors naming ``section.key``, absent keys take the table's default.
+Only ``species`` and ``beam`` are mandatory; several defaults derive from the
+trap geometry (e.g. the rotational frequency from the ring radius).  Every
+section is validated against the module invariants before any computation.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,12 +24,68 @@ from .spectrum import SpectrumLimits, rotational_constant
 from .sensor import SensorConfig
 from .units import ATOMIC_MASS, HBAR, SPECIES, AtomSpecies, recoil_energy
 
+# A key without a default.  A default of None marks a value that is derived
+# from other fields or left unset; a JSON null then reads as absent.
+_REQUIRED = object()
+_VECTOR = "vector"     # three numbers
+_NUMBERS = "numbers"   # a list of numbers
+
+_ROOT = {
+    "species": (dict, _REQUIRED), "beam": (dict, _REQUIRED), "spectrum": (dict, {}),
+    "lineshape": (dict, {}), "sensor": (dict, {}), "rotation_scan": (dict, {}),
+    "tilt": (dict, {}), "output": (dict, {}), "parallelism": (int, 1),
+}
+# A named species takes no other key; a custom one is given by these.
+_CUSTOM_SPECIES = {
+    "mass_amu": (float, _REQUIRED), "g_factor": (float, _REQUIRED),
+    "hyperfine_splitting": (float, _REQUIRED), "F_ground": (float, _REQUIRED),
+    "label": (str, "custom"),
+}
+_BEAM = {
+    "wavelength": (float, _REQUIRED), "waist_w0": (float, _REQUIRED), "power_P0": (float, 1.0),
+    "oam_l": (int, _REQUIRED), "radial_p": (int, 0), "phase_z0": (float, None),
+    "trap_depth_J": (float, None), "trap_depth_recoils": (float, 10.0),
+    "collimated": (bool, False), "z_eff": (float, None),
+}
+_SPECTRUM = {  # the fields of SpectrumLimits
+    "n_z_max": (int, 1), "n_r_max": (int, 2), "m_ell_max": (int, 5), "j": (int, 0),
+    "ratio_threshold": (float, 10.0), "grid_points": (int, 3001),
+}
+_LINESHAPE = {
+    "Omega_R": (float, 3.142), "tau": (float, None), "j_max": (int, 80),
+    "kick_oam_L": (int, 25), "shift_model": (dict, {}),
+    "grid_half_width_over_OmegaR": (float, 8.0), "grid_points": (int, 1601),
+}
+_SHIFT_MODEL = {
+    "model": (str, "quadratic"), "scale_s": (float, None),
+    "calibrate_delta_max_over_OmegaR": (float, None),
+}
+_SENSOR = {  # the fields of SensorConfig
+    "kick_oam_L": (int, 25), "ring_count_N": (int, 161),
+    "omega_0": (float, None), "Omega_R": (float, 3.142),
+    "freq_uncertainty_pump": (float, 1.43e-9), "freq_uncertainty_stokes": (float, 1.43e-9),
+    "photon_count_pump": (float, 1e29), "photon_count_stokes": (float, 1e29),
+    "Delta_hf": (float, 1.26e8),
+}
+_ROTATION_SCAN = {
+    "omega_0": (float, None), "kick_oam_L": (int, 25), "Omega_values": (_NUMBERS, None),
+    "Omega_min": (float, None), "Omega_max": (float, None), "points": (int, 81),
+}
+_TILT = {  # the fields of TiltJob
+    "gravity_g": (_VECTOR, (0.0, 0.0, -9.80665)),
+    "acceleration_a": (_VECTOR, (0.0, 0.0, 0.0)),
+    "angular_velocity_Omega": (_VECTOR, (0.0, 0.0, 0.0)),
+}
+_OUTPUT = {"path": (str, ""), "format": (str, "csv")}
+
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+               dict: "an object", _VECTOR: "a list of 3 numbers", _NUMBERS: "a list of numbers"}
+
 
 @dataclass(frozen=True)
 class LineshapeJob:
     """Resolved inputs of the ``lineshape`` subcommand."""
 
-    omega_0: float
     Omega_R: float
     tau: float
     j_max: int
@@ -72,276 +129,138 @@ class RunConfig:
     output_path: str
     output_format: str
     parallelism: int
-    resolved: dict
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing required field '{key}' in section '{where}'")
-    return section[key]
+def _is_number(value) -> bool:
+    # bool is an int subclass; an int beyond the float range cannot convert
+    return isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max)
 
 
-def _number(section: dict, key: str, where: str, default=None):
-    value = section.get(key, default)
-    if value is None:
-        raise ConfigError(f"missing required field '{key}' in section '{where}'")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field '{where}.{key}' must be a number")
-    return float(value)
+def _typed(value, kind, field: str):
+    """`value` as the table's `kind`: floats take ints, nothing else converts."""
+    if kind is float and _is_number(value):
+        return float(value)
+    if kind in (_VECTOR, _NUMBERS) and isinstance(value, list) and all(map(_is_number, value)):
+        if kind is _NUMBERS or len(value) == 3:
+            return tuple(float(v) for v in value)
+    if type(value) is kind:  # so an int field refuses bool and float
+        return value
+    raise ConfigError(f"field '{field}' must be {_KIND_NAMES[kind]}")
 
 
-def _species_from(section: dict) -> AtomSpecies:
-    if "name" in section:
-        name = section["name"]
+def _read(body: dict, prefix: str, table: dict) -> dict:
+    """The keys of `table` read from `body`; absent keys take the table's default."""
+    for key in body:
+        if key not in table:
+            raise ConfigError(f"unknown field '{prefix}{key}'")
+    values = {}
+    for key, (kind, default) in table.items():
+        if key not in body or (body[key] is None and default is None):
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required field '{prefix}{key}'")
+            values[key] = default
+        else:
+            values[key] = _typed(body[key], kind, prefix + key)
+    return values
+
+
+def _validated(where: str, make, *args, **fields):
+    """`make(*args, **fields)`, with its invariant errors reported as errors of `where`."""
+    try:
+        return make(*args, **fields)
+    except InvalidInputError as err:
+        raise ConfigError(f"{where}: {err}") from err
+
+
+def _species_from(body: dict) -> AtomSpecies:
+    if "name" in body:
+        name = _read(body, "species.", {"name": (str, _REQUIRED)})["name"]
         if name not in SPECIES:
-            raise ConfigError(
-                f"unknown species name '{name}'; known: {sorted(SPECIES)}"
-            )
+            raise ConfigError(f"unknown species name '{name}'; known: {sorted(SPECIES)}")
         return SPECIES[name]
-    try:
-        return AtomSpecies(
-            mass=_number(section, "mass_amu", "species") * ATOMIC_MASS,
-            g_factor=_number(section, "g_factor", "species"),
-            hyperfine_splitting=_number(section, "hyperfine_splitting", "species"),
-            F_ground=_number(section, "F_ground", "species"),
-            label=section.get("label", "custom"),
-        )
-    except InvalidInputError as err:
-        raise ConfigError(f"species: {err}") from err
+    sec = _read(body, "species.", _CUSTOM_SPECIES)
+    return _validated("species", AtomSpecies, mass=sec.pop("mass_amu") * ATOMIC_MASS, **sec)
 
 
-def _beam_from(section: dict, species: AtomSpecies) -> BeamConfig:
-    wavelength = _number(section, "wavelength", "beam")
-    phase_z0 = section.get("phase_z0")
-    if phase_z0 is None:
-        phase_z0 = wavelength / 4.0
-    depth_j = section.get("trap_depth_J")
+def _beam_from(sec: dict, species: AtomSpecies) -> tuple[BeamConfig, float]:
+    """The beam and the rotational frequency its ring radius implies."""
+    depth_j, recoils = sec.pop("trap_depth_J"), sec.pop("trap_depth_recoils")
+    if sec["phase_z0"] is None:
+        sec["phase_z0"] = sec["wavelength"] / 4.0
     if depth_j is None:
-        recoils = _number(section, "trap_depth_recoils", "beam", default=10.0)
-        try:
-            depth_j = recoils * recoil_energy(species, wavelength)
-        except InvalidInputError as err:
-            raise ConfigError(f"beam.wavelength: {err}") from err
-    try:
-        return BeamConfig(
-            wavelength=wavelength,
-            waist_w0=_number(section, "waist_w0", "beam"),
-            power_P0=_number(section, "power_P0", "beam", default=1.0),
-            oam_l=int(_require(section, "oam_l", "beam")),
-            radial_p=section.get("radial_p", 0),
-            phase_z0=phase_z0,
-            trap_depth_V0=depth_j,
-            collimated=section.get("collimated", False),
-            z_eff=section.get("z_eff"),
-        )
-    except InvalidInputError as err:
-        raise ConfigError(f"beam.{_field_of(err)}: {err}") from err
+        depth_j = recoils * recoil_energy(species, sec["wavelength"])
+    beam = BeamConfig(**sec, trap_depth_V0=depth_j)
+    return beam, rotational_constant(float(beam.ring_radius(beam.ring_z(0))), species) / HBAR
 
 
-def _field_of(err: Exception) -> str:
-    text = str(err)
-    return text.split()[0] if text else "field"
-
-
-def _default_omega0(beam: BeamConfig, species: AtomSpecies) -> float:
-    r_l = float(beam.ring_radius(beam.ring_z(0)))
-    return rotational_constant(r_l, species) / HBAR
-
-
-def parse_config(path) -> RunConfig:
-    """Load, validate, and resolve a JSON run configuration."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}") from err
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-
-    if "species" not in raw:
-        raise ConfigError("missing required section 'species'")
-    if "beam" not in raw:
-        raise ConfigError("missing required section 'beam'")
-    species = _species_from(raw["species"])
-    beam = _beam_from(raw["beam"], species)
-
-    spec_sec = raw.get("spectrum", {})
-    try:
-        limits = SpectrumLimits(
-            n_z_max=spec_sec.get("n_z_max", 1),
-            n_r_max=spec_sec.get("n_r_max", 2),
-            m_ell_max=spec_sec.get("m_ell_max", 5),
-            j=spec_sec.get("j", 0),
-            ratio_threshold=spec_sec.get("ratio_threshold", 10.0),
-            grid_points=spec_sec.get("grid_points", 3001),
-        )
-    except InvalidInputError as err:
-        raise ConfigError(f"spectrum: {err}") from err
-
-    omega0_default = _default_omega0(beam, species)
-    ls = raw.get("lineshape", {})
-    omega_r = ls.get("Omega_R", 3.142)
+def _lineshape_from(ls: dict) -> LineshapeJob:
+    shift = _read(ls["shift_model"], "lineshape.shift_model.", _SHIFT_MODEL)
+    omega_r, model_name, scale_s = ls["Omega_R"], shift["model"], shift["scale_s"]
+    target = shift["calibrate_delta_max_over_OmegaR"]
     if omega_r <= 0:
         raise ConfigError("lineshape.Omega_R must be positive")
-    shift_sec = ls.get("shift_model", {"model": "quadratic", "scale_s": 0.0})
-    model_name = shift_sec.get("model", "quadratic")
     if model_name not in SHIFT_MODELS:
         raise ConfigError(
             f"lineshape.shift_model.model '{model_name}' not one of {sorted(SHIFT_MODELS)}"
         )
-    scale_s = shift_sec.get("scale_s")
-    target = shift_sec.get("calibrate_delta_max_over_OmegaR")
-    if model_name == "quadratic" and scale_s is None and target is None:
-        scale_s = 0.0
     if scale_s is not None and scale_s < 0:
         raise ConfigError("lineshape.shift_model.scale_s must be non-negative")
-    lineshape = LineshapeJob(
-        omega_0=ls.get("omega_0", omega0_default),
-        Omega_R=omega_r,
-        tau=ls.get("tau", float(np.pi / omega_r)),
-        j_max=ls.get("j_max", 80),
-        kick_oam_L=ls.get("kick_oam_L", 25),
-        shift_model_name=model_name,
-        shift_scale_s=scale_s,
-        calibrate_delta_max_over_OmegaR=target,
-        grid_half_width_over_OmegaR=ls.get("grid_half_width_over_OmegaR", 8.0),
-        grid_points=ls.get("grid_points", 1601),
-    )
-    if lineshape.j_max < 0:
+    tau = float(np.pi / omega_r) if ls["tau"] is None else ls["tau"]
+    if ls["j_max"] < 0:
         raise ConfigError("lineshape.j_max must be non-negative")
-    if lineshape.tau <= 0:
+    if tau <= 0:
         raise ConfigError("lineshape.tau must be positive")
+    del ls["shift_model"]
+    return LineshapeJob(**dict(ls, tau=tau), shift_model_name=model_name,
+                        shift_scale_s=scale_s, calibrate_delta_max_over_OmegaR=target)
 
-    sen = raw.get("sensor", {})
+
+def parse_config(path) -> RunConfig:
+    """Load, validate, and resolve a JSON run configuration."""
     try:
-        sensor = SensorConfig(
-            kick_oam_L=sen.get("kick_oam_L", 25),
-            ring_count_N=sen.get("ring_count_N", 161),
-            omega_0=sen.get("omega_0", omega0_default),
-            Omega_R=sen.get("Omega_R", 3.142),
-            freq_uncertainty_pump=sen.get("freq_uncertainty_pump", 1.43e-9),
-            freq_uncertainty_stokes=sen.get("freq_uncertainty_stokes", 1.43e-9),
-            photon_count_pump=sen.get("photon_count_pump", 1e29),
-            photon_count_stokes=sen.get("photon_count_stokes", 1e29),
-            Delta_hf=sen.get("Delta_hf", 1.26e8),
-        )
-    except InvalidInputError as err:
-        raise ConfigError(f"sensor: {err}") from err
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as err:  # unreadable, not UTF-8, or not JSON
+        raise ConfigError(f"cannot read config {path}: {err}") from err
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    root = _read(raw, "", _ROOT)
 
-    scan = raw.get("rotation_scan", {})
-    if "Omega_values" in scan:
-        omegas = tuple(float(v) for v in scan["Omega_values"])
-    else:
-        omega0_scan = scan.get("omega_0", omega0_default)
-        lo = scan.get("Omega_min", -2.0 * omega0_scan)
-        hi = scan.get("Omega_max", 2.0 * omega0_scan)
-        n = scan.get("points", 81)
-        if n < 2 or hi <= lo:
+    def section(name: str, table: dict) -> dict:
+        return _read(root[name], name + ".", table)
+
+    species = _species_from(root["species"])
+    beam, omega0_default = _validated("beam", _beam_from, section("beam", _BEAM), species)
+    limits = _validated("spectrum", SpectrumLimits, **section("spectrum", _SPECTRUM))
+    lineshape = _lineshape_from(section("lineshape", _LINESHAPE))
+    sensor = section("sensor", _SENSOR)
+    if sensor["omega_0"] is None:
+        sensor["omega_0"] = omega0_default
+    sensor = _validated("sensor", SensorConfig, **sensor)
+
+    scan = section("rotation_scan", _ROTATION_SCAN)
+    omega0_scan = omega0_default if scan["omega_0"] is None else scan["omega_0"]
+    omegas = scan["Omega_values"]
+    if omegas is None:
+        lo = -2.0 * omega0_scan if scan["Omega_min"] is None else scan["Omega_min"]
+        hi = 2.0 * omega0_scan if scan["Omega_max"] is None else scan["Omega_max"]
+        if scan["points"] < 2 or hi <= lo:
             raise ConfigError("rotation_scan needs points >= 2 and Omega_max > Omega_min")
-        omegas = tuple(np.linspace(lo, hi, n))
-    rotation_scan = RotationScanJob(
-        omega_0=scan.get("omega_0", omega0_default),
-        kick_oam_L=scan.get("kick_oam_L", 25),
-        omega_values=omegas,
-    )
+        omegas = tuple(np.linspace(lo, hi, scan["points"]))
 
-    tilt_sec = raw.get("tilt", {})
-
-    def _vec(key, default):
-        v = tilt_sec.get(key, default)
-        if not (isinstance(v, (list, tuple)) and len(v) == 3):
-            raise ConfigError(f"tilt.{key} must be a 3-vector")
-        return tuple(float(x) for x in v)
-
-    tilt = TiltJob(
-        gravity_g=_vec("gravity_g", [0.0, 0.0, -9.80665]),
-        acceleration_a=_vec("acceleration_a", [0.0, 0.0, 0.0]),
-        angular_velocity_Omega=_vec("angular_velocity_Omega", [0.0, 0.0, 0.0]),
-    )
-
-    out = raw.get("output", {})
-    output_format = out.get("format", "csv")
-    if output_format not in ("csv", "json"):
+    out = section("output", _OUTPUT)
+    if out["format"] not in ("csv", "json"):
         raise ConfigError("output.format must be 'csv' or 'json'")
-    parallelism = raw.get("parallelism", 1)
-    if not isinstance(parallelism, int) or parallelism < 1:
+    if root["parallelism"] < 1:
         raise ConfigError("parallelism must be a positive integer")
-
-    resolved = {
-        "species": {
-            "label": species.label,
-            "mass_kg": species.mass,
-            "g_factor": species.g_factor,
-            "hyperfine_splitting": species.hyperfine_splitting,
-            "F_ground": species.F_ground,
-        },
-        "beam": {
-            "wavelength": beam.wavelength,
-            "waist_w0": beam.waist_w0,
-            "power_P0": beam.power_P0,
-            "oam_l": beam.oam_l,
-            "radial_p": beam.radial_p,
-            "phase_z0": beam.phase_z0,
-            "trap_depth_J": beam.trap_depth_V0,
-            "collimated": beam.collimated,
-            "z_eff": beam.z_eff,
-        },
-        "spectrum": {
-            "n_z_max": limits.n_z_max,
-            "n_r_max": limits.n_r_max,
-            "m_ell_max": limits.m_ell_max,
-            "j": limits.j,
-            "ratio_threshold": limits.ratio_threshold,
-            "grid_points": limits.grid_points,
-        },
-        "lineshape": {
-            "omega_0": lineshape.omega_0,
-            "Omega_R": lineshape.Omega_R,
-            "tau": lineshape.tau,
-            "j_max": lineshape.j_max,
-            "kick_oam_L": lineshape.kick_oam_L,
-            "shift_model": lineshape.shift_model_name,
-            "scale_s": lineshape.shift_scale_s,
-            "calibrate_delta_max_over_OmegaR": lineshape.calibrate_delta_max_over_OmegaR,
-            "grid_half_width_over_OmegaR": lineshape.grid_half_width_over_OmegaR,
-            "grid_points": lineshape.grid_points,
-        },
-        "sensor": {
-            "kick_oam_L": sensor.kick_oam_L,
-            "ring_count_N": sensor.ring_count_N,
-            "omega_0": sensor.omega_0,
-            "Omega_R": sensor.Omega_R,
-            "freq_uncertainty_pump": sensor.freq_uncertainty_pump,
-            "freq_uncertainty_stokes": sensor.freq_uncertainty_stokes,
-            "photon_count_pump": sensor.photon_count_pump,
-            "photon_count_stokes": sensor.photon_count_stokes,
-            "Delta_hf": sensor.Delta_hf,
-        },
-        "rotation_scan": {
-            "omega_0": rotation_scan.omega_0,
-            "kick_oam_L": rotation_scan.kick_oam_L,
-            "n_points": len(rotation_scan.omega_values),
-        },
-        "tilt": {
-            "gravity_g": list(tilt.gravity_g),
-            "acceleration_a": list(tilt.acceleration_a),
-            "angular_velocity_Omega": list(tilt.angular_velocity_Omega),
-        },
-        "output": {"path": out.get("path"), "format": output_format},
-        "parallelism": parallelism,
-    }
     return RunConfig(
         species=species,
         beam=beam,
         spectrum=limits,
         lineshape=lineshape,
         sensor=sensor,
-        rotation_scan=rotation_scan,
-        tilt=tilt,
-        output_path=out.get("path", ""),
-        output_format=output_format,
-        parallelism=parallelism,
-        resolved=resolved,
+        rotation_scan=RotationScanJob(omega0_scan, scan["kick_oam_L"], omegas),
+        tilt=TiltJob(**section("tilt", _TILT)),
+        output_path=out["path"],
+        output_format=out["format"],
+        parallelism=root["parallelism"],
     )

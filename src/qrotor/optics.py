@@ -172,7 +172,7 @@ def optical_potential(beam: BeamConfig, r, z):
     standing-wave nodes.
     """
     if beam.radial_p != 0:
-        raise UnsupportedModeError("trap potential is defined for p = 0 modes only")
+        raise UnsupportedModeError("trap potential is defined for radial_p = 0 modes only")
     l = abs(beam.oam_l)
     if l == 0:
         raise UnsupportedModeError("ring trap requires a nonzero OAM index")
@@ -231,7 +231,7 @@ def harmonic_decomposition(beam: BeamConfig, j: int):
     well V0 k^2 / ww(z_j)^2 * (z - z_j)^2 obtained from the standing wave.
     """
     if beam.radial_p != 0:
-        raise UnsupportedModeError("harmonic decomposition requires p = 0")
+        raise UnsupportedModeError("harmonic decomposition requires radial_p = 0")
     z_j = float(beam.ring_z(j))
     ww2 = float((beam.width(z_j) / beam.waist_w0) ** 2)
     k2v0 = beam.trap_depth_V0 * beam.wavenumber**2 / ww2

@@ -88,6 +88,13 @@ class SpectrumLimits:
     ratio_threshold: float = 10.0
     grid_points: int = 3001
 
+    def __post_init__(self):
+        for name in ("n_z_max", "n_r_max", "m_ell_max"):
+            if getattr(self, name) < 0:
+                raise InvalidInputError(f"{name} must be non-negative")
+        if self.ratio_threshold <= 0:
+            raise InvalidInputError("ratio_threshold must be positive")
+
 
 def rotational_constant(r: float, species: AtomSpecies) -> float:
     """Rigid-rotor energy scale C(r) = hbar^2 / (2 M r^2)."""

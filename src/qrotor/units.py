@@ -23,19 +23,6 @@ ATOMIC_MASS = 1.660_539_066_60e-27  # kg
 
 
 @dataclass(frozen=True)
-class PhysicalConstants:
-    """Immutable bundle of the CODATA values used throughout."""
-
-    hbar: float = HBAR
-    k_B: float = K_B
-    mu_B: float = MU_B
-    c: float = C_LIGHT
-
-
-CONSTANTS = PhysicalConstants()
-
-
-@dataclass(frozen=True)
 class AtomSpecies:
     """Ground-state data for a trapped alkali atom.
 

@@ -1,7 +1,10 @@
+import copy
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from qrotor.cli import cli
 from qrotor.config import parse_config
@@ -28,7 +31,6 @@ MINIMAL = {
 def fast_lineshape_config(**shift):
     cfg = dict(MINIMAL)
     cfg["lineshape"] = {
-        "omega_0": 21.13,
         "Omega_R": 3.142,
         "j_max": 20,
         "kick_oam_L": 25,
@@ -48,9 +50,8 @@ def test_minimal_config_fills_defaults(tmp_path):
     assert cfg.spectrum.n_z_max == 1
     assert cfg.sensor.ring_count_N == 161
     assert cfg.parallelism == 1
-    # defaults are echoed
-    assert cfg.resolved["beam"]["trap_depth_J"] > 0
-    assert cfg.resolved["lineshape"]["Omega_R"] == 3.142
+    assert cfg.beam.trap_depth_V0 > 0
+    assert cfg.lineshape.Omega_R == 3.142
 
 
 def test_config_rejects_bad_phase(tmp_path):
@@ -268,3 +269,93 @@ def test_lineshape_physical_shift_model(runner, tmp_path):
     assert fit["shift_model"] == "physical"
     # divergence over the stack broadens and red-shifts the peak
     assert fit["peak"]["delta_max_over_OmegaR"] < 0.0
+
+
+# --- the config and exit-code contract -------------------------------------------
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("budget", "lineshape", "Omega_R", "fast"),
+    ("budget", "rotation_scan", "points", 2.5),
+    ("budget", "lineshape", "j_max", 2.5),
+    ("budget", None, "parallelism", True),
+    ("budget", "sensor", "kick_oam_L", True),
+    ("budget", "sensor", "ring_count_N", 161.0),
+    ("budget", "beam", "unknown_key", 1),
+    ("budget", "spectrum", "m_ell_max", -1),
+    ("spectrum", "spectrum", "m_ell_max", -1),
+])
+def test_bad_field_exits_2_naming_it(runner, tmp_path, command, section, key, value):
+    cfg = copy.deepcopy(MINIMAL)
+    (cfg.setdefault(section, {}) if section else cfg)[key] = value
+    p = write_config(tmp_path, "bad.json", cfg)
+    with pytest.raises(ConfigError, match=key):
+        parse_config(p)
+    res = runner.invoke(cli, [command, "--config", str(p), "--out", str(tmp_path / "x.out")])
+    assert res.exit_code == 2, res.output
+    assert key in res.output
+
+
+def test_unsupported_beam_mode_exits_2(runner, tmp_path):
+    # radial_p = 1 is a valid beam but not a ring trap: the spectrum needs p = 0
+    cfg = copy.deepcopy(MINIMAL)
+    cfg["beam"]["radial_p"] = 1
+    cfg["spectrum"] = {"n_z_max": 0, "n_r_max": 0, "m_ell_max": 1}
+    p = write_config(tmp_path, "p1.json", cfg)
+    res = runner.invoke(cli, ["spectrum", "--config", str(p), "--out", str(tmp_path / "s.csv")])
+    assert res.exit_code == 2, res.output
+    assert "radial_p" in res.output
+
+
+def test_unwritable_output_exits_2(runner, tmp_path, config_dir):
+    out = tmp_path / "missing" / "budget.json"
+    res = runner.invoke(cli, ["budget", "--config", str(config_dir / "budget.json"),
+                              "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "cannot write the output" in res.output
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+_ODD_VALUES = st.one_of(st.sampled_from(["fast", True, False, None, [], {}, [1.0, 2.0]]),
+                        st.integers(-5, 200), st.floats(-1e3, 1e3))
+
+
+def _slots(node):
+    """(container, key) of every value nested in `node`."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+@st.composite
+def mutated_shipped_configs(draw):
+    """A shipped config with one value replaced or dropped, or one key or item added."""
+    path = draw(st.sampled_from(SHIPPED_CONFIGS))
+    cfg = json.loads(path.read_text())
+    container, key = draw(st.sampled_from(list(_slots(cfg))))
+    action = draw(st.sampled_from(["replace", "drop", "add"]))
+    if action == "replace":
+        container[key] = draw(_ODD_VALUES)
+    elif action == "drop":
+        del container[key]
+    elif isinstance(container, dict):
+        container["unknown_key"] = draw(_ODD_VALUES)
+    else:
+        container.append(draw(_ODD_VALUES))
+    return cfg
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(cfg=mutated_shipped_configs())
+def test_any_config_mutation_is_an_artifact_or_a_documented_exit(tmp_path_factory, cfg):
+    tmp = tmp_path_factory.mktemp("mutated")
+    p = write_config(tmp, "cfg.json", cfg)
+    try:
+        parse_config(p)
+    except ConfigError:
+        pass
+    runner = CliRunner()
+    for command in ("budget", "tilt", "rotation-scan"):
+        res = runner.invoke(cli, [command, "--config", str(p), "--out", str(tmp / "out")])
+        assert res.exit_code in (0, 2, 3, 4), (command, res.output, res.exception)
+        assert "Traceback" not in res.output

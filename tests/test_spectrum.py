@@ -145,6 +145,14 @@ def test_spectrum_degeneracies(small_spectrum, li6):
         assert lv.degeneracy == expected
 
 
+@pytest.mark.parametrize("bad", [{"n_z_max": -1}, {"n_r_max": -1}, {"m_ell_max": -1},
+                                 {"ratio_threshold": 0.0}])
+def test_spectrum_limits_reject_out_of_range(bad):
+    fields = {"n_z_max": 1, "n_r_max": 1, "m_ell_max": 1, **bad}
+    with pytest.raises(InvalidInputError, match=next(iter(bad))):
+        SpectrumLimits(**fields)
+
+
 def test_rotating_frame_energy_shifts():
     lvl0 = EnergyLevel(QuantumNumbers(0, 0, 0), energy=1e-30, degeneracy=2)
     assert rotating_frame_energy(lvl0, 123.0) == lvl0.energy
