@@ -11,6 +11,7 @@ section is validated against the module invariants before any computation.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,7 +50,7 @@ _BEAM = {
 }
 _SPECTRUM = {  # the fields of SpectrumLimits
     "n_z_max": (int, 1), "n_r_max": (int, 2), "m_ell_max": (int, 5), "j": (int, 0),
-    "ratio_threshold": (float, 10.0), "grid_points": (int, 3001),
+    "ratio_threshold": (float, 10.0),
 }
 _LINESHAPE = {
     "Omega_R": (float, 3.142), "tau": (float, None), "j_max": (int, 80),
@@ -78,8 +79,9 @@ _TILT = {  # the fields of TiltJob
 }
 _OUTPUT = {"path": (str, ""), "format": (str, "csv")}
 
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
-               dict: "an object", _VECTOR: "a list of 3 numbers", _NUMBERS: "a list of numbers"}
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string", dict: "an object", _VECTOR: "a list of 3 finite numbers",
+               _NUMBERS: "a list of finite numbers"}
 
 
 @dataclass(frozen=True)
@@ -132,18 +134,23 @@ class RunConfig:
 
 
 def _is_number(value) -> bool:
-    # bool is an int subclass; an int beyond the float range cannot convert
-    return isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max)
+    # bool is an int subclass; JSON's NaN and Infinity parse as floats; an int
+    # beyond the float range cannot convert
+    if type(value) is float:
+        return math.isfinite(value)
+    return type(value) is int and abs(value) <= sys.float_info.max
 
 
 def _typed(value, kind, field: str):
     """`value` as the table's `kind`: floats take ints, nothing else converts."""
-    if kind is float and _is_number(value):
-        return float(value)
-    if kind in (_VECTOR, _NUMBERS) and isinstance(value, list) and all(map(_is_number, value)):
-        if kind is _NUMBERS or len(value) == 3:
+    if kind is float:
+        if _is_number(value):
+            return float(value)
+    elif kind in (_VECTOR, _NUMBERS):
+        if isinstance(value, list) and all(map(_is_number, value)) and (
+                kind is _NUMBERS or len(value) == 3):
             return tuple(float(v) for v in value)
-    if type(value) is kind:  # so an int field refuses bool and float
+    elif type(value) is kind:  # so an int field refuses bool and float
         return value
     raise ConfigError(f"field '{field}' must be {_KIND_NAMES[kind]}")
 
@@ -208,6 +215,8 @@ def _lineshape_from(ls: dict) -> LineshapeJob:
     tau = float(np.pi / omega_r) if ls["tau"] is None else ls["tau"]
     if ls["j_max"] < 0:
         raise ConfigError("lineshape.j_max must be non-negative")
+    if ls["kick_oam_L"] < 1:
+        raise ConfigError("lineshape.kick_oam_L must be >= 1")
     if tau <= 0:
         raise ConfigError("lineshape.tau must be positive")
     del ls["shift_model"]
@@ -238,6 +247,8 @@ def parse_config(path) -> RunConfig:
     sensor = _validated("sensor", SensorConfig, **sensor)
 
     scan = section("rotation_scan", _ROTATION_SCAN)
+    if scan["kick_oam_L"] < 1:
+        raise ConfigError("rotation_scan.kick_oam_L must be >= 1")
     omega0_scan = omega0_default if scan["omega_0"] is None else scan["omega_0"]
     omegas = scan["Omega_values"]
     if omegas is None:

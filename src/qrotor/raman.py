@@ -312,9 +312,19 @@ def stack_average(delta, omega_r: float, tau: float, ring_shifts) -> np.ndarray:
     value depends only on that point: splitting the grid across workers gives
     bit-identical results.
     """
+    return _folded_average(delta, omega_r, tau, *_fold(ring_shifts))
+
+
+def _fold(ring_shifts) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ring shifts, sorted, and how many rings carry each."""
     shifts, counts = np.unique(np.asarray(ring_shifts, dtype=float), return_counts=True)
     if shifts.size == 0:
         raise InvalidInputError("the ring stack is empty (j_max must be non-negative)")
+    return shifts, counts
+
+
+def _folded_average(delta, omega_r: float, tau: float, shifts, counts) -> np.ndarray:
+    """`stack_average` over shifts already folded by `_fold`."""
     d = np.asarray(delta, dtype=float)
     points = d.reshape(-1, 1)
     total = np.zeros(len(points))
@@ -397,20 +407,21 @@ def lineshape_peak(
     scalar minimiser over +/- 2 scan steps.  The scan spacing is 1/100 of the
     narrowest feature P0 can have: its width Omega_R, or the fringe period
     2 pi / tau when the pulse is longer than 2 pi / Omega_R.  At
-    tau = pi / Omega_R that is 0.01 Omega_R (601 points).
+    tau = pi / Omega_R that is 0.01 Omega_R (601 points).  The ring shifts
+    are folded once, for the scan and every refinement step.
     """
     j = np.arange(-j_max, j_max + 1)
-    shifts = shift_model.shifts(j, beam, species, kick_oam_L)
+    folded = _fold(shift_model.shifts(j, beam, species, kick_oam_L))
     steps_per_omega_r = _SCAN_STEPS_PER_FEATURE * _features_per_omega_r(omega_r, tau)
     lo_edge, hi_edge = _PEAK_WINDOW
     n = int(np.ceil((hi_edge - lo_edge) * steps_per_omega_r)) + 1
     xs = np.linspace(lo_edge * omega_r, hi_edge * omega_r, n)
-    ys = stack_average(xs, omega_r, tau, shifts)
+    ys = _folded_average(xs, omega_r, tau, *folded)
     i = int(np.argmax(ys))
     lo = xs[max(i - 2, 0)]
     hi = xs[min(i + 2, len(xs) - 1)]
     res = minimize_scalar(
-        lambda d: -float(stack_average(d, omega_r, tau, shifts)),
+        lambda d: -float(_folded_average(d, omega_r, tau, *folded)),
         bounds=(lo, hi),
         method="bounded",
         options={"xatol": 1e-12 * omega_r},

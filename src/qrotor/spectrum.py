@@ -3,15 +3,19 @@
 The trap potential separates near a ring minimum into an axial harmonic well
 W_j(z) and a radial profile V_l(r); the azimuthal motion contributes a
 rigid-rotor tower m^2 C(r) with C(r) = hbar^2 / (2 M r^2).  Both 1-D problems
-are solved by second-order finite differences on a uniform grid.  The radial
-equation (cylindrical Laplacian) is symmetrised with psi = chi / sqrt(r),
-which maps it onto a 1-D problem with effective potential
+are solved in a Colbert-Miller sinc discrete-variable representation (DVR) on
+a uniform grid (D. T. Colbert and W. H. Miller, J. Chem. Phys. 96, 1982
+(1992)).  The radial equation (cylindrical Laplacian) is symmetrised with
+psi = chi / sqrt(r), which maps it onto a 1-D problem with effective potential
 V_l(r) + (m^2 - 1/4) hbar^2 / (2 M r^2).
 
-Eigenvalues are Richardson-extrapolated from two grids (h and h/2), removing
-the leading O(h^2) discretisation error; the residual h^2 mismatch between the
-two grids doubles as the convergence diagnostic.  Both grids are solved for
-eigenvalues only; fine-grid eigenfunctions are computed on request.
+The wells are smooth and each box spans 7-8 oscillator lengths either side,
+so the DVR eigenvalues converge exponentially in the basis size: on the fig2
+trap 42 points put every level within 3e-10 of a rotor gap of its 128-point
+value, which is the rounding floor of energies ~1e5 gaps deep.  Each solve is
+repeated in a basis of 3n/2 points, and the relative difference of the two is
+the convergence diagnostic.  Both bases are solved for eigenvalues only; the
+eigenfunctions of the larger basis are computed on request.
 """
 
 from __future__ import annotations
@@ -21,15 +25,20 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .exceptions import ConvergenceError, InvalidInputError
 from .optics import BeamConfig, harmonic_decomposition, radial_trap_frequency, ring_minima
 from .units import HBAR, K_B, AtomSpecies
 
-# Fractional disagreement between the raw fine-grid eigenvalue and its
-# extrapolation beyond which the grid is declared unconverged.
+# Fractional disagreement between the eigenvalues of the n- and 3n/2-point
+# bases beyond which the basis is declared unconverged.
 _CONVERGENCE_LIMIT = 1e-3
+# Default sinc-DVR basis size of both 1-D solves.  Its 3n/2 = 63-point check
+# stays below the 72 points at which OpenBLAS (0.3.31) hands eigvalsh's
+# tridiagonal reduction to a second thread (2-core machine: 0.15 ms per
+# 72-point solve on two cores, and in one run 2.8 ms, against 0.12 ms on one
+# core at 63 points).
+_BASIS_POINTS = 42
 
 
 @dataclass(frozen=True)
@@ -59,13 +68,14 @@ class RotorSpectrum:
 
 @dataclass(frozen=True)
 class BoundStates:
-    """Eigenvalues and fine-grid eigenfunctions of one 1-D solve.
+    """Eigenvalues and eigenfunctions of one 1-D solve.
 
     ``wavefunctions[:, n]`` is state n sampled on ``grid``, normalised so that
     the trapezoid integral of |psi|^2 against ``measure`` equals one
     (measure = 1 for axial dz, measure = r for the radial r dr weight).
     The spectrum needs only the energies, so the eigenvectors are computed on
-    first access to ``wavefunctions``, from the same fine-grid operator.
+    first access to ``wavefunctions``, from the 3n/2-point DVR Hamiltonian
+    whose grid is ``grid``.
     """
 
     energies: np.ndarray
@@ -86,7 +96,6 @@ class SpectrumLimits:
     m_ell_max: int
     j: int = 0
     ratio_threshold: float = 10.0
-    grid_points: int = 3001
 
     def __post_init__(self):
         for name in ("n_z_max", "n_r_max", "m_ell_max"):
@@ -103,45 +112,45 @@ def rotational_constant(r: float, species: AtomSpecies) -> float:
     return HBAR**2 / (2.0 * species.mass * r**2)
 
 
-def _fd_operator(potential, lo: float, hi: float, n: int, mass: float, k: int):
-    """-(hbar^2/2m) d^2/dx^2 + V on [lo, hi], Dirichlet, as a tridiagonal.
+def _dvr_hamiltonian(potential, lo: float, hi: float, n: int, mass: float):
+    """Colbert-Miller sinc-DVR Hamiltonian on n points strictly inside (lo, hi).
 
-    Returns the interior grid, its spacing and the (diagonal, off-diagonal)
-    pair.
+    T_ii = t pi^2 / 3 and T_ij = t 2 (-1)^(i-j) / (i-j)^2 with
+    t = hbar^2 / (2 m h^2); the potential is diagonal.  Returns the grid, its
+    spacing and the dense matrix.
+    """
+    x = np.linspace(lo, hi, n + 2)[1:-1]
+    h = x[1] - x[0]
+    k = np.arange(1, n)
+    row = np.concatenate(([np.pi**2 / 3.0], 2.0 * (-1.0) ** k / k**2))
+    idx = np.arange(n)
+    ham = HBAR**2 / (2.0 * mass * h**2) * row[np.abs(idx[:, None] - idx[None, :])]
+    ham[idx, idx] += potential(x)
+    return x, h, ham
+
+
+def _solve_dvr(potential, lo, hi, n, mass, k):
+    """Lowest k eigenvalues of a sinc-DVR basis of n points, checked against 3n/2.
+
+    Returns ``(energies, grid, vectors, drift)``: the n-point energies, the
+    3n/2-point grid, a ``vectors()`` that computes the 3n/2-point
+    eigenvectors normalised against dx only when called, and the largest
+    relative difference between the two bases' energies.
     """
     if n < k + 4:
-        raise InvalidInputError(
-            f"grid of {n} points cannot resolve {k} eigenstates"
-        )
-    x = np.linspace(lo, hi, n)
-    h = x[1] - x[0]
-    t = HBAR**2 / (2.0 * mass * h**2)
-    inner = x[1:-1]
-    return inner, h, 2.0 * t + potential(inner), np.full(n - 3, -t)
-
-
-def _solve_extrapolated(potential, lo, hi, n, mass, k):
-    """Two-grid solve with Richardson extrapolation of the lowest k eigenvalues.
-
-    Returns ``(energies, grid, vectors, drift)``; ``vectors()`` computes the
-    fine-grid eigenvectors, normalised against dx, only when called.
-    """
-    lowest = {"select": "i", "select_range": (0, k - 1)}
-    _, _, diag, off = _fd_operator(potential, lo, hi, n, mass, k)
-    coarse = eigh_tridiagonal(diag, off, eigvals_only=True, **lowest)
-    grid, h, diag, off = _fd_operator(potential, lo, hi, 2 * n - 1, mass, k)
-    fine = eigh_tridiagonal(diag, off, eigvals_only=True, **lowest)
-    energies = (4.0 * fine - coarse) / 3.0
-    scale = np.maximum(np.abs(energies), np.abs(energies).max())
-    drift = float(np.max(np.abs(fine - energies) / scale))
+        raise InvalidInputError(f"basis of {n} points cannot resolve {k} eigenstates")
+    energies = np.linalg.eigvalsh(_dvr_hamiltonian(potential, lo, hi, n, mass)[2])[:k]
+    grid, h, ham = _dvr_hamiltonian(potential, lo, hi, 3 * n // 2, mass)
+    fine = np.linalg.eigvalsh(ham)[:k]
+    drift = float(np.max(np.abs(energies - fine)) / np.max(np.abs(fine)))
     if drift > _CONVERGENCE_LIMIT:
         raise ConvergenceError(
-            "finite-difference eigensolve did not converge",
+            "sinc-DVR eigensolve did not converge",
             diagnostics={"grid_points": n, "relative_drift": drift, "lo": lo, "hi": hi},
         )
 
     def vectors():
-        return eigh_tridiagonal(diag, off, **lowest)[1] / np.sqrt(h)
+        return np.linalg.eigh(ham)[1][:, :k] / np.sqrt(h)
 
     return energies, grid, vectors, drift
 
@@ -151,13 +160,14 @@ def solve_axial(
     species: AtomSpecies,
     j: int,
     n_z_max: int,
-    grid_points: int = 2001,
+    grid_points: int = _BASIS_POINTS,
 ) -> BoundStates:
     """Axial levels of the harmonic standing-wave well at ring j.
 
-    Solves -(hbar^2/2M) d^2/dz^2 + W_j(z) on a symmetric box of +/- 6 b_z
-    around z_j; returns the lowest n_z_max + 1 levels in ascending order.
-    Only eigenvalues are computed here; see ``BoundStates.wavefunctions``.
+    Solves -(hbar^2/2M) d^2/dz^2 + W_j(z) on a symmetric box of +/- 7 b_z
+    around z_j in a DVR basis of ``grid_points`` points; returns the lowest
+    n_z_max + 1 levels in ascending order.  Only eigenvalues are computed
+    here; see ``BoundStates.wavefunctions``.
     """
     if n_z_max < 0:
         raise InvalidInputError("n_z_max must be non-negative")
@@ -165,8 +175,9 @@ def solve_axial(
         raise InvalidInputError("bound axial states require trap_depth_V0 > 0")
     geo = ring_minima(beam, species, [j])[0]
     _, w_axial = harmonic_decomposition(beam, j)
-    half = 6.0 * geo.b_z
-    energies, grid, vectors, drift = _solve_extrapolated(
+    # at +/- 6 b_z the box raised the n = 3 level by 3e-11 of itself, ~1e-5 rotor gaps
+    half = 7.0 * geo.b_z
+    energies, grid, vectors, drift = _solve_dvr(
         w_axial, geo.z_j - half, geo.z_j + half, grid_points, species.mass, n_z_max + 1
     )
     return BoundStates(energies, grid, np.ones_like(grid), drift, vectors)
@@ -178,13 +189,15 @@ def solve_radial(
     j: int,
     m_ell: int,
     n_r_max: int,
-    grid_points: int = 3001,
+    grid_points: int = _BASIS_POINTS,
     radial_profile: str = "full",
 ) -> BoundStates:
     """Radial levels eps_r(n_r, m_ell) of the ring profile plus centrifugal term.
 
     ``radial_profile`` selects the full ring profile V_l(r) or its harmonic
     expansion about r_l (the oracle used to validate the grid machinery).
+    The box spans +/- 8 b_r around r_l in a DVR basis of ``grid_points``
+    points.
     Eigenfunctions are returned as psi(r) = chi(r)/sqrt(r), orthonormal under
     the cylindrical measure r dr; like the axial ones they are computed only
     when ``wavefunctions`` is first read.
@@ -211,7 +224,7 @@ def solve_radial(
 
     lo = max(geo.r_l - 8.0 * b_r, 1e-4 * geo.r_l)
     hi = geo.r_l + 8.0 * b_r
-    energies, grid, vectors, drift = _solve_extrapolated(
+    energies, grid, vectors, drift = _solve_dvr(
         v_eff, lo, hi, grid_points, species.mass, n_r_max + 1
     )
     return BoundStates(
@@ -227,12 +240,12 @@ def assemble_spectrum(
     Energies are reported relative to the (0, 0, 0) ground level.  States with
     m_ell = 0 carry the hyperfine multiplicity 2F + 1; states with m_ell != 0
     are doubled by the +/- m_ell orbital degeneracy.  The radial solves run
-    one after another: LAPACK's bisection holds the GIL, so threads would
-    not overlap them.
+    one after another: each is a pair of dense eigenvalue solves of at most
+    63 x 63, far too small to share across threads.
     """
     axial = solve_axial(beam, species, limits.j, limits.n_z_max)
     radial_by_m = {
-        m: solve_radial(beam, species, limits.j, m, limits.n_r_max, limits.grid_points)
+        m: solve_radial(beam, species, limits.j, m, limits.n_r_max)
         for m in range(limits.m_ell_max + 1)
     }
 
@@ -255,13 +268,9 @@ def assemble_spectrum(
     eps_z = float(axial.energies[1] - axial.energies[0]) if limits.n_z_max >= 1 else float(
         solve_axial(beam, species, limits.j, 1).energies[1] - axial.energies[0]
     )
-    r0 = radial_by_m[0] if limits.n_r_max >= 1 else solve_radial(
-        beam, species, limits.j, 0, 1, limits.grid_points
-    )
+    r0 = radial_by_m[0] if limits.n_r_max >= 1 else solve_radial(beam, species, limits.j, 0, 1)
     eps_r = float(r0.energies[1] - r0.energies[0])
-    r1 = radial_by_m.get(1) or solve_radial(
-        beam, species, limits.j, 1, 0, limits.grid_points
-    )
+    r1 = radial_by_m.get(1) or solve_radial(beam, species, limits.j, 1, 0)
     eps_ell = float(r1.energies[0] - radial_by_m[0].energies[0])
 
     thr = limits.ratio_threshold

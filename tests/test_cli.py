@@ -314,6 +314,56 @@ def test_unwritable_output_exits_2(runner, tmp_path, config_dir):
     assert "cannot write the output" in res.output
 
 
+def test_spectrum_grid_points_key_exits_2(runner, tmp_path, config_dir):
+    # the finite-difference grid size is gone; a stale value must not size the DVR basis
+    cfg = json.loads((config_dir / "fig2_spectrum.json").read_text())
+    cfg["spectrum"]["grid_points"] = 3001
+    p = write_config(tmp_path, "fig2.json", cfg)
+    out = tmp_path / "s.csv"
+    res = runner.invoke(cli, ["spectrum", "--config", str(p), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "unknown field 'spectrum.grid_points'" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, section, key, value", [
+    ("budget", "budget.json", "sensor", "Omega_R", float("nan")),
+    ("budget", "budget.json", "sensor", "photon_count_pump", float("inf")),
+    ("lineshape", "fig4_lineshape.json", "lineshape", "Omega_R", float("nan")),
+    ("lineshape", "fig4_lineshape.json", "lineshape", "tau", float("-inf")),
+])
+def test_non_finite_number_exits_2_naming_it(runner, tmp_path, config_dir,
+                                             command, config, section, key, value):
+    cfg = json.loads((config_dir / config).read_text())
+    cfg.setdefault(section, {})[key] = value
+    p = write_config(tmp_path, "bad.json", cfg)   # json writes NaN / Infinity
+    out = tmp_path / "x.out"
+    res = runner.invoke(cli, [command, "--config", str(p), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert f"'{section}.{key}' must be a finite number" in res.output
+    assert not out.exists()
+
+
+def test_lineshape_zero_kick_exits_2(runner, tmp_path, config_dir):
+    cfg = json.loads((config_dir / "fig4_lineshape.json").read_text())
+    cfg["lineshape"].update(kick_oam_L=0, j_max=10,
+                            shift_model={"model": "quadratic", "scale_s": 0.004})
+    p = write_config(tmp_path, "kick0.json", cfg)
+    res = runner.invoke(cli, ["lineshape", "--config", str(p), "--out", str(tmp_path / "l.csv")])
+    assert res.exit_code == 2, res.output
+    assert "lineshape.kick_oam_L" in res.output
+
+
+def test_rotation_scan_zero_kick_exits_2(runner, tmp_path, config_dir):
+    cfg = json.loads((config_dir / "fig5_rotation_scan.json").read_text())
+    cfg.setdefault("rotation_scan", {})["kick_oam_L"] = 0
+    p = write_config(tmp_path, "kick0.json", cfg)
+    res = runner.invoke(cli, ["rotation-scan", "--config", str(p),
+                              "--out", str(tmp_path / "r.csv")])
+    assert res.exit_code == 2, res.output
+    assert "rotation_scan.kick_oam_L" in res.output
+
+
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 _ODD_VALUES = st.one_of(st.sampled_from(["fast", True, False, None, [], {}, [1.0, 2.0]]),
                         st.integers(-5, 200), st.floats(-1e3, 1e3))

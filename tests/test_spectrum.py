@@ -44,10 +44,23 @@ def test_axial_levels_match_harmonic_oracle(fig_beam, li6):
     assert gap / K_B == pytest.approx(22.36e-6, rel=1e-3)
 
 
-def test_axial_eigenvalue_drift_under_grid_halving(fig_beam, li6):
-    coarse = solve_axial(fig_beam, li6, 0, 3, grid_points=1001)
-    fine = solve_axial(fig_beam, li6, 0, 3, grid_points=2001)
-    assert np.all(np.abs(fine.energies / coarse.energies - 1.0) < 1e-8)
+@pytest.mark.parametrize("j", [0, 3, -120])
+def test_axial_dvr_matches_harmonic_oracle_to_1e10(fig_beam, li6, j):
+    # the axial well is exactly harmonic, so the DVR levels are hbar w_z (n + 1/2)
+    geo = ring_minima(fig_beam, li6, [j])[0]
+    states = solve_axial(fig_beam, li6, j, 5)
+    exact = HBAR * geo.omega_z * (np.arange(6) + 0.5)
+    assert np.max(np.abs(states.energies / exact - 1.0)) <= 1e-10
+
+
+def test_axial_energies_converge_with_basis_size(fig_beam, li6):
+    # the drift of an n-point solve is its difference from the 3n/2-point solve
+    coarse = solve_axial(fig_beam, li6, 0, 3, grid_points=42)
+    fine = solve_axial(fig_beam, li6, 0, 3, grid_points=63)
+    assert np.max(np.abs(coarse.energies / fine.energies - 1.0)) <= 1e-10
+    diff = np.max(np.abs(coarse.energies - fine.energies)) / np.max(np.abs(fine.energies))
+    assert coarse.drift == diff
+    assert coarse.drift <= 1e-10
 
 
 def test_axial_convergence_error_on_absurd_grid(fig_beam, li6):
@@ -190,13 +203,12 @@ def test_spectrum_energies_are_the_solver_energies(fig_beam, li6, small_spectrum
 
 
 def test_spectrum_never_requests_eigenvectors(fig_beam, li6, monkeypatch):
-    requests = []
-    original = qrotor.spectrum.eigh_tridiagonal
-
-    def recording(*args, **kwargs):
-        requests.append(kwargs.get("eigvals_only", False))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(qrotor.spectrum, "eigh_tridiagonal", recording)
+    calls = []
+    linalg = qrotor.spectrum.np.linalg
+    for name in ("eigvalsh", "eigh"):
+        def recording(*args, _name=name, _original=getattr(linalg, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(linalg, name, recording)
     assemble_spectrum(fig_beam, li6, SpectrumLimits(n_z_max=1, n_r_max=1, m_ell_max=3))
-    assert requests and all(requests)
+    assert calls and set(calls) == {"eigvalsh"}
