@@ -20,14 +20,13 @@ import numpy as np
 
 from .config import RunConfig, parse_config
 from .exceptions import ConfigError, ConvergenceError, FitError, QRotorError, ValidityError
-from .output import parallel_map, write_csv, write_json
+from .output import write_csv, write_json
 from .raman import (
-    Lineshape,
     QuadraticShift,
     calibrate_quadratic_scale,
     fit_lineshape,
+    lineshape_from_rabi,
     lineshape_peak,
-    stack_average,
 )
 from .sensor import rotation_scan_rows, sensor_budget, tilt_compensation
 from .spectrum import assemble_spectrum, spectrum_rows
@@ -60,6 +59,15 @@ def _guarded(fn):
             sys.exit(EXIT_CONFIG)
 
     return wrapper
+
+
+def _write_quantities(out_path, fmt, payload: dict) -> None:
+    """The payload as JSON, or its scalar entries as a quantity,value CSV."""
+    if fmt == "csv":
+        write_csv(out_path, ["quantity", "value"],
+                  [(k, v) for k, v in payload.items() if not isinstance(v, (dict, list))])
+    else:
+        write_json(out_path, payload)
 
 
 def _load(config_path, out, fmt, parallel) -> tuple[RunConfig, str, str, int]:
@@ -132,16 +140,10 @@ def lineshape(config_path, out, fmt, parallel, jmax):
         model = QuadraticShift(calibration.scale_s)
 
     half = job.grid_half_width_over_OmegaR * omega_r
-    grid = np.linspace(-half, half, job.grid_points)
-    j = np.arange(-j_max, j_max + 1)
-    shifts = model.shifts(j, cfg.beam, cfg.species, job.kick_oam_L)
-    chunks = np.array_split(grid, max(workers, 1))
-    parts = parallel_map(
-        lambda sub: stack_average(sub, omega_r, tau, shifts), chunks, workers
+    ls = lineshape_from_rabi(
+        omega_r, tau, j_max, model, np.linspace(-half, half, job.grid_points),
+        cfg.beam, cfg.species, job.kick_oam_L, workers=workers,
     )
-    prob = np.concatenate(parts)
-    ls = Lineshape(delta_grid=grid, probability=prob, Omega_R=omega_r,
-                   j_max=j_max, tau=tau)
     fit = fit_lineshape(ls)
     d_max, p_max = lineshape_peak(
         omega_r, tau, j_max, model, cfg.beam, cfg.species, job.kick_oam_L
@@ -160,7 +162,7 @@ def lineshape(config_path, out, fmt, parallel, jmax):
         "scale_s": getattr(model, "scale_s", None),
         "calibration_on_target": None if calibration is None else calibration.on_target,
     }
-    curve_rows = [(d / omega_r, p) for d, p in zip(grid, prob)]
+    curve_rows = [(d / omega_r, p) for d, p in zip(ls.delta_grid, ls.probability)]
     if fmt == "csv":
         write_csv(out_path, ["delta_over_OmegaR", "probability"], curve_rows)
         fit_path = str(out_path) + ".fit.json"
@@ -212,11 +214,7 @@ def budget(config_path, out, fmt, parallel):
         "energy_shot_J": b.energy_shot,
         "energy_shot_over_hbar": b.energy_shot / HBAR,
     }
-    if fmt == "csv":
-        keys = [k for k in payload if k != "inputs"]
-        write_csv(out_path, ["quantity", "value"], [(k, payload[k]) for k in keys])
-    else:
-        write_json(out_path, payload)
+    _write_quantities(out_path, fmt, payload)
     click.echo(f"wrote {out_path}")
 
 
@@ -236,11 +234,7 @@ def tilt(config_path, out, fmt, parallel):
         "tilt_angle_theta_a_deg": float(np.degrees(geo.tilt_angle_theta_a)),
         "effective_Omega_prime": geo.effective_Omega_prime,
     }
-    if fmt == "csv":
-        write_csv(out_path, ["quantity", "value"],
-                  [(k, v) for k, v in payload.items() if not isinstance(v, list)])
-    else:
-        write_json(out_path, payload)
+    _write_quantities(out_path, fmt, payload)
     click.echo(f"wrote {out_path}")
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .exceptions import ConfigError, InvalidInputError
 from .optics import BeamConfig
-from .raman import SHIFT_MODELS, QuadraticShift
+from .raman import PEAK_WINDOW, SHIFT_MODELS, QuadraticShift
 from .spectrum import SpectrumLimits, rotational_constant
 from .sensor import SensorConfig
 from .units import ATOMIC_MASS, HBAR, SPECIES, AtomSpecies, recoil_energy
@@ -195,7 +195,10 @@ def _beam_from(sec: dict, species: AtomSpecies) -> tuple[BeamConfig, float]:
     if sec["phase_z0"] is None:
         sec["phase_z0"] = sec["wavelength"] / 4.0
     if depth_j is None:
-        depth_j = recoils * recoil_energy(species, sec["wavelength"])
+        try:
+            depth_j = recoils * recoil_energy(species, sec["wavelength"])
+        except OverflowError as err:
+            raise InvalidInputError("wavelength is too small: its recoil energy overflows") from err
     beam = BeamConfig(**sec, trap_depth_V0=depth_j)
     return beam, rotational_constant(float(beam.ring_radius(beam.ring_z(0))), species) / HBAR
 
@@ -219,6 +222,15 @@ def _lineshape_from(ls: dict) -> LineshapeJob:
         raise ConfigError("lineshape.kick_oam_L must be >= 1")
     if tau <= 0:
         raise ConfigError("lineshape.tau must be positive")
+    # the detunings the run scans, their squares in P0, and the pulse area
+    # tau Omega_R that sets the peak scan's step must all be finite numbers
+    for key, edge in (("Omega_R", max(map(abs, PEAK_WINDOW)) * omega_r),
+                      ("grid_half_width_over_OmegaR",
+                       ls["grid_half_width_over_OmegaR"] * omega_r)):
+        if not math.isfinite(edge * edge):
+            raise ConfigError(f"lineshape.{key} is too large: its detuning scan overflows")
+    if not math.isfinite(tau * omega_r):
+        raise ConfigError("lineshape.tau is too large: the peak scan it sets overflows")
     del ls["shift_model"]
     return LineshapeJob(**dict(ls, tau=tau), shift_model_name=model_name,
                         shift_scale_s=scale_s, calibrate_delta_max_over_OmegaR=target)

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh
 from scipy.optimize import curve_fit
 
 from .exceptions import InvalidInputError, ValidityError
@@ -114,7 +113,7 @@ def raman_resonance(model: FiveLevelModel, iterations: int = 4) -> float:
     intensity and does not cancel between the two legs because the kick-pulse
     Stark shifts detune them differently.
     """
-    vals, vecs = eigh(model.static_hamiltonian())
+    vals, vecs = np.linalg.eigh(model.static_hamiltonian())
     idx = [int(np.argmax(np.abs(vecs[i, :]))) for i in range(4)]
     e0, e1, e2, e3 = (vals[idx[i]] for i in range(4))
     _, w_s = model.magnetic_couplings
@@ -212,21 +211,18 @@ def adiabatic_eliminate(
     """Two-step elimination: hyperfine dressing first, then the excited state.
 
     The kick-pulse element is h_e = (1/2) |u_L + u_-L| d with the dipole scale
-    d = sqrt(alpha hbar |Delta_e|), i.e. h_e^2 = V_e hbar |Delta_e| / 2 with
-    V_e the kick Stark scale; dressing by the radio-frequency fields
-    multiplies it by (1 - |v_b(t)|^2 / 2), and the second elimination yields
-    the off-diagonal -2 |h_e(t)|^2 / (hbar Delta_e) whose expansion is the
-    static Stark part plus the cos(w_ps t) Raman drive.
+    d = sqrt(alpha hbar |Delta_e|): h_e = g1 / sqrt(2) with g1 the ladder's
+    |1> - |4> element, so h_e^2 = V_e hbar |Delta_e| / 2 with V_e the kick
+    Stark scale.  Dressing by the radio-frequency fields multiplies it by
+    (1 - |v_b(t)|^2 / 2), and the second elimination yields the off-diagonal
+    -2 |h_e(t)|^2 / (hbar Delta_e) whose expansion is the static Stark part
+    plus the cos(w_ps t) Raman drive.  v_b and v_e are the ladder's
+    ``perturbative_ratios`` (m_F = 1/2).
     """
+    model = FiveLevelModel(cfg, species, omega_2L0)
+    v_b, v_e = model.perturbative_ratios()
     # (1/2) |u_L + u_-L| d, both components adding in phase on the ring at phi = 0.
-    h_e = math.sqrt(0.5 * abs(kick_stark_scale(cfg)) * HBAR * abs(cfg.Delta_e))
-
-    g = species.g_factor
-    v_b = g * MU_B * max(abs(cfg.B_p0), abs(cfg.B_s0)) / (
-        math.sqrt(3.0) * HBAR * abs(cfg.Delta_hf)
-    )
-    _, g1 = FiveLevelModel(cfg, species, omega_2L0).electric_couplings
-    v_e = g1 / (HBAR * abs(cfg.Delta_e))
+    h_e = model.electric_couplings[1] / math.sqrt(2.0)
     if v_b >= _PERTURBATIVE_LIMIT:
         raise ValidityError("magnetic dressing |v_b| too large", ratio=v_b)
     if v_e >= _PERTURBATIVE_LIMIT:
@@ -235,7 +231,7 @@ def adiabatic_eliminate(
     # -2 |h_e|^2 / (hbar Delta_e) including the dressed (1 - |v_b(t)|^2) factor,
     # with the effective 1/3 spin weight of the coupling chain.
     base = 2.0 * h_e**2 / (HBAR * cfg.Delta_e)
-    spin_weight = g**2 * MU_B**2 / (3.0 * HBAR**2 * cfg.Delta_hf**2)
+    spin_weight = species.g_factor**2 * MU_B**2 / (3.0 * HBAR**2 * cfg.Delta_hf**2)
     static_b2 = cfg.B_p0**2 + cfg.B_s0**2
     static_coupling = -base * (1.0 - spin_weight * static_b2)
     cos_amplitude = base * spin_weight * 2.0 * cfg.B_p0 * cfg.B_s0

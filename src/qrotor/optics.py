@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 from .exceptions import InvalidInputError, UnsupportedModeError
 from .units import HBAR, C_LIGHT, AtomSpecies, recoil_energy
@@ -38,7 +37,8 @@ class BeamConfig:
     oam_l : int
         Orbital angular momentum index of the trap beam.
     radial_p : int
-        Radial mode index.  All trap/spectrum operations require p = 0.
+        Radial mode index.  The mode envelope, the trap and the spectrum
+        all require p = 0.
     phase_z0 : float
         Standing-wave phase offset (m); rings sit at z_j = pi j / k + z0.
         Must satisfy 0 < z0 < wavelength / 2.
@@ -119,28 +119,34 @@ class TrapGeometry:
     depth_at_ring: float
 
 
+def ring_peak_factor(l: int) -> float:
+    """l^l e^-l / l!, the ring maximum of the p = 0 profile x^l e^-x / l!, x = 2 r^2/w^2.
+
+    Evaluated in log space (stable for large l).
+    """
+    return math.exp(l * math.log(l) - l - math.lgamma(l + 1))
+
+
 def lg_mode_amplitude(beam: BeamConfig, r, phi, z):
-    """Slowly varying LG mode envelope u_{l,p}(r, phi, z).
+    """Slowly varying LG mode envelope u_{l,0}(r, phi, z) of a p = 0 beam.
 
     Includes the donut amplitude (r sqrt(2)/w)^|l| exp(-r^2/w^2), the
-    generalized Laguerre polynomial L_p^|l|(2 r^2/w^2), the wavefront-curvature
-    phase, the axial mode phase (2p + |l| + 1) atan(z/z_R), and the azimuthal
-    winding exp(-i l phi).  Normalisation sqrt(2 p! / (pi (p + |l|)!)) with
-    field scale sqrt(P0/c)/w(z), so |u|^2 integrates to P0/c over a transverse
-    plane.
+    wavefront-curvature phase, the axial mode phase (|l| + 1) atan(z/z_R), and
+    the azimuthal winding exp(-i l phi).  Normalisation sqrt(2 / (pi |l|!))
+    with field scale sqrt(P0/c)/w(z), so |u|^2 integrates to P0/c over a
+    transverse plane.
 
     Parameters are scalars or broadcastable arrays; r must be >= 0.
     """
+    if beam.radial_p != 0:
+        raise UnsupportedModeError("the mode envelope is defined for radial_p = 0 modes only")
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise InvalidInputError("r must be non-negative")
-    l, p = abs(beam.oam_l), beam.radial_p
+    l = abs(beam.oam_l)
     w = beam.width(z)
-    x = 2.0 * r**2 / w**2
 
-    log_norm = 0.5 * (
-        math.log(2.0) + math.lgamma(p + 1) - math.log(math.pi) - math.lgamma(p + l + 1)
-    )
+    log_norm = 0.5 * (math.log(2.0) - math.log(math.pi) - math.lgamma(l + 1))
     amp = (
         math.exp(log_norm)
         * np.sqrt(beam.power_P0 / C_LIGHT)
@@ -148,8 +154,6 @@ def lg_mode_amplitude(beam: BeamConfig, r, phi, z):
         * (r * np.sqrt(2.0) / w) ** l
         * np.exp(-(r**2) / w**2)
     )
-    if p > 0:
-        amp = amp * eval_genlaguerre(p, l, x)
 
     phase = -beam.oam_l * np.asarray(phi, dtype=float)
     if not beam.collimated:
@@ -158,7 +162,7 @@ def lg_mode_amplitude(beam: BeamConfig, r, phi, z):
         phase = (
             phase
             - beam.wavenumber * r**2 * z / (2.0 * (z**2 + zr**2))
-            + (2 * p + l + 1) * np.arctan(z / zr)
+            + (l + 1) * np.arctan(z / zr)
         )
     return amp * np.exp(1j * phase)
 
@@ -268,16 +272,15 @@ def trap_depth_from_power(polarizability: float, beam: BeamConfig) -> float:
     """Optional helper: depth V0 = 8 alpha P0 l^l e^-l / (pi l! c w0^2).
 
     Derived from V = -alpha |E|^2 with the counter-propagating standing wave
-    evaluated at its ring maximum.  Stable in log space for large l.
+    evaluated at its ring maximum.
     """
     l = abs(beam.oam_l)
     if l == 0:
         raise UnsupportedModeError("ring trap requires a nonzero OAM index")
-    log_peak = l * math.log(l) - l - math.lgamma(l + 1)
     return (
         8.0
         * polarizability
         * beam.power_P0
-        * math.exp(log_peak)
+        * ring_peak_factor(l)
         / (math.pi * C_LIGHT * beam.waist_w0**2)
     )

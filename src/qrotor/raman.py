@@ -28,11 +28,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import brentq, least_squares, minimize_scalar
 
 from .exceptions import FitError, InvalidInputError
-from .optics import BeamConfig
+from .optics import BeamConfig, ring_peak_factor
+from .output import parallel_map
+from .spectrum import rotational_constant
 from .units import HBAR, C_LIGHT, MU_B, AtomSpecies
 
 # Operational reading of "much greater than" for the detuning hierarchy.
@@ -77,7 +78,7 @@ class RamanConfig:
     def check_matching(self, beam: BeamConfig, rtol: float = 1e-6) -> None:
         """Enforce the radius-matching condition w_e sqrt(L/2) = w0 sqrt(l/2)."""
         r_kick = self.kick_waist_w_e * np.sqrt(self.kick_oam_L / 2.0)
-        r_trap = beam.waist_w0 * np.sqrt(abs(beam.oam_l) / 2.0)
+        r_trap = float(beam.ring_radius(0.0))
         if abs(r_kick - r_trap) > rtol * r_trap:
             raise InvalidInputError(
                 "kick/trap radius matching violated: "
@@ -109,18 +110,13 @@ class CouplingResult:
     warnings: tuple[str, ...] = ()
 
 
-def kick_peak_factor(L: int) -> float:
-    """L^L e^-L / L!  evaluated in log space (stable for large L)."""
-    return math.exp(L * math.log(L) - L - math.lgamma(L + 1))
-
-
 def kick_stark_scale(cfg: RamanConfig) -> float:
     """V_e = (4 alpha / (pi L!)) P_e L^L e^-L / (w_e^2 c), the optical factor."""
     return (
         4.0
         * cfg.polarizability_at_omega_e
         / math.pi
-        * kick_peak_factor(cfg.kick_oam_L)
+        * ring_peak_factor(cfg.kick_oam_L)
         * cfg.kick_power_P_e
         / (cfg.kick_waist_w_e**2 * C_LIGHT)
     )
@@ -180,12 +176,13 @@ _STATE_F = np.array([0.0, 1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
 def evolve_rwa(delta: float, omega_r: float, tau: float) -> float:
-    """Matrix-exponential evolution of |0> under the RWA Hamiltonian.
+    """Evolution of |0> under the RWA Hamiltonian, exp(-i H tau) = V exp(-i E tau) V^+.
 
     Independent dynamics oracle: agrees with ``transition_probability`` to
     better than 1e-10 absolute everywhere.
     """
-    u = expm(-1j * rwa_hamiltonian(delta, omega_r) * tau)
+    energies, vecs = np.linalg.eigh(rwa_hamiltonian(delta, omega_r))
+    u = (vecs * np.exp(-1j * energies * tau)) @ vecs.conj().T
     return float(np.abs(np.vdot(_STATE_F, u @ _STATE_0)) ** 2)
 
 
@@ -240,7 +237,7 @@ class PhysicalShift:
     """delta_j = delta + 4 L^2 (omega0(r_l at ring 0) - omega0(r_l at ring j)).
 
     Uses the beam's divergence length (``z_eff`` when set) to evaluate the
-    ring radii; omega0(r) = hbar / (2 M r^2).
+    ring radii; omega0(r) = C(r) / hbar with the rotor constant C.
     """
 
     def shifts(self, j, beam: BeamConfig, species: AtomSpecies, L: int):
@@ -249,11 +246,9 @@ class PhysicalShift:
                 "geometric shift models need beam, species, and kick OAM context"
             )
         j = np.asarray(j, dtype=float)
-        r0 = beam.ring_radius(beam.ring_z(0))
-        rj = beam.ring_radius(beam.ring_z(j))
-        w0_rot = HBAR / (2.0 * species.mass * r0**2)
-        wj_rot = HBAR / (2.0 * species.mass * rj**2)
-        return 4.0 * L**2 * (w0_rot - wj_rot)
+        c0 = rotational_constant(beam.ring_radius(beam.ring_z(0)), species)
+        cj = rotational_constant(beam.ring_radius(beam.ring_z(j)), species)
+        return 4.0 * L**2 * (c0 - cj) / HBAR
 
 
 @dataclass(frozen=True)
@@ -347,17 +342,25 @@ def lineshape_from_rabi(
     beam: BeamConfig | None = None,
     species: AtomSpecies | None = None,
     kick_oam_L: int | None = None,
+    workers: int = 1,
 ) -> Lineshape:
     """Ensemble lineshape for a directly specified Rabi frequency.
 
     The stack holds N = 2 j_max + 1 singly occupied rings, |j| <= j_max.
+    The grid is split into ``workers`` contiguous chunks averaged on a thread
+    pool; a point's value does not depend on its chunk, so the curve is
+    bit-identical at every worker count.
     """
     j = np.arange(-j_max, j_max + 1)
     shifts = shift_model.shifts(j, beam, species, kick_oam_L)
-    prob = stack_average(delta_grid, omega_r, tau, shifts)
+    grid = np.asarray(delta_grid, dtype=float)
+    parts = parallel_map(
+        lambda sub: stack_average(sub, omega_r, tau, shifts),
+        np.array_split(grid, max(workers, 1)), workers,
+    )
     return Lineshape(
-        delta_grid=np.asarray(delta_grid, dtype=float),
-        probability=prob,
+        delta_grid=grid,
+        probability=np.concatenate(parts),
         Omega_R=omega_r,
         j_max=j_max,
         tau=tau,
@@ -388,7 +391,7 @@ def ensemble_lineshape(
 
 
 # Peak search window in units of Omega_R, and scan steps per narrowest feature.
-_PEAK_WINDOW = (-5.0, 1.0)
+PEAK_WINDOW = (-5.0, 1.0)
 _SCAN_STEPS_PER_FEATURE = 100
 
 
@@ -413,7 +416,7 @@ def lineshape_peak(
     j = np.arange(-j_max, j_max + 1)
     folded = _fold(shift_model.shifts(j, beam, species, kick_oam_L))
     steps_per_omega_r = _SCAN_STEPS_PER_FEATURE * _features_per_omega_r(omega_r, tau)
-    lo_edge, hi_edge = _PEAK_WINDOW
+    lo_edge, hi_edge = PEAK_WINDOW
     n = int(np.ceil((hi_edge - lo_edge) * steps_per_omega_r)) + 1
     xs = np.linspace(lo_edge * omega_r, hi_edge * omega_r, n)
     ys = _folded_average(xs, omega_r, tau, *folded)

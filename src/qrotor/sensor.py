@@ -126,6 +126,11 @@ def budget_frequency(cfg: SensorConfig) -> float:
     return domega / (4.0 * cfg.kick_oam_L * np.sqrt(cfg.ring_count_N))
 
 
+def _rate_uncertainty(cfg: SensorConfig, deps: float) -> float:
+    """Rotation-rate uncertainty d eps / (4 L hbar sqrt(N)) of an energy resolution."""
+    return deps / (4.0 * cfg.kick_oam_L * HBAR * np.sqrt(cfg.ring_count_N))
+
+
 def budget_rabi_fluctuation(cfg: SensorConfig) -> tuple[float, float, float]:
     """(d phi_w, d eps_w, d Omega_w): pulse-area jitter from frequency noise.
 
@@ -140,8 +145,7 @@ def budget_rabi_fluctuation(cfg: SensorConfig) -> tuple[float, float, float]:
         + (cfg.freq_uncertainty_stokes / cfg.Delta_hf) ** 2
     )
     deps = 4.0 * HBAR * cfg.Omega_R * dphi
-    domega = deps / (4.0 * cfg.kick_oam_L * HBAR * np.sqrt(cfg.ring_count_N))
-    return float(dphi), float(deps), float(domega)
+    return float(dphi), float(deps), float(_rate_uncertainty(cfg, deps))
 
 
 def budget_shot_noise(cfg: SensorConfig) -> tuple[float, float, float]:
@@ -154,8 +158,7 @@ def budget_shot_noise(cfg: SensorConfig) -> tuple[float, float, float]:
         1.0 / np.sqrt(cfg.photon_count_pump) + 1.0 / np.sqrt(cfg.photon_count_stokes)
     )
     deps = 4.0 * HBAR * cfg.Omega_R * dphi / np.pi
-    domega = deps / (4.0 * cfg.kick_oam_L * HBAR * np.sqrt(cfg.ring_count_N))
-    return float(dphi), float(deps), float(domega)
+    return float(dphi), float(deps), float(_rate_uncertainty(cfg, deps))
 
 
 def sensor_budget(cfg: SensorConfig) -> SensorBudget:

@@ -13,8 +13,10 @@ The wells are smooth and each box spans 7-8 oscillator lengths either side,
 so the DVR eigenvalues converge exponentially in the basis size: on the fig2
 trap 42 points put every level within 3e-10 of a rotor gap of its 128-point
 value, which is the rounding floor of energies ~1e5 gaps deep.  Each solve is
-repeated in a basis of 3n/2 points, and the relative difference of the two is
-the convergence diagnostic.  Both bases are solved for eigenvalues only; the
+repeated in a basis of 3n/2 points, and the largest difference of the two in
+units of the ring's rotor constant C(r_l) is the convergence diagnostic: the
+levels are that deep, so a drift relative to the level energy would hide
+errors of a whole rotor gap.  Both bases are solved for eigenvalues only; the
 eigenfunctions of the larger basis are computed on request.
 """
 
@@ -30,8 +32,9 @@ from .exceptions import ConvergenceError, InvalidInputError
 from .optics import BeamConfig, harmonic_decomposition, radial_trap_frequency, ring_minima
 from .units import HBAR, K_B, AtomSpecies
 
-# Fractional disagreement between the eigenvalues of the n- and 3n/2-point
-# bases beyond which the basis is declared unconverged.
+# Disagreement between the eigenvalues of the n- and 3n/2-point bases, in
+# units of the rotor constant C(r_l), beyond which the basis is declared
+# unconverged.
 _CONVERGENCE_LIMIT = 1e-3
 # Default sinc-DVR basis size of both 1-D solves.  Its 3n/2 = 63-point check
 # stays below the 72 points at which OpenBLAS (0.3.31) hands eigvalsh's
@@ -105,9 +108,9 @@ class SpectrumLimits:
             raise InvalidInputError("ratio_threshold must be positive")
 
 
-def rotational_constant(r: float, species: AtomSpecies) -> float:
-    """Rigid-rotor energy scale C(r) = hbar^2 / (2 M r^2)."""
-    if r <= 0:
+def rotational_constant(r, species: AtomSpecies):
+    """Rigid-rotor energy scale C(r) = hbar^2 / (2 M r^2); r may be an array."""
+    if np.any(np.asarray(r) <= 0):
         raise InvalidInputError("radius must be positive")
     return HBAR**2 / (2.0 * species.mass * r**2)
 
@@ -129,24 +132,24 @@ def _dvr_hamiltonian(potential, lo: float, hi: float, n: int, mass: float):
     return x, h, ham
 
 
-def _solve_dvr(potential, lo, hi, n, mass, k):
+def _solve_dvr(potential, lo, hi, n, mass, k, scale):
     """Lowest k eigenvalues of a sinc-DVR basis of n points, checked against 3n/2.
 
     Returns ``(energies, grid, vectors, drift)``: the n-point energies, the
     3n/2-point grid, a ``vectors()`` that computes the 3n/2-point
     eigenvectors normalised against dx only when called, and the largest
-    relative difference between the two bases' energies.
+    difference between the two bases' energies in units of ``scale``.
     """
     if n < k + 4:
         raise InvalidInputError(f"basis of {n} points cannot resolve {k} eigenstates")
     energies = np.linalg.eigvalsh(_dvr_hamiltonian(potential, lo, hi, n, mass)[2])[:k]
     grid, h, ham = _dvr_hamiltonian(potential, lo, hi, 3 * n // 2, mass)
     fine = np.linalg.eigvalsh(ham)[:k]
-    drift = float(np.max(np.abs(energies - fine)) / np.max(np.abs(fine)))
-    if drift > _CONVERGENCE_LIMIT:
+    drift = float(np.max(np.abs(energies - fine)) / scale)
+    if not drift <= _CONVERGENCE_LIMIT:
         raise ConvergenceError(
             "sinc-DVR eigensolve did not converge",
-            diagnostics={"grid_points": n, "relative_drift": drift, "lo": lo, "hi": hi},
+            diagnostics={"grid_points": n, "drift_over_C": drift, "lo": lo, "hi": hi},
         )
 
     def vectors():
@@ -178,7 +181,8 @@ def solve_axial(
     # at +/- 6 b_z the box raised the n = 3 level by 3e-11 of itself, ~1e-5 rotor gaps
     half = 7.0 * geo.b_z
     energies, grid, vectors, drift = _solve_dvr(
-        w_axial, geo.z_j - half, geo.z_j + half, grid_points, species.mass, n_z_max + 1
+        w_axial, geo.z_j - half, geo.z_j + half, grid_points, species.mass, n_z_max + 1,
+        rotational_constant(geo.r_l, species),
     )
     return BoundStates(energies, grid, np.ones_like(grid), drift, vectors)
 
@@ -225,7 +229,8 @@ def solve_radial(
     lo = max(geo.r_l - 8.0 * b_r, 1e-4 * geo.r_l)
     hi = geo.r_l + 8.0 * b_r
     energies, grid, vectors, drift = _solve_dvr(
-        v_eff, lo, hi, grid_points, species.mass, n_r_max + 1
+        v_eff, lo, hi, grid_points, species.mass, n_r_max + 1,
+        rotational_constant(geo.r_l, species),
     )
     return BoundStates(
         energies, grid, grid.copy(), drift, lambda: vectors() / np.sqrt(grid)[:, None]
@@ -241,12 +246,14 @@ def assemble_spectrum(
     m_ell = 0 carry the hyperfine multiplicity 2F + 1; states with m_ell != 0
     are doubled by the +/- m_ell orbital degeneracy.  The radial solves run
     one after another: each is a pair of dense eigenvalue solves of at most
-    63 x 63, far too small to share across threads.
+    63 x 63, far too small to share across threads.  Each solve keeps at least
+    two levels and m_ell runs to at least 1, so the three gaps come from the
+    same solves as the listed levels (eigvalsh computes every level anyway).
     """
-    axial = solve_axial(beam, species, limits.j, limits.n_z_max)
+    axial = solve_axial(beam, species, limits.j, max(limits.n_z_max, 1))
     radial_by_m = {
-        m: solve_radial(beam, species, limits.j, m, limits.n_r_max)
-        for m in range(limits.m_ell_max + 1)
+        m: solve_radial(beam, species, limits.j, m, max(limits.n_r_max, 1))
+        for m in range(max(limits.m_ell_max, 1) + 1)
     }
 
     ground = axial.energies[0] + radial_by_m[0].energies[0]
@@ -265,13 +272,9 @@ def assemble_spectrum(
                 )
     levels.sort(key=lambda lv: (lv.energy, lv.qn.n_z, lv.qn.n_r, lv.qn.m_ell))
 
-    eps_z = float(axial.energies[1] - axial.energies[0]) if limits.n_z_max >= 1 else float(
-        solve_axial(beam, species, limits.j, 1).energies[1] - axial.energies[0]
-    )
-    r0 = radial_by_m[0] if limits.n_r_max >= 1 else solve_radial(beam, species, limits.j, 0, 1)
-    eps_r = float(r0.energies[1] - r0.energies[0])
-    r1 = radial_by_m.get(1) or solve_radial(beam, species, limits.j, 1, 0)
-    eps_ell = float(r1.energies[0] - radial_by_m[0].energies[0])
+    eps_z = float(axial.energies[1] - axial.energies[0])
+    eps_r = float(radial_by_m[0].energies[1] - radial_by_m[0].energies[0])
+    eps_ell = float(radial_by_m[1].energies[0] - radial_by_m[0].energies[0])
 
     thr = limits.ratio_threshold
     ok = eps_z >= thr * eps_r and eps_r >= thr * eps_ell and eps_ell > 0

@@ -1,8 +1,7 @@
-"""Physical constants, atomic species data, and energy-unit conversions.
+"""Physical constants, atomic species data, and the photon-recoil energy.
 
-All quantities are SI internally: energies in joules, frequencies in rad/s,
-lengths in metres.  Converters to k_B x kelvin and to angular frequency are explicit
-because trap numbers in the literature quote both interchangeably.
+All quantities are SI: energies in joules, frequencies in rad/s, lengths in
+metres.  An energy in k_B x kelvin is E / K_B, an angular frequency E / HBAR.
 """
 
 from __future__ import annotations
@@ -78,23 +77,3 @@ def recoil_energy(species: AtomSpecies, wavelength: float) -> float:
         raise InvalidInputError("wavelength must be positive")
     k = 2.0 * np.pi / wavelength
     return (HBAR * k) ** 2 / (2.0 * species.mass)
-
-
-def energy_to_kelvin(energy: float) -> float:
-    """Energy in units of k_B x kelvin."""
-    return energy / K_B
-
-
-def kelvin_to_energy(temperature: float) -> float:
-    """k_B x kelvin back to joules."""
-    return temperature * K_B
-
-
-def energy_to_angular_frequency(energy: float) -> float:
-    """E / hbar in rad/s."""
-    return energy / HBAR
-
-
-def angular_frequency_to_energy(omega: float) -> float:
-    """hbar * omega in joules."""
-    return omega * HBAR

@@ -283,6 +283,11 @@ def test_lineshape_physical_shift_model(runner, tmp_path):
     ("budget", "beam", "unknown_key", 1),
     ("budget", "spectrum", "m_ell_max", -1),
     ("spectrum", "spectrum", "m_ell_max", -1),
+    # values whose derived numbers overflow: each crashed with a traceback before
+    ("budget", "beam", "wavelength", 1e-244),
+    ("lineshape", "lineshape", "Omega_R", 1e308),
+    ("lineshape", "lineshape", "tau", 1e308),
+    ("lineshape", "lineshape", "grid_half_width_over_OmegaR", 1e308),
 ])
 def test_bad_field_exits_2_naming_it(runner, tmp_path, command, section, key, value):
     cfg = copy.deepcopy(MINIMAL)
@@ -405,7 +410,7 @@ def test_any_config_mutation_is_an_artifact_or_a_documented_exit(tmp_path_factor
     except ConfigError:
         pass
     runner = CliRunner()
-    for command in ("budget", "tilt", "rotation-scan"):
+    for command in ("budget", "tilt", "rotation-scan", "spectrum"):
         res = runner.invoke(cli, [command, "--config", str(p), "--out", str(tmp / "out")])
         assert res.exit_code in (0, 2, 3, 4), (command, res.output, res.exception)
         assert "Traceback" not in res.output

@@ -41,16 +41,11 @@ def test_mode_peak_radius_at_waist(fig_beam):
     assert abs(res.x - 15.81e-6) < 0.01e-6
 
 
-def test_higher_radial_modes_use_laguerre_polynomial(fig_beam):
+def test_mode_amplitude_rejects_higher_radial_modes(fig_beam):
     from dataclasses import replace
 
-    beam_p1 = replace(fig_beam, radial_p=1)
-    # p = 1 mode has a radial node where L_1^l(2 r^2/w^2) = 0, i.e. x = l + 1
-    x_node = abs(beam_p1.oam_l) + 1
-    r_node = beam_p1.waist_w0 * np.sqrt(x_node / 2.0)
-    assert abs(lg_mode_amplitude(beam_p1, r_node, 0.0, 0.0)) < 1e-12 * abs(
-        lg_mode_amplitude(beam_p1, 0.9 * r_node, 0.0, 0.0)
-    )
+    with pytest.raises(UnsupportedModeError, match="radial_p"):
+        lg_mode_amplitude(replace(fig_beam, radial_p=1), 1e-5, 0.0, 0.0)
 
 
 def test_potential_value_on_ring(fig_beam, li6):

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
+from qrotor.optics import ring_peak_factor
 from qrotor.raman import (
     RamanConfig,
     effective_coupling,
     evolve_rwa,
-    kick_peak_factor,
     peak_fwhm,
     rwa_hamiltonian,
     transition_probability,
@@ -73,7 +73,7 @@ def test_validity_warnings_attached():
 
 def test_kick_peak_factor_stirling_regime():
     # L^L e^-L / L! ~ 1/sqrt(2 pi L) for large L
-    assert kick_peak_factor(200) == pytest.approx(1 / np.sqrt(2 * np.pi * 200), rel=1e-3)
+    assert ring_peak_factor(200) == pytest.approx(1 / np.sqrt(2 * np.pi * 200), rel=1e-3)
 
 
 def test_rwa_hamiltonian_structure():

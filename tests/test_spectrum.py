@@ -54,19 +54,31 @@ def test_axial_dvr_matches_harmonic_oracle_to_1e10(fig_beam, li6, j):
 
 
 def test_axial_energies_converge_with_basis_size(fig_beam, li6):
-    # the drift of an n-point solve is its difference from the 3n/2-point solve
+    # the drift of an n-point solve is its difference from the 3n/2-point
+    # solve, in units of the ring's rotor constant C(r_l)
     coarse = solve_axial(fig_beam, li6, 0, 3, grid_points=42)
     fine = solve_axial(fig_beam, li6, 0, 3, grid_points=63)
     assert np.max(np.abs(coarse.energies / fine.energies - 1.0)) <= 1e-10
-    diff = np.max(np.abs(coarse.energies - fine.energies)) / np.max(np.abs(fine.energies))
+    c_rl = rotational_constant(ring_minima(fig_beam, li6, [0])[0].r_l, li6)
+    diff = np.max(np.abs(coarse.energies - fine.energies)) / c_rl
     assert coarse.drift == diff
-    assert coarse.drift <= 1e-10
+    # the rounding floor of levels ~1e5 C(r_l) deep
+    assert coarse.drift <= 1e-8
 
 
 def test_axial_convergence_error_on_absurd_grid(fig_beam, li6):
     with pytest.raises(ConvergenceError) as err:
         solve_axial(fig_beam, li6, 0, 3, grid_points=10)
     assert "grid_points" in err.value.diagnostics
+
+
+@pytest.mark.parametrize("m", [0, 5, 10])
+def test_radial_convergence_error_on_coarse_basis(fig_beam, li6, m):
+    # 24 points put the levels ~8e-2 C(r_l) off: a drift relative to the
+    # level energy (~1e5 C(r_l) deep) read 3.5e-7 and let that through
+    with pytest.raises(ConvergenceError) as err:
+        solve_radial(fig_beam, li6, 0, m, 4, grid_points=24)
+    assert err.value.diagnostics["drift_over_C"] > 1e-2
 
 
 def test_radial_gap_close_to_harmonic(fig_beam, li6):
