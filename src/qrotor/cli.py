@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import RunConfig, parse_config
 from .exceptions import ConfigError, ConvergenceError, FitError, QRotorError, ValidityError
-from .output import write_csv, write_json
+from .output import write_csv, write_json, write_together
 from .raman import (
     QuadraticShift,
     calibrate_quadratic_scale,
@@ -164,9 +164,9 @@ def lineshape(config_path, out, fmt, parallel, jmax):
     }
     curve_rows = [(d / omega_r, p) for d, p in zip(ls.delta_grid, ls.probability)]
     if fmt == "csv":
-        write_csv(out_path, ["delta_over_OmegaR", "probability"], curve_rows)
         fit_path = str(out_path) + ".fit.json"
-        write_json(fit_path, fit_payload)
+        write_together((write_csv, out_path, ["delta_over_OmegaR", "probability"], curve_rows),
+                       (write_json, fit_path, fit_payload))
         click.echo(f"wrote {out_path} and {fit_path}")
     else:
         write_json(out_path, {

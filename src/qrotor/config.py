@@ -20,7 +20,8 @@ import numpy as np
 
 from .exceptions import ConfigError, InvalidInputError
 from .optics import BeamConfig
-from .raman import PEAK_WINDOW, SHIFT_MODELS, QuadraticShift
+from .raman import (MAX_SCAN_POINTS, SHIFT_MODELS, QuadraticShift, fit_denominator_range,
+                    peak_scan_points)
 from .spectrum import SpectrumLimits, rotational_constant
 from .sensor import SensorConfig
 from .units import ATOMIC_MASS, HBAR, SPECIES, AtomSpecies, recoil_energy
@@ -222,15 +223,26 @@ def _lineshape_from(ls: dict) -> LineshapeJob:
         raise ConfigError("lineshape.kick_oam_L must be >= 1")
     if tau <= 0:
         raise ConfigError("lineshape.tau must be positive")
-    # the detunings the run scans, their squares in P0, and the pulse area
-    # tau Omega_R that sets the peak scan's step must all be finite numbers
-    for key, edge in (("Omega_R", max(map(abs, PEAK_WINDOW)) * omega_r),
-                      ("grid_half_width_over_OmegaR",
-                       ls["grid_half_width_over_OmegaR"] * omega_r)):
-        if not math.isfinite(edge * edge):
-            raise ConfigError(f"lineshape.{key} is too large: its detuning scan overflows")
-    if not math.isfinite(tau * omega_r):
-        raise ConfigError("lineshape.tau is too large: the peak scan it sets overflows")
+    # the pulse area tau Omega_R sets the peak scan's step, and the scan
+    # keeps to MAX_SCAN_POINTS
+    if not peak_scan_points(omega_r, tau) <= MAX_SCAN_POINTS:
+        raise ConfigError(
+            f"lineshape.tau is too large: tau Omega_R = {tau * omega_r:.3g} asks a peak scan "
+            f"of more than {MAX_SCAN_POINTS} points"
+        )
+    # the fit's Jacobian divides by (Omega_eff^2 + x^2)^2, which must be a
+    # normal, finite float over the fit's box (see raman.fit_lineshape); that
+    # bounds every detuning the run squares as well
+    least, greatest = fit_denominator_range(omega_r, ls["grid_half_width_over_OmegaR"])
+    if least < sys.float_info.min:
+        raise ConfigError(
+            "lineshape.Omega_R is too small: the fit's (Omega_eff^2 + x^2)^2 underflows"
+        )
+    if not math.isfinite(greatest):
+        raise ConfigError(
+            "lineshape.Omega_R times lineshape.grid_half_width_over_OmegaR is too large: "
+            "the fit's (Omega_eff^2 + x^2)^2 overflows"
+        )
     del ls["shift_model"]
     return LineshapeJob(**dict(ls, tau=tau), shift_model_name=model_name,
                         shift_scale_s=scale_s, calibrate_delta_max_over_OmegaR=target)

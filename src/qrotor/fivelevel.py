@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .exceptions import InvalidInputError, ValidityError
 from .raman import RamanConfig, kick_stark_scale
@@ -172,6 +171,7 @@ def oscillation_frequency(times, population, guess: float) -> tuple[float, float
 
     Returns ``(Omega, A)``; feed roughly one to two Rabi periods of data.
     """
+    from scipy.optimize import curve_fit
 
     def shape(t, amplitude, omega, offset):
         return amplitude * np.sin(0.5 * omega * t) ** 2 + offset

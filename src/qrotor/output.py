@@ -2,12 +2,15 @@
 
 Every float is rendered with nine significant digits in scientific notation,
 and orderings are fixed by construction, so identical configurations produce
-byte-identical artifacts regardless of platform or parallelism.
+byte-identical artifacts regardless of platform or parallelism.  Files are
+written to a sibling in the same directory and then moved into place with
+``os.replace``, so a failed run leaves no partial artifact.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import errno
+import os
 from pathlib import Path
 
 
@@ -26,10 +29,47 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
+def _staged(path) -> str:
+    """The sibling that `path` is written to first, named by process."""
+    return f"{path}.{os.getpid()}.tmp"
+
+
+def _write_text(path, text: str) -> None:
+    staged = _staged(path)
+    try:
+        Path(staged).write_text(text, encoding="utf-8")
+        os.replace(staged, path)
+    except BaseException:
+        Path(staged).unlink(missing_ok=True)
+        raise
+
+
+def write_together(*writes) -> None:
+    """Run each ``(writer, path, *args)`` on a staged sibling of its path, then
+    move every file into place: a failure leaves none of them written.
+
+    Nothing is moved until all are written, and a directory in the way of any
+    path fails the set before the first move.
+    """
+    staged = [(_staged(path), path) for _, path, *_ in writes]
+    try:
+        for (writer, _, *args), (tmp, _) in zip(writes, staged):
+            writer(tmp, *args)
+        for _, path in staged:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            Path(tmp).unlink(missing_ok=True)
+        raise
+
+
 def write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt_cell(c) for c in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -70,7 +110,7 @@ def render_json(obj, indent: int = 0) -> str:
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(render_json(obj) + "\n", encoding="utf-8")
+    _write_text(path, render_json(obj) + "\n")
 
 
 def parallel_map(fn, items, workers: int = 1) -> list:
@@ -82,5 +122,7 @@ def parallel_map(fn, items, workers: int = 1) -> list:
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, least_squares, minimize_scalar
 
 from .exceptions import FitError, InvalidInputError
 from .optics import BeamConfig, ring_peak_factor
@@ -191,6 +190,8 @@ def peak_fwhm(omega_r: float, tau: float | None = None) -> float:
 
     At the pi-pulse duration the width is 1.597 Omega_R.
     """
+    from scipy.optimize import brentq
+
     if omega_r <= 0:
         raise InvalidInputError("omega_r must be positive")
     if tau is None:
@@ -393,11 +394,21 @@ def ensemble_lineshape(
 # Peak search window in units of Omega_R, and scan steps per narrowest feature.
 PEAK_WINDOW = (-5.0, 1.0)
 _SCAN_STEPS_PER_FEATURE = 100
+# The most points a peak scan may take: 2^20 float64, the ~8 MB that the
+# stack average's blocks also keep to.
+MAX_SCAN_POINTS = 2**20
 
 
 def _features_per_omega_r(omega_r: float, tau: float) -> float:
     """Omega_R over the narrowest feature of P0, min(Omega_R, 2 pi / tau)."""
     return max(1.0, abs(tau) * omega_r / (2.0 * np.pi))
+
+
+def peak_scan_points(omega_r: float, tau: float) -> float:
+    """Points of `lineshape_peak`'s scan (a float: inf when tau Omega_R overflows)."""
+    lo_edge, hi_edge = PEAK_WINDOW
+    steps_per_omega_r = _SCAN_STEPS_PER_FEATURE * _features_per_omega_r(omega_r, tau)
+    return float(np.ceil((hi_edge - lo_edge) * steps_per_omega_r)) + 1.0
 
 
 def lineshape_peak(
@@ -410,15 +421,16 @@ def lineshape_peak(
     scalar minimiser over +/- 2 scan steps.  The scan spacing is 1/100 of the
     narrowest feature P0 can have: its width Omega_R, or the fringe period
     2 pi / tau when the pulse is longer than 2 pi / Omega_R.  At
-    tau = pi / Omega_R that is 0.01 Omega_R (601 points).  The ring shifts
+    tau = pi / Omega_R that is 0.01 Omega_R (601 points); a scan of more
+    than MAX_SCAN_POINTS is refused by the config reader.  The ring shifts
     are folded once, for the scan and every refinement step.
     """
+    from scipy.optimize import minimize_scalar
+
     j = np.arange(-j_max, j_max + 1)
     folded = _fold(shift_model.shifts(j, beam, species, kick_oam_L))
-    steps_per_omega_r = _SCAN_STEPS_PER_FEATURE * _features_per_omega_r(omega_r, tau)
     lo_edge, hi_edge = PEAK_WINDOW
-    n = int(np.ceil((hi_edge - lo_edge) * steps_per_omega_r)) + 1
-    xs = np.linspace(lo_edge * omega_r, hi_edge * omega_r, n)
+    xs = np.linspace(lo_edge * omega_r, hi_edge * omega_r, int(peak_scan_points(omega_r, tau)))
     ys = _folded_average(xs, omega_r, tau, *folded)
     i = int(np.argmax(ys))
     lo = xs[max(i - 2, 0)]
@@ -461,6 +473,8 @@ def calibrate_quadratic_scale(
     precision over <j^2>.  An on-target peak lands within a few 1e-8 Omega_R
     of the target.
     """
+    from scipy.optimize import brentq, minimize_scalar
+
     if target_delta_max >= 0:
         raise InvalidInputError("target_delta_max must be negative for s >= 0 shifts")
     if s_max is None:
@@ -531,6 +545,26 @@ def _fit_jacobian(delta, amplitude, delta_0, omega_eff):
     return jac
 
 
+# The fit's box in units of Omega_R: delta_0 within FIT_CENTRE_RANGE of the
+# grid's peak, the width Omega_eff within FIT_WIDTH_BOUNDS.
+FIT_CENTRE_RANGE = 3.0
+FIT_WIDTH_BOUNDS = (0.2, 5.0)
+
+
+def fit_denominator_range(omega_r: float, half_width: float) -> tuple[float, float]:
+    """Least and greatest (Omega_eff^2 + x^2)^2 that the fit's Jacobian divides by.
+
+    Over the fit's box, on a grid of half-width ``half_width`` Omega_R, the
+    detuning x = delta - delta_0 stays within (2 half_width + FIT_CENTRE_RANGE)
+    Omega_R.  Products, not powers, so an overflow gives inf, not an error.
+    """
+    w_lo, w_hi = FIT_WIDTH_BOUNDS
+    least = (w_lo * omega_r) * (w_lo * omega_r)
+    x_max = (2.0 * abs(half_width) + FIT_CENTRE_RANGE) * omega_r
+    greatest = (w_hi * omega_r) * (w_hi * omega_r) + x_max * x_max
+    return least * least, greatest * greatest
+
+
 def fit_lineshape(ls: Lineshape) -> FitResult:
     """Least-squares fit of A * P0(delta - delta_0, Omega_eff) to the lineshape.
 
@@ -538,7 +572,19 @@ def fit_lineshape(ls: Lineshape) -> FitResult:
     Jacobian, multi-started over width guesses {1, 1.5, 2} Omega_R because the
     sin^2 sidelobes create secondary minima.  Requires the grid to span at
     least +/- 4 Omega_R around the peak with >= 50 points.
+
+    delta_0 and Omega_eff are scaled by Omega_R (``x_scale``): the step
+    test takes xtol relative to |x|, which the amplitude ~1 dominates, so
+    unscaled they would pass it after one step once Omega_R < ~1e-25.
+    Floats still bound Omega_R: the Jacobian divides by (Omega_eff^2 + x^2)^2,
+    which must be a normal, finite float over the fit's box
+    (`fit_denominator_range`).  That asks (0.2 Omega_R)^4 >= 2.2e-308, so
+    Omega_R >= 6.1e-77 (below it the Jacobian loses digits, then turns to
+    inf and NaN), and, on a grid of half-width 8 Omega_R, Omega_R <= 5.9e75.
+    The config reader refuses an Omega_R outside that range.
     """
+    from scipy.optimize import least_squares
+
     delta = ls.delta_grid
     y = ls.probability
     peak = float(delta[int(np.argmax(y))])
@@ -556,15 +602,16 @@ def fit_lineshape(ls: Lineshape) -> FitResult:
         return _fit_jacobian(delta, *p)
 
     y_max = float(y.max())
-    lower = [1e-9, peak - 3.0 * ls.Omega_R, 0.2 * ls.Omega_R]
-    upper = [1.5, peak + 3.0 * ls.Omega_R, 5.0 * ls.Omega_R]
+    w_lo, w_hi = FIT_WIDTH_BOUNDS
+    lower = [1e-9, peak - FIT_CENTRE_RANGE * ls.Omega_R, w_lo * ls.Omega_R]
+    upper = [1.5, peak + FIT_CENTRE_RANGE * ls.Omega_R, w_hi * ls.Omega_R]
     best = None
     for guess in (1.0, 1.5, 2.0):
         start = [min(max(y_max, lower[0]), upper[0]), peak, guess * ls.Omega_R]
         res = least_squares(
             residual, start, jac=jacobian, method="trf",
-            bounds=(lower, upper), xtol=1e-15, ftol=1e-15, gtol=1e-15,
-            max_nfev=2000,
+            bounds=(lower, upper), x_scale=[1.0, ls.Omega_R, ls.Omega_R],
+            xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=2000,
         )
         if best is None or res.cost < best.cost:
             best = res

@@ -288,6 +288,17 @@ def test_lineshape_physical_shift_model(runner, tmp_path):
     ("lineshape", "lineshape", "Omega_R", 1e308),
     ("lineshape", "lineshape", "tau", 1e308),
     ("lineshape", "lineshape", "grid_half_width_over_OmegaR", 1e308),
+    # a peak scan beyond 2^20 points: 1e6 asked for ~3e8 points (a 2.4 GB
+    # array), 1e200 crashed in np.linspace
+    ("lineshape", "lineshape", "tau", 1e6),
+    ("lineshape", "lineshape", "tau", 1e200),
+    # the fit's (Omega_eff^2 + x^2)^2 leaves the normal floats: each crashed in
+    # least_squares (inf/NaN Jacobian) or, at 1e-200, in the calibration's brentq
+    ("lineshape", "lineshape", "Omega_R", 1e-90),
+    ("lineshape", "lineshape", "Omega_R", 1e-100),
+    ("lineshape", "lineshape", "Omega_R", 1e-160),
+    ("lineshape", "lineshape", "Omega_R", 1e-200),
+    ("lineshape", "lineshape", "Omega_R", 1e102),
 ])
 def test_bad_field_exits_2_naming_it(runner, tmp_path, command, section, key, value):
     cfg = copy.deepcopy(MINIMAL)
@@ -298,6 +309,56 @@ def test_bad_field_exits_2_naming_it(runner, tmp_path, command, section, key, va
     res = runner.invoke(cli, [command, "--config", str(p), "--out", str(tmp_path / "x.out")])
     assert res.exit_code == 2, res.output
     assert key in res.output
+
+
+def _fig4_fit_in_units(runner, tmp_path, config_dir, omega_r):
+    cfg = json.loads((config_dir / "fig4_lineshape.json").read_text())
+    cfg["lineshape"].update(Omega_R=omega_r, j_max=12)
+    p = write_config(tmp_path, f"fig4-{omega_r:g}.json", cfg)
+    out = tmp_path / f"fig4-{omega_r:g}.csv"
+    res = runner.invoke(cli, ["lineshape", "--config", str(p), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    fit = json.loads(Path(f"{out}.fit.json").read_text())
+    return (fit["amplitude_A"], fit["delta_0_over_OmegaR"], fit["Omega_R_eff_over_OmegaR"],
+            fit["peak"]["delta_max_over_OmegaR"])
+
+
+@pytest.mark.parametrize("omega_r", [1e-50, 1e-76])
+def test_tiny_omega_r_gives_the_same_lineshape_in_its_units(runner, tmp_path, config_dir,
+                                                            omega_r):
+    # down to the fit's float limit (6.1e-77) the run is the Omega_R = 1 run,
+    # rescaled; the saturated calibration pins scale_s to ~5 digits
+    assert _fig4_fit_in_units(runner, tmp_path, config_dir, omega_r) == pytest.approx(
+        _fig4_fit_in_units(runner, tmp_path, config_dir, 1.0), rel=1e-4)
+
+
+def test_lineshape_pair_is_written_together_or_not_at_all(runner, tmp_path, config_dir):
+    (tmp_path / "ls.csv.fit.json").mkdir()   # the sidecar cannot be written
+    cfg = json.loads((config_dir / "fig4_lineshape.json").read_text())
+    cfg["lineshape"].update(j_max=12)
+    p = write_config(tmp_path, "fig4.json", cfg)
+    res = runner.invoke(cli, ["lineshape", "--config", str(p), "--out", str(tmp_path / "ls.csv")])
+    assert res.exit_code == 2, res.output
+    assert "cannot write the output" in res.output
+    # no CSV, and no staged file left behind
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["fig4.json", "ls.csv.fit.json"]
+
+
+def test_failed_write_keeps_the_old_artifact(runner, tmp_path, config_dir, monkeypatch):
+    import qrotor.output
+
+    out = tmp_path / "budget.json"
+    out.write_text("old\n")
+
+    def refuse(src, dst):
+        raise PermissionError(13, "refused", str(dst))
+
+    monkeypatch.setattr(qrotor.output.os, "replace", refuse)
+    res = runner.invoke(cli, ["budget", "--config", str(config_dir / "budget.json"),
+                              "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert out.read_text() == "old\n"
+    assert [q.name for q in tmp_path.iterdir()] == ["budget.json"]
 
 
 def test_unsupported_beam_mode_exits_2(runner, tmp_path):

@@ -1,0 +1,62 @@
+"""Each subcommand imports only what it runs: scipy loads where it is called.
+
+Every case runs in a fresh interpreter and lists the ``scipy`` modules in
+``sys.modules`` afterwards.  Only the ``lineshape`` run (its calibration and
+fit) may load scipy; that run is also the control that shows the probe sees
+a scipy import when there is one.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PROBE = """
+import json, sys
+{body}
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+RUN_CLI = "from qrotor.cli import cli\ncli.main(sys.argv[1:], standalone_mode=False)"
+
+
+def scipy_modules(body: str, *args) -> list[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", PROBE.format(body=body), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", ["qrotor", "qrotor.cli"])
+def test_import_loads_no_scipy(module):
+    assert scipy_modules(f"import {module}") == []
+
+
+@pytest.mark.parametrize("command, config", [
+    ("spectrum", "fig2_spectrum.json"),
+    ("budget", "budget.json"),
+    ("tilt", "tilt.json"),
+    ("rotation-scan", "fig5_rotation_scan.json"),
+])
+def test_subcommand_without_fits_loads_no_scipy(tmp_path, config_dir, command, config):
+    out = tmp_path / "artifact"
+    assert scipy_modules(RUN_CLI, command, "--config", str(config_dir / config),
+                         "--out", str(out)) == []
+    assert out.stat().st_size > 0
+
+
+def test_lineshape_loads_scipy(tmp_path, config_dir):
+    cfg = json.loads((config_dir / "fig4_lineshape.json").read_text())
+    cfg["lineshape"].update(j_max=12, grid_points=401)
+    p = tmp_path / "small.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "ls.csv"
+    assert "scipy.optimize" in scipy_modules(RUN_CLI, "lineshape", "--config", str(p),
+                                             "--out", str(out))
+    assert out.stat().st_size > 0

@@ -151,6 +151,19 @@ def test_self_fit_recovers_exact_parameters():
     assert fit.rms_residual < 1e-8
 
 
+@pytest.mark.parametrize("omega_r", [1e-50, 1e-30, 1e50])
+def test_fit_constants_do_not_depend_on_the_unit_of_omega_r(omega_r):
+    # the curve is the same in units of Omega_R at every scale; with unscaled
+    # parameters the fit stopped after one step below ~1e-25 (A 0.696, not 0.667)
+    def fit_in_units(om):
+        ls = lineshape_from_rabi(om, np.pi / om, 12, QuadraticShift(0.0144 * om),
+                                 np.linspace(-8 * om, 8 * om, 1601))
+        fit = fit_lineshape(ls)
+        return fit.amplitude_A, fit.delta_0 / om, fit.Omega_R_eff / om
+
+    assert fit_in_units(omega_r) == pytest.approx(fit_in_units(1.0), rel=1e-7)
+
+
 def test_fit_requires_wide_grid():
     narrow = np.linspace(-2 * OMEGA_R, 2 * OMEGA_R, 401)
     ls = lineshape_from_rabi(OMEGA_R, TAU, 0, NoShift(), narrow)
