@@ -19,7 +19,8 @@ import click
 import numpy as np
 
 from .config import RunConfig, parse_config
-from .exceptions import ConfigError, ConvergenceError, FitError, QRotorError, ValidityError
+from .exceptions import (CalibrationTargetError, ConfigError, ConvergenceError, FitError,
+                         QRotorError, ValidityError)
 from .output import write_csv, write_json, write_together
 from .raman import (
     QuadraticShift,
@@ -134,9 +135,13 @@ def lineshape(config_path, out, fmt, parallel, jmax):
     model = job.shift_model()
     calibration = None
     if job.shift_model_name == "quadratic" and job.calibrate_delta_max_over_OmegaR is not None:
-        calibration = calibrate_quadratic_scale(
-            omega_r, tau, j_max, job.calibrate_delta_max_over_OmegaR * omega_r
-        )
+        try:
+            calibration = calibrate_quadratic_scale(
+                omega_r, tau, j_max, job.calibrate_delta_max_over_OmegaR * omega_r
+            )
+        except CalibrationTargetError as err:
+            raise ConfigError(
+                f"lineshape.shift_model.calibrate_delta_max_over_OmegaR: {err}") from err
         model = QuadraticShift(calibration.scale_s)
 
     half = job.grid_half_width_over_OmegaR * omega_r
@@ -145,9 +150,12 @@ def lineshape(config_path, out, fmt, parallel, jmax):
         cfg.beam, cfg.species, job.kick_oam_L, workers=workers,
     )
     fit = fit_lineshape(ls)
-    d_max, p_max = lineshape_peak(
-        omega_r, tau, j_max, model, cfg.beam, cfg.species, job.kick_oam_L
-    )
+    if calibration is not None:
+        d_max, p_max = calibration.delta_max, calibration.P_max
+    else:
+        d_max, p_max = lineshape_peak(
+            omega_r, tau, j_max, model, cfg.beam, cfg.species, job.kick_oam_L
+        )
 
     fit_payload = {
         "amplitude_A": fit.amplitude_A,
@@ -162,7 +170,7 @@ def lineshape(config_path, out, fmt, parallel, jmax):
         "scale_s": getattr(model, "scale_s", None),
         "calibration_on_target": None if calibration is None else calibration.on_target,
     }
-    curve_rows = [(d / omega_r, p) for d, p in zip(ls.delta_grid, ls.probability)]
+    curve_rows = list(zip((ls.delta_grid / omega_r).tolist(), ls.probability.tolist()))
     if fmt == "csv":
         fit_path = str(out_path) + ".fit.json"
         write_together((write_csv, out_path, ["delta_over_OmegaR", "probability"], curve_rows),

@@ -20,8 +20,8 @@ import numpy as np
 
 from .exceptions import ConfigError, InvalidInputError
 from .optics import BeamConfig
-from .raman import (MAX_SCAN_POINTS, SHIFT_MODELS, QuadraticShift, fit_denominator_range,
-                    peak_scan_points)
+from .raman import (FIT_MIN_POINTS, MAX_SCAN_POINTS, SHIFT_MODELS, QuadraticShift,
+                    fit_denominator_range, peak_scan_points)
 from .spectrum import SpectrumLimits, rotational_constant
 from .sensor import SensorConfig
 from .units import ATOMIC_MASS, HBAR, SPECIES, AtomSpecies, recoil_energy
@@ -223,6 +223,11 @@ def _lineshape_from(ls: dict) -> LineshapeJob:
         raise ConfigError("lineshape.kick_oam_L must be >= 1")
     if tau <= 0:
         raise ConfigError("lineshape.tau must be positive")
+    # the fit takes at least FIT_MIN_POINTS; the curve keeps to the scan's bound
+    if not FIT_MIN_POINTS <= ls["grid_points"] <= MAX_SCAN_POINTS:
+        raise ConfigError(
+            f"lineshape.grid_points must lie in [{FIT_MIN_POINTS}, {MAX_SCAN_POINTS}]"
+        )
     # the pulse area tau Omega_R sets the peak scan's step, and the scan
     # keeps to MAX_SCAN_POINTS
     if not peak_scan_points(omega_r, tau) <= MAX_SCAN_POINTS:

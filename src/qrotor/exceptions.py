@@ -9,6 +9,10 @@ class InvalidInputError(QRotorError, ValueError):
     """A physical parameter is out of its allowed domain."""
 
 
+class CalibrationTargetError(InvalidInputError):
+    """A calibration target lies where the shift family's bracket has no root."""
+
+
 class UnsupportedModeError(QRotorError):
     """Requested operation needs a beam mode the trap model does not cover."""
 

@@ -20,6 +20,8 @@ def fmt_float(x: float) -> str:
 
 
 def _fmt_cell(value) -> str:
+    if type(value) is float:   # most cells: skip the checks below
+        return fmt_float(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):

@@ -24,12 +24,13 @@ parameters of the trap beam.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import FitError, InvalidInputError
+from .exceptions import CalibrationTargetError, ConvergenceError, FitError, InvalidInputError
 from .optics import BeamConfig, ring_peak_factor
 from .output import parallel_map
 from .spectrum import rotational_constant
@@ -394,8 +395,8 @@ def ensemble_lineshape(
 # Peak search window in units of Omega_R, and scan steps per narrowest feature.
 PEAK_WINDOW = (-5.0, 1.0)
 _SCAN_STEPS_PER_FEATURE = 100
-# The most points a peak scan may take: 2^20 float64, the ~8 MB that the
-# stack average's blocks also keep to.
+# The most points a peak scan, or a lineshape grid, may take: 2^20 float64,
+# the ~8 MB that the stack average's blocks also keep to.
 MAX_SCAN_POINTS = 2**20
 
 
@@ -424,6 +425,11 @@ def lineshape_peak(
     tau = pi / Omega_R that is 0.01 Omega_R (601 points); a scan of more
     than MAX_SCAN_POINTS is refused by the config reader.  The ring shifts
     are folded once, for the scan and every refinement step.
+
+    A scan whose values differ by no more than sqrt(eps) of its maximum has
+    no peak that rounding does not move across the window (a pulse with
+    tau Omega_R below ~1e-4 leaves P0 that flat, or underflows it to 0):
+    that raises ConvergenceError.
     """
     from scipy.optimize import minimize_scalar
 
@@ -433,6 +439,13 @@ def lineshape_peak(
     xs = np.linspace(lo_edge * omega_r, hi_edge * omega_r, int(peak_scan_points(omega_r, tau)))
     ys = _folded_average(xs, omega_r, tau, *folded)
     i = int(np.argmax(ys))
+    depth = ys[i] - ys.min()
+    if not depth > np.sqrt(np.finfo(float).eps) * ys[i]:
+        raise ConvergenceError(
+            f"the lineshape is flat to rounding over the peak window (tau Omega_R = "
+            f"{tau * omega_r:.3g}): its peak cannot be placed",
+            {"P_max": float(ys[i]), "depth": float(depth)},
+        )
     lo = xs[max(i - 2, 0)]
     hi = xs[min(i + 2, len(xs) - 1)]
     res = minimize_scalar(
@@ -450,6 +463,7 @@ class CalibrationResult:
     delta_max: float
     target_delta_max: float
     on_target: bool
+    P_max: float
 
 
 def calibrate_quadratic_scale(
@@ -464,7 +478,8 @@ def calibrate_quadratic_scale(
     Root-finds delta_max(s) = target on the rising branch.  The peak location
     saturates as the broadening grows, so targets beyond the extremum are
     unattainable; in that case the extremal s (closest approach) is returned
-    with ``on_target = False``.
+    with ``on_target = False``.  Each scale's peak (delta_max, P_max) is
+    searched once and kept, so the result carries the peak at its scale.
 
     The root is asked for only to the precision delta_max(s) carries.  The
     peak is flat, so rounding in P moves delta_max by about sqrt(eps) of P0's
@@ -472,31 +487,55 @@ def calibrate_quadratic_scale(
     shift s <j^2>, <j^2> = j_max (j_max + 1) / 3, so s is resolved to that
     precision over <j^2>.  An on-target peak lands within a few 1e-8 Omega_R
     of the target.
+
+    The extremum is flat in s as well: delta_max(s) - delta_ext grows as
+    (s - s_ext)^2 / s_max^2 in units of the feature, so the sqrt(eps) noise
+    in delta_max hides s within about eps^(1/4) s_max = 1.2e-4 s_max of the
+    extremum.  It is located to xatol = 1e-5 s_max, ten times below that
+    floor; at the floor itself the shift a saturated run reports moves by
+    ~1e-4 of its value between units of Omega_R.
+
+    A target that the smallest scale tried, 1e-9 s_max, already passes has
+    no root on the bracket and raises CalibrationTargetError, as does a
+    target that is not negative.
     """
     from scipy.optimize import brentq, minimize_scalar
 
     if target_delta_max >= 0:
-        raise InvalidInputError("target_delta_max must be negative for s >= 0 shifts")
+        raise CalibrationTargetError("target_delta_max must be negative for s >= 0 shifts")
     if s_max is None:
         # peak saturation happens near s j_max^2 ~ 2 Omega_R
         s_max = 3.0 * omega_r / max(j_max, 1) ** 2
 
+    @functools.cache
+    def peak(s):
+        return lineshape_peak(omega_r, tau, j_max, QuadraticShift(s))
+
     def dmax(s):
-        return lineshape_peak(omega_r, tau, j_max, QuadraticShift(s))[0]
+        return peak(s)[0]
 
     extremum = minimize_scalar(
         dmax, bounds=(1e-6 * s_max, s_max), method="bounded",
-        options={"xatol": 1e-10 * s_max},
+        options={"xatol": 1e-5 * s_max},
     )
     s_ext, d_ext = float(extremum.x), float(extremum.fun)
-    if target_delta_max >= d_ext:
-        f = lambda s: dmax(s) - target_delta_max
-        feature = omega_r / _features_per_omega_r(omega_r, tau)
-        resolution = np.sqrt(np.finfo(float).eps) * feature
-        mean_j2 = max(j_max * (j_max + 1), 1) / 3.0
-        s_star = brentq(f, 1e-9 * s_max, s_ext, xtol=resolution / mean_j2)
-        return CalibrationResult(float(s_star), float(dmax(s_star)), target_delta_max, True)
-    return CalibrationResult(s_ext, d_ext, target_delta_max, False)
+    if target_delta_max < d_ext:
+        return CalibrationResult(s_ext, d_ext, target_delta_max, False, peak(s_ext)[1])
+    s_lo = 1e-9 * s_max
+    d_lo = dmax(s_lo)
+    if d_lo <= target_delta_max:
+        raise CalibrationTargetError(
+            f"the target delta_max = {target_delta_max / omega_r:.3g} Omega_R is passed "
+            f"already at the smallest scale tried, s = {s_lo:.3g}, where delta_max = "
+            f"{d_lo / omega_r:.3g} Omega_R"
+        )
+    feature = omega_r / _features_per_omega_r(omega_r, tau)
+    resolution = np.sqrt(np.finfo(float).eps) * feature
+    mean_j2 = max(j_max * (j_max + 1), 1) / 3.0
+    s_star = float(brentq(lambda s: dmax(s) - target_delta_max, s_lo, s_ext,
+                          xtol=resolution / mean_j2))
+    d_star, p_star = peak(s_star)
+    return CalibrationResult(s_star, d_star, target_delta_max, True, p_star)
 
 
 # --------------------------------------------------------------------------
@@ -549,6 +588,10 @@ def _fit_jacobian(delta, amplitude, delta_0, omega_eff):
 # grid's peak, the width Omega_eff within FIT_WIDTH_BOUNDS.
 FIT_CENTRE_RANGE = 3.0
 FIT_WIDTH_BOUNDS = (0.2, 5.0)
+# The fewest grid points the fit takes, and the tolerance each start is
+# screened to before the best one is polished.
+FIT_MIN_POINTS = 50
+FIT_SCREEN_TOL = 1e-6
 
 
 def fit_denominator_range(omega_r: float, half_width: float) -> tuple[float, float]:
@@ -571,7 +614,14 @@ def fit_lineshape(ls: Lineshape) -> FitResult:
     Damped Gauss-Newton (trust-region least squares) with the analytic
     Jacobian, multi-started over width guesses {1, 1.5, 2} Omega_R because the
     sin^2 sidelobes create secondary minima.  Requires the grid to span at
-    least +/- 4 Omega_R around the peak with >= 50 points.
+    least +/- 4 Omega_R around the peak with >= FIT_MIN_POINTS points.
+
+    Each start runs only to tolerance FIT_SCREEN_TOL, which tells the basins
+    apart: where the starts land in different minima their costs differ by
+    30% or more.  Only the lowest-cost start is then polished at 1e-15.  Its
+    answer is determined to ~1e-9 relative, not 1e-15: the trust region's
+    cost comparisons reach rounding first, so starts polished in the same
+    basin agree to about that, the ninth printed digit.
 
     delta_0 and Omega_eff are scaled by Omega_R (``x_scale``): the step
     test takes xtol relative to |x|, which the amplitude ~1 dominates, so
@@ -589,10 +639,10 @@ def fit_lineshape(ls: Lineshape) -> FitResult:
     y = ls.probability
     peak = float(delta[int(np.argmax(y))])
     span = 4.0 * ls.Omega_R
-    if len(delta) < 50 or delta[0] > peak - span or delta[-1] < peak + span:
+    if len(delta) < FIT_MIN_POINTS or delta[0] > peak - span or delta[-1] < peak + span:
         raise InvalidInputError(
             "lineshape grid must span at least +/- 4 Omega_R around its peak "
-            "with at least 50 points"
+            f"with at least {FIT_MIN_POINTS} points"
         )
 
     def residual(p):
@@ -601,20 +651,21 @@ def fit_lineshape(ls: Lineshape) -> FitResult:
     def jacobian(p):
         return _fit_jacobian(delta, *p)
 
-    y_max = float(y.max())
     w_lo, w_hi = FIT_WIDTH_BOUNDS
     lower = [1e-9, peak - FIT_CENTRE_RANGE * ls.Omega_R, w_lo * ls.Omega_R]
     upper = [1.5, peak + FIT_CENTRE_RANGE * ls.Omega_R, w_hi * ls.Omega_R]
-    best = None
-    for guess in (1.0, 1.5, 2.0):
-        start = [min(max(y_max, lower[0]), upper[0]), peak, guess * ls.Omega_R]
-        res = least_squares(
+
+    def solve(start, tol):
+        return least_squares(
             residual, start, jac=jacobian, method="trf",
             bounds=(lower, upper), x_scale=[1.0, ls.Omega_R, ls.Omega_R],
-            xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=2000,
+            xtol=tol, ftol=tol, gtol=tol, max_nfev=2000,
         )
-        if best is None or res.cost < best.cost:
-            best = res
+
+    amplitude = min(max(float(y.max()), lower[0]), upper[0])
+    screened = [solve([amplitude, peak, guess * ls.Omega_R], FIT_SCREEN_TOL)
+                for guess in (1.0, 1.5, 2.0)]
+    best = solve(min(screened, key=lambda res: res.cost).x, 1e-15)
     rms = float(np.sqrt(np.mean(residual(best.x) ** 2)))
     result = FitResult(
         amplitude_A=float(best.x[0]),

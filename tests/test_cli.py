@@ -299,6 +299,11 @@ def test_lineshape_physical_shift_model(runner, tmp_path):
     ("lineshape", "lineshape", "Omega_R", 1e-160),
     ("lineshape", "lineshape", "Omega_R", 1e-200),
     ("lineshape", "lineshape", "Omega_R", 1e102),
+    # the curve's grid: -5 crashed in np.linspace, 1e8 points got the process
+    # killed; the reader refuses it before anything is allocated
+    ("lineshape", "lineshape", "grid_points", -5),
+    ("lineshape", "lineshape", "grid_points", 10),
+    ("lineshape", "lineshape", "grid_points", 100000000),
 ])
 def test_bad_field_exits_2_naming_it(runner, tmp_path, command, section, key, value):
     cfg = copy.deepcopy(MINIMAL)
@@ -321,6 +326,24 @@ def _fig4_fit_in_units(runner, tmp_path, config_dir, omega_r):
     fit = json.loads(Path(f"{out}.fit.json").read_text())
     return (fit["amplitude_A"], fit["delta_0_over_OmegaR"], fit["Omega_R_eff_over_OmegaR"],
             fit["peak"]["delta_max_over_OmegaR"])
+
+
+@pytest.mark.parametrize("key, value, code", [
+    # each crashed in the calibration's brentq: f(a) and f(b) had the same sign
+    ("calibrate_delta_max_over_OmegaR", -1e-300, 2),   # passed at s = 1e-9 s_max
+    ("calibrate_delta_max_over_OmegaR", 0.3, 2),      # not negative: no field named
+    ("tau", 1e-300, 3),                                # P0 underflows: no peak
+])
+def test_calibration_without_a_sign_change_exits_naming_the_field(runner, tmp_path, config_dir,
+                                                                  key, value, code):
+    cfg = json.loads((config_dir / "fig4_lineshape.json").read_text())
+    cfg["lineshape"]["j_max"] = 12
+    section = cfg["lineshape"]["shift_model"] if key.startswith("calibrate") else cfg["lineshape"]
+    section[key] = value
+    p = write_config(tmp_path, "bracket.json", cfg)
+    res = runner.invoke(cli, ["lineshape", "--config", str(p), "--out", str(tmp_path / "b.csv")])
+    assert res.exit_code == code, res.output
+    assert key in res.output
 
 
 @pytest.mark.parametrize("omega_r", [1e-50, 1e-76])

@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 import qrotor.raman
-from qrotor.exceptions import InvalidInputError
+from qrotor.exceptions import CalibrationTargetError, ConvergenceError, InvalidInputError
 from qrotor.raman import (
     Lineshape,
     NoShift,
@@ -164,6 +164,71 @@ def test_fit_constants_do_not_depend_on_the_unit_of_omega_r(omega_r):
     assert fit_in_units(omega_r) == pytest.approx(fit_in_units(1.0), rel=1e-7)
 
 
+@pytest.mark.parametrize("j_max, edge, amplitude, width", [
+    (5, 12.0, 0.191528, 5.0),       # width on the fit's upper bound
+    (5, 20.0, 0.204908, 2.46625),
+    (10, 40.0, 0.112741, 4.82874),
+])
+def test_fit_finds_the_lowest_basin_of_a_broadened_stack(j_max, edge, amplitude, width):
+    # strongly broadened stacks: the three width starts land in different
+    # minima (cost 2.81 vs 4.66 at j_max 5, edge 12); the 1.0 Omega_R start
+    # alone ends in the other basin (A 0.318, 0.285 and 0.189)
+    ls = lineshape_from_rabi(OMEGA_R, TAU, j_max, QuadraticShift(edge * OMEGA_R / j_max**2),
+                             np.linspace(-8 * OMEGA_R, 8 * OMEGA_R, 1601))
+    fit = fit_lineshape(ls)
+    assert fit.amplitude_A == pytest.approx(amplitude, rel=1e-4)
+    assert fit.Omega_R_eff / OMEGA_R == pytest.approx(width, rel=1e-4)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(qrotor.raman, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qrotor.raman, name, counting)
+    return calls
+
+
+def test_fig4_fit_stops_at_the_printed_digits(monkeypatch):
+    # three starts screened to 1e-6, the best one polished at 1e-15: 81
+    # evaluations of the model (109 with every start run at 1e-15); 95 leaves
+    # 17% headroom
+    cal = calibrate_quadratic_scale(OMEGA_R, TAU, 80, -0.5374 * OMEGA_R)
+    ls = lineshape_from_rabi(OMEGA_R, TAU, 80, QuadraticShift(cal.scale_s),
+                             np.linspace(-8 * OMEGA_R, 8 * OMEGA_R, 1601))
+    calls = _counting(monkeypatch, "fit_model")
+    fit_lineshape(ls)
+    assert len(calls) <= 95
+
+
+def test_saturated_calibration_searches_each_scale_once(monkeypatch):
+    # the extremum is located to 1e-5 s_max and each scale's peak is kept:
+    # 16 peak searches at j_max 12 (28 at xatol 1e-10 s_max); 20 leaves 25%
+    # headroom
+    calls = _counting(monkeypatch, "lineshape_peak")
+    cal = calibrate_quadratic_scale(OMEGA_R, TAU, 12, -0.6 * OMEGA_R)
+    assert not cal.on_target
+    assert len(calls) <= 20
+    assert (cal.delta_max, cal.P_max) == lineshape_peak(OMEGA_R, TAU, 12,
+                                                        QuadraticShift(cal.scale_s))
+
+
+def test_calibration_target_passed_at_the_smallest_scale_is_refused():
+    # delta_max at s = 1e-9 s_max is already below the target: no root to bracket
+    with pytest.raises(CalibrationTargetError, match="smallest scale"):
+        calibrate_quadratic_scale(OMEGA_R, TAU, 12, -1e-300 * OMEGA_R)
+
+
+@pytest.mark.parametrize("tau", [1e-300, 1e-150, 1e-6])
+def test_flat_lineshape_has_no_peak_to_place(tau):
+    # tau Omega_R below ~1e-4 leaves P0 flat to rounding over the window
+    with pytest.raises(ConvergenceError, match="tau"):
+        lineshape_peak(OMEGA_R, tau, 12, QuadraticShift(1e-3))
+
+
 def test_fit_requires_wide_grid():
     narrow = np.linspace(-2 * OMEGA_R, 2 * OMEGA_R, 401)
     ls = lineshape_from_rabi(OMEGA_R, TAU, 0, NoShift(), narrow)
@@ -188,14 +253,7 @@ def test_calibration_reaches_moderate_targets():
 def test_calibration_root_asks_only_for_resolved_digits(monkeypatch):
     # delta_max(s) is resolved to ~sqrt(eps) Omega_R; a root finder asked for
     # more bisects through rounding noise (about 25 peak searches per root)
-    calls = []
-    original = qrotor.raman.lineshape_peak
-
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(qrotor.raman, "lineshape_peak", counting)
+    calls = _counting(monkeypatch, "lineshape_peak")
     j_max = 12
     calibrate_quadratic_scale(OMEGA_R, TAU, j_max, -0.6 * OMEGA_R)   # saturated
     extremum_calls = len(calls)
