@@ -13,7 +13,6 @@ from .exceptions import (
     FitError,
     InvalidInputError,
     QRotorError,
-    UnsupportedModeError,
     ValidityError,
 )
 from .optics import BeamConfig, TrapGeometry, lg_mode_amplitude, optical_potential, ring_minima

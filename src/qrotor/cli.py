@@ -4,9 +4,8 @@ Subcommands compute one artifact each and write CSV or JSON with fixed
 formatting (nine significant digits, fixed orderings), so repeated runs on the
 same configuration are byte-identical, at any worker count.
 
-Exit codes: 0 success, 2 configuration error (also an unsupported beam mode
-or an unwritable output), 3 numerical-convergence error, 4 validity-inequality
-violation.
+Exit codes: 0 success, 2 configuration error (also an unwritable output),
+3 numerical-convergence error, 4 validity-inequality violation.
 """
 
 from __future__ import annotations

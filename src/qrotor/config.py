@@ -173,11 +173,14 @@ def _read(body: dict, prefix: str, table: dict) -> dict:
 
 
 def _validated(where: str, make, *args, **fields):
-    """`make(*args, **fields)`, with its invariant errors reported as errors of `where`."""
+    """`make(*args, **fields)`, with its invariant errors named `where.<field>`.
+
+    Every invariant message starts with the field it concerns.
+    """
     try:
         return make(*args, **fields)
     except InvalidInputError as err:
-        raise ConfigError(f"{where}: {err}") from err
+        raise ConfigError(f"{where}.{err}") from err
 
 
 def _species_from(body: dict) -> AtomSpecies:
@@ -192,6 +195,9 @@ def _species_from(body: dict) -> AtomSpecies:
 
 def _beam_from(sec: dict, species: AtomSpecies) -> tuple[BeamConfig, float]:
     """The beam and the rotational frequency its ring radius implies."""
+    # the key stays readable: every shipped config spells out the p = 0 mode
+    if sec.pop("radial_p") != 0:
+        raise ConfigError("beam.radial_p must be 0: the ring trap is a p = 0 Laguerre-Gaussian mode")
     depth_j, recoils = sec.pop("trap_depth_J"), sec.pop("trap_depth_recoils")
     if sec["phase_z0"] is None:
         sec["phase_z0"] = sec["wavelength"] / 4.0

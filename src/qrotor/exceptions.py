@@ -13,10 +13,6 @@ class CalibrationTargetError(InvalidInputError):
     """A calibration target lies where the shift family's bracket has no root."""
 
 
-class UnsupportedModeError(QRotorError):
-    """Requested operation needs a beam mode the trap model does not cover."""
-
-
 class ConvergenceError(QRotorError):
     """A numerical solve failed its self-consistency check.
 

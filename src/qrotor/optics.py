@@ -5,9 +5,9 @@ standing wave whose intensity maxima are stacked rings: the cos^2 standing-wave
 factor selects axial planes z_j spaced by half a wavelength, and the donut
 profile r^|l| exp(-r^2/w^2) peaks on a circle of radius r_l(z) = w(z) sqrt(|l|/2).
 Red-detuned light traps atoms on those rings.  Near a ring the potential
-separates into a radial profile V_l(r) and a harmonic axial well W_j(z), whose
-frequency and oscillator length are fixed by the trap depth and the recoil
-energy.
+separates into a radial profile V_l(r) and a harmonic axial well; `ring_minima`
+computes each ring's geometry and the curvature, frequency and oscillator
+length of both axes once, and the spectrum reads them from there.
 """
 
 from __future__ import annotations
@@ -17,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidInputError, UnsupportedModeError
-from .units import HBAR, C_LIGHT, AtomSpecies, recoil_energy
+from .exceptions import InvalidInputError
+from .units import HBAR, C_LIGHT, AtomSpecies
 
 
 @dataclass(frozen=True)
 class BeamConfig:
-    """Trap-beam parameters.
+    """Trap-beam parameters of the p = 0 ring trap.
 
     Parameters
     ----------
@@ -35,10 +35,8 @@ class BeamConfig:
         Beam power (W).  Enters only the mode amplitude normalisation; the
         trap depth is specified directly via ``trap_depth_V0``.
     oam_l : int
-        Orbital angular momentum index of the trap beam.
-    radial_p : int
-        Radial mode index.  The mode envelope, the trap and the spectrum
-        all require p = 0.
+        Orbital angular momentum index of the trap beam; nonzero, since an
+        l = 0 beam has no ring.
     phase_z0 : float
         Standing-wave phase offset (m); rings sit at z_j = pi j / k + z0.
         Must satisfy 0 < z0 < wavelength / 2.
@@ -57,7 +55,6 @@ class BeamConfig:
     waist_w0: float
     power_P0: float
     oam_l: int
-    radial_p: int = 0
     phase_z0: float = 0.0
     trap_depth_V0: float = 0.0
     collimated: bool = False
@@ -68,8 +65,8 @@ class BeamConfig:
             raise InvalidInputError("wavelength must be positive")
         if self.waist_w0 <= 0:
             raise InvalidInputError("waist_w0 must be positive")
-        if self.radial_p < 0:
-            raise InvalidInputError("radial_p must be a non-negative integer")
+        if self.oam_l == 0:
+            raise InvalidInputError("oam_l must be nonzero: an l = 0 beam has no ring")
         if not 0.0 < self.phase_z0 < self.wavelength / 2.0:
             raise InvalidInputError(
                 "phase_z0 must satisfy 0 < phase_z0 < wavelength/2"
@@ -108,15 +105,24 @@ class BeamConfig:
 
 @dataclass(frozen=True)
 class TrapGeometry:
-    """Derived geometry and harmonic scales of one ring minimum."""
+    """One ring minimum and the harmonic wells about it.
+
+    ``ww2`` is (w(z_j)/w0)^2 and ``depth_at_ring`` = -V0 / ww2.  Each axis
+    carries its curvature kappa, frequency omega = sqrt(kappa / M) and
+    oscillator length b = sqrt(hbar / (M omega)).
+    """
 
     ring_index_j: int
     z_j: float
     r_l: float
-    w_at_zj: float
+    ww2: float
+    depth_at_ring: float
+    kappa_z: float
     omega_z: float
     b_z: float
-    depth_at_ring: float
+    kappa_r: float
+    omega_r: float
+    b_r: float
 
 
 def ring_peak_factor(l: int) -> float:
@@ -138,8 +144,6 @@ def lg_mode_amplitude(beam: BeamConfig, r, phi, z):
 
     Parameters are scalars or broadcastable arrays; r must be >= 0.
     """
-    if beam.radial_p != 0:
-        raise UnsupportedModeError("the mode envelope is defined for radial_p = 0 modes only")
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise InvalidInputError("r must be non-negative")
@@ -175,11 +179,7 @@ def optical_potential(beam: BeamConfig, r, z):
     this evaluates to -V0 (w0/w(z))^2; it vanishes on the beam axis and at the
     standing-wave nodes.
     """
-    if beam.radial_p != 0:
-        raise UnsupportedModeError("trap potential is defined for radial_p = 0 modes only")
     l = abs(beam.oam_l)
-    if l == 0:
-        raise UnsupportedModeError("ring trap requires a nonzero OAM index")
     r = np.asarray(r, dtype=float)
     z = np.asarray(z, dtype=float)
     w = beam.width(z)
@@ -194,78 +194,37 @@ def optical_potential(beam: BeamConfig, r, z):
     return -beam.trap_depth_V0 * axial * radial / ww2
 
 
-def ring_minima(beam: BeamConfig, species: AtomSpecies, j_range) -> list[TrapGeometry]:
-    """Geometry and harmonic scales for each requested ring index.
+def _oscillator(kappa: float, mass: float) -> tuple[float, float]:
+    """Frequency sqrt(kappa / M) and oscillator length sqrt(hbar / (M omega))."""
+    omega = float(np.sqrt(kappa / mass))
+    return omega, float(np.sqrt(HBAR / (mass * omega)))
 
-    For ring j: z_j = pi j / k + z0, r_l = w(z_j) sqrt(|l|/2), axial harmonic
-    frequency omega_z = (2 / ww(z_j)) sqrt(E0 V0) / hbar with E0 the recoil
-    energy, oscillator length b_z = sqrt(ww(z_j)) / k * (E0/V0)^(1/4), and
-    ring depth -V0 (w0 / w(z_j))^2.
+
+def ring_minima(beam: BeamConfig, species: AtomSpecies, j_range) -> list[TrapGeometry]:
+    """Geometry and harmonic wells of each requested ring.
+
+    For ring j: z_j = pi j / k + z0, r_l = w(z_j) sqrt(|l|/2), ww = w(z_j)/w0
+    and depth -V0 / ww^2.  Expanding `optical_potential` about (r_l, z_j)
+    gives the axial curvature kappa_z = 2 V0 k^2 / ww^2 (from the standing
+    wave's cos^2) and the radial curvature kappa_r = 4 |l| V0 / (ww^2 r_l^2)
+    (from the donut profile).  At the waist omega_r = sqrt(8 V0 / (M w0^2))
+    for any l: the ring radius grows as sqrt(|l|) at exactly the rate that
+    cancels the l-dependence of the curvature.
     """
     if beam.trap_depth_V0 <= 0:
         raise InvalidInputError("trap_depth_V0 must be positive for bound rings")
-    e0 = recoil_energy(species, beam.wavelength)
-    k = beam.wavenumber
+    v0, l = beam.trap_depth_V0, abs(beam.oam_l)
     out = []
     for j in j_range:
         z_j = float(beam.ring_z(j))
-        w = float(beam.width(z_j))
-        ww = w / beam.waist_w0
-        omega_z = (2.0 / ww) * np.sqrt(e0 * beam.trap_depth_V0) / HBAR
-        b_z = np.sqrt(ww) / k * (e0 / beam.trap_depth_V0) ** 0.25
-        out.append(
-            TrapGeometry(
-                ring_index_j=int(j),
-                z_j=z_j,
-                r_l=float(beam.ring_radius(z_j)),
-                w_at_zj=w,
-                omega_z=float(omega_z),
-                b_z=float(b_z),
-                depth_at_ring=float(-beam.trap_depth_V0 / ww**2),
-            )
-        )
+        r_l = float(beam.ring_radius(z_j))
+        ww2 = float((beam.width(z_j) / beam.waist_w0) ** 2)
+        kappa_z = 2.0 * v0 * beam.wavenumber**2 / ww2
+        kappa_r = 4.0 * l * v0 / (ww2 * r_l**2)
+        out.append(TrapGeometry(int(j), z_j, r_l, ww2, -v0 / ww2,
+                                kappa_z, *_oscillator(kappa_z, species.mass),
+                                kappa_r, *_oscillator(kappa_r, species.mass)))
     return out
-
-
-def harmonic_decomposition(beam: BeamConfig, j: int):
-    """Radial profile and axial harmonic well near ring j.
-
-    Returns ``(V_l, W_j)``: V_l(r) is the full radial potential in the plane
-    z = z_j (not harmonically expanded), and W_j(z) is the quadratic axial
-    well V0 k^2 / ww(z_j)^2 * (z - z_j)^2 obtained from the standing wave.
-    """
-    if beam.radial_p != 0:
-        raise UnsupportedModeError("harmonic decomposition requires radial_p = 0")
-    z_j = float(beam.ring_z(j))
-    ww2 = float((beam.width(z_j) / beam.waist_w0) ** 2)
-    k2v0 = beam.trap_depth_V0 * beam.wavenumber**2 / ww2
-
-    def v_radial(r):
-        return optical_potential(beam, r, z_j)
-
-    def w_axial(z):
-        return k2v0 * (np.asarray(z, dtype=float) - z_j) ** 2
-
-    return v_radial, w_axial
-
-
-def radial_curvature(beam: BeamConfig, j: int) -> float:
-    """Second derivative of V_l at the ring radius: 4 |l| V0 / (ww^2 r_l^2)."""
-    l = abs(beam.oam_l)
-    z_j = float(beam.ring_z(j))
-    r_l = float(beam.ring_radius(z_j))
-    ww2 = float((beam.width(z_j) / beam.waist_w0) ** 2)
-    return 4.0 * l * beam.trap_depth_V0 / (ww2 * r_l**2)
-
-
-def radial_trap_frequency(beam: BeamConfig, species: AtomSpecies, j: int = 0) -> float:
-    """Harmonic radial frequency sqrt(V_l''(r_l) / M).
-
-    At the waist this reduces to sqrt(8 V0 / (M w0^2)), independent of l:
-    the ring radius grows as sqrt(l) at exactly the rate that cancels the
-    l-dependence of the curvature.
-    """
-    return float(np.sqrt(radial_curvature(beam, j) / species.mass))
 
 
 def trap_depth_from_power(polarizability: float, beam: BeamConfig) -> float:
@@ -274,13 +233,10 @@ def trap_depth_from_power(polarizability: float, beam: BeamConfig) -> float:
     Derived from V = -alpha |E|^2 with the counter-propagating standing wave
     evaluated at its ring maximum.
     """
-    l = abs(beam.oam_l)
-    if l == 0:
-        raise UnsupportedModeError("ring trap requires a nonzero OAM index")
     return (
         8.0
         * polarizability
         * beam.power_P0
-        * ring_peak_factor(l)
+        * ring_peak_factor(abs(beam.oam_l))
         / (math.pi * C_LIGHT * beam.waist_w0**2)
     )

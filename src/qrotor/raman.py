@@ -253,23 +253,10 @@ class PhysicalShift:
         return 4.0 * L**2 * (c0 - cj) / HBAR
 
 
-@dataclass(frozen=True)
-class QuarticShift:
-    """Divergence shift weighted by an extra j^2, growing as j^4 near the waist.
-
-    Kept for comparison against the quadratic profile.
-    """
-
-    def shifts(self, j, beam: BeamConfig, species: AtomSpecies, L: int):
-        j = np.asarray(j, dtype=float)
-        return j**2 * PhysicalShift().shifts(j, beam, species, L)
-
-
 SHIFT_MODELS = {
     "none": NoShift,
     "quadratic": QuadraticShift,
     "physical": PhysicalShift,
-    "quartic": QuarticShift,
 }
 
 
@@ -483,10 +470,14 @@ def calibrate_quadratic_scale(
 
     The root is asked for only to the precision delta_max(s) carries.  The
     peak is flat, so rounding in P moves delta_max by about sqrt(eps) of P0's
-    narrowest feature; and delta_max(s) falls at most as fast as the mean
-    shift s <j^2>, <j^2> = j_max (j_max + 1) / 3, so s is resolved to that
-    precision over <j^2>.  An on-target peak lands within a few 1e-8 Omega_R
-    of the target.
+    width: Omega_R, or its fringe period 2 pi / tau when the pulse is longer
+    than 2 pi / Omega_R, or pi / tau when it is shorter than pi / Omega_R (P0
+    is then a sinc^2 about 1/tau wide).  delta_max(s) falls at most as fast as
+    the mean shift s <j^2>, <j^2> = j_max (j_max + 1) / 3, so s is resolved to
+    that precision over <j^2>.  An on-target peak lands within 4 sqrt(eps) of
+    P0's width of the target (6e-8 Omega_R for tau Omega_R in [pi, 2 pi],
+    6e-4 Omega_R at tau Omega_R = 3e-4); for tau Omega_R from 3e-4 to 2 pi
+    and j_max from 5 to 30 the miss stays below one sqrt(eps) of the width.
 
     The extremum is flat in s as well: delta_max(s) - delta_ext grows as
     (s - s_ext)^2 / s_max^2 in units of the feature, so the sqrt(eps) noise
@@ -529,8 +520,8 @@ def calibrate_quadratic_scale(
             f"already at the smallest scale tried, s = {s_lo:.3g}, where delta_max = "
             f"{d_lo / omega_r:.3g} Omega_R"
         )
-    feature = omega_r / _features_per_omega_r(omega_r, tau)
-    resolution = np.sqrt(np.finfo(float).eps) * feature
+    width = max(omega_r / _features_per_omega_r(omega_r, tau), np.pi / tau)
+    resolution = np.sqrt(np.finfo(float).eps) * width
     mean_j2 = max(j_max * (j_max + 1), 1) / 3.0
     s_star = float(brentq(lambda s: dmax(s) - target_delta_max, s_lo, s_ext,
                           xtol=resolution / mean_j2))

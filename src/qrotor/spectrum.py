@@ -1,8 +1,9 @@
 """Bound-state spectra of ring-trapped atoms.
 
 The trap potential separates near a ring minimum into an axial harmonic well
-W_j(z) and a radial profile V_l(r); the azimuthal motion contributes a
-rigid-rotor tower m^2 C(r) with C(r) = hbar^2 / (2 M r^2).  Both 1-D problems
+and a radial profile V_l(r), both read from the ring's `TrapGeometry`; the
+azimuthal motion contributes a rigid-rotor tower m^2 C(r) with
+C(r) = hbar^2 / (2 M r^2).  Both 1-D problems
 are solved in a Colbert-Miller sinc discrete-variable representation (DVR) on
 a uniform grid (D. T. Colbert and W. H. Miller, J. Chem. Phys. 96, 1982
 (1992)).  The radial equation (cylindrical Laplacian) is symmetrised with
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import ConvergenceError, InvalidInputError
-from .optics import BeamConfig, harmonic_decomposition, radial_trap_frequency, ring_minima
+from .optics import BeamConfig, optical_potential, ring_minima
 from .units import HBAR, K_B, AtomSpecies
 
 # Disagreement between the eigenvalues of the n- and 3n/2-point bases, in
@@ -167,21 +168,22 @@ def solve_axial(
 ) -> BoundStates:
     """Axial levels of the harmonic standing-wave well at ring j.
 
-    Solves -(hbar^2/2M) d^2/dz^2 + W_j(z) on a symmetric box of +/- 7 b_z
-    around z_j in a DVR basis of ``grid_points`` points; returns the lowest
-    n_z_max + 1 levels in ascending order.  Only eigenvalues are computed
-    here; see ``BoundStates.wavefunctions``.
+    Solves -(hbar^2/2M) d^2/dz^2 + kappa_z (z - z_j)^2 / 2 on a symmetric box
+    of +/- 7 b_z around z_j in a DVR basis of ``grid_points`` points; returns
+    the lowest n_z_max + 1 levels in ascending order.  Only eigenvalues are
+    computed here; see ``BoundStates.wavefunctions``.
     """
     if n_z_max < 0:
         raise InvalidInputError("n_z_max must be non-negative")
-    if beam.trap_depth_V0 <= 0:
-        raise InvalidInputError("bound axial states require trap_depth_V0 > 0")
     geo = ring_minima(beam, species, [j])[0]
-    _, w_axial = harmonic_decomposition(beam, j)
+
+    def well(z):
+        return 0.5 * geo.kappa_z * (z - geo.z_j) ** 2
+
     # at +/- 6 b_z the box raised the n = 3 level by 3e-11 of itself, ~1e-5 rotor gaps
     half = 7.0 * geo.b_z
     energies, grid, vectors, drift = _solve_dvr(
-        w_axial, geo.z_j - half, geo.z_j + half, grid_points, species.mass, n_z_max + 1,
+        well, geo.z_j - half, geo.z_j + half, grid_points, species.mass, n_z_max + 1,
         rotational_constant(geo.r_l, species),
     )
     return BoundStates(energies, grid, np.ones_like(grid), drift, vectors)
@@ -209,15 +211,10 @@ def solve_radial(
     if n_r_max < 0:
         raise InvalidInputError("n_r_max must be non-negative")
     geo = ring_minima(beam, species, [j])[0]
-    v_full, _ = harmonic_decomposition(beam, j)
-    omega_r = radial_trap_frequency(beam, species, j)
-    b_r = np.sqrt(HBAR / (species.mass * omega_r))
     if radial_profile == "full":
-        v_profile = v_full
+        v_profile = lambda r: optical_potential(beam, r, geo.z_j)
     elif radial_profile == "harmonic":
-        curv = species.mass * omega_r**2
-        v_min = float(v_full(geo.r_l))
-        v_profile = lambda r: v_min + 0.5 * curv * (r - geo.r_l) ** 2
+        v_profile = lambda r: geo.depth_at_ring + 0.5 * geo.kappa_r * (r - geo.r_l) ** 2
     else:
         raise InvalidInputError("radial_profile must be 'full' or 'harmonic'")
 
@@ -226,8 +223,8 @@ def solve_radial(
     def v_eff(r):
         return v_profile(r) + coeff / r**2
 
-    lo = max(geo.r_l - 8.0 * b_r, 1e-4 * geo.r_l)
-    hi = geo.r_l + 8.0 * b_r
+    lo = max(geo.r_l - 8.0 * geo.b_r, 1e-4 * geo.r_l)
+    hi = geo.r_l + 8.0 * geo.b_r
     energies, grid, vectors, drift = _solve_dvr(
         v_eff, lo, hi, grid_points, species.mass, n_r_max + 1,
         rotational_constant(geo.r_l, species),

@@ -31,7 +31,6 @@ def fig_beam(e0_recoil):
         waist_w0=WAIST,
         power_P0=1.0,
         oam_l=TRAP_L,
-        radial_p=0,
         phase_z0=WAVELENGTH / 4.0,
         trap_depth_V0=10.0 * e0_recoil,
     )

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from qrotor.cli import cli
 from qrotor.fivelevel import FiveLevelModel, evolve_populations, oscillation_frequency, tuned_model
-from qrotor.optics import radial_trap_frequency, ring_minima
+from qrotor.optics import ring_minima
 from qrotor.raman import (
     QuadraticShift,
     calibrate_quadratic_scale,
@@ -56,7 +56,7 @@ def test_criterion_1_ring_geometry(fig_beam, li6):
 def test_criterion_2_trap_scales(fig_beam, li6):
     geo = ring_minima(fig_beam, li6, [0])[0]
     c_rl = rotational_constant(geo.r_l, li6)
-    omega_r = radial_trap_frequency(fig_beam, li6, 0)
+    omega_r = geo.omega_r
     checks = [
         (f"C(r_l)/kB = {c_rl / K_B * 1e9:.4f} nK", _within(c_rl / K_B, 0.1613e-9, 5e-3)),
         (f"hw_r/kB = {HBAR * omega_r / K_B * 1e6:.4f} uK",

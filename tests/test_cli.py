@@ -79,7 +79,6 @@ def test_reference_fig2_config_parses(config_dir):
     cfg = parse_config(config_dir / "fig2_spectrum.json")
     assert cfg.beam.waist_w0 == pytest.approx(10e-6)
     assert cfg.beam.oam_l == 5
-    assert cfg.beam.radial_p == 0
     # depth is ten recoil energies
     from qrotor.units import recoil_energy
 
@@ -304,6 +303,8 @@ def test_lineshape_physical_shift_model(runner, tmp_path):
     ("lineshape", "lineshape", "grid_points", -5),
     ("lineshape", "lineshape", "grid_points", 10),
     ("lineshape", "lineshape", "grid_points", 100000000),
+    # the quartic shift profile is gone: naming it is an unknown model
+    ("lineshape", "lineshape", "shift_model", {"model": "quartic"}),
 ])
 def test_bad_field_exits_2_naming_it(runner, tmp_path, command, section, key, value):
     cfg = copy.deepcopy(MINIMAL)
@@ -384,15 +385,27 @@ def test_failed_write_keeps_the_old_artifact(runner, tmp_path, config_dir, monke
     assert [q.name for q in tmp_path.iterdir()] == ["budget.json"]
 
 
-def test_unsupported_beam_mode_exits_2(runner, tmp_path):
-    # radial_p = 1 is a valid beam but not a ring trap: the spectrum needs p = 0
-    cfg = copy.deepcopy(MINIMAL)
-    cfg["beam"]["radial_p"] = 1
-    cfg["spectrum"] = {"n_z_max": 0, "n_r_max": 0, "m_ell_max": 1}
-    p = write_config(tmp_path, "p1.json", cfg)
-    res = runner.invoke(cli, ["spectrum", "--config", str(p), "--out", str(tmp_path / "s.csv")])
+SHIPPED_BY_COMMAND = {"spectrum": "fig2_spectrum.json", "lineshape": "fig4_lineshape.json",
+                      "rotation-scan": "fig5_rotation_scan.json", "budget": "budget.json",
+                      "tilt": "tilt.json"}
+
+
+@pytest.mark.parametrize("key, value", [("radial_p", 1), ("oam_l", 0)], ids=["radial_p", "oam_l"])
+@pytest.mark.parametrize("command", sorted(SHIPPED_BY_COMMAND))
+def test_unsupported_beam_mode_exits_2(runner, tmp_path, config_dir, command, key, value):
+    # the trap is the p = 0, l != 0 ring mode, whichever subcommand reads it
+    cfg = json.loads((config_dir / SHIPPED_BY_COMMAND[command]).read_text())
+    cfg["beam"][key] = value
+    if command == "lineshape":   # physical shifts read the ring radii
+        cfg["lineshape"].update(j_max=5, shift_model={"model": "physical"})
+    if command == "budget":      # omega_0 then derives from the ring radius
+        del cfg["sensor"]["omega_0"]
+    p = write_config(tmp_path, "mode.json", cfg)
+    out = tmp_path / "x.out"
+    res = runner.invoke(cli, [command, "--config", str(p), "--out", str(out)])
     assert res.exit_code == 2, res.output
-    assert "radial_p" in res.output
+    assert f"beam.{key}" in res.output
+    assert not out.exists()
 
 
 def test_unwritable_output_exits_2(runner, tmp_path, config_dir):

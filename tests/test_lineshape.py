@@ -267,6 +267,16 @@ def test_calibration_root_asks_only_for_resolved_digits(monkeypatch):
     assert np.mean(root_calls) <= 16
 
 
+@pytest.mark.parametrize("tau", [1e-4, 1e-3, TAU])
+def test_on_target_calibration_lands_within_the_stated_bound(tau):
+    # the peak is flat over P0's width, pi / tau for a pulse shorter than
+    # pi / Omega_R, so rounding places delta_max to sqrt(eps) of that width
+    width = max(min(OMEGA_R, 2 * np.pi / tau), np.pi / tau)
+    cal = calibrate_quadratic_scale(OMEGA_R, tau, 12, -0.5 * OMEGA_R)
+    assert cal.on_target
+    assert abs(cal.delta_max - cal.target_delta_max) <= 4 * np.sqrt(np.finfo(float).eps) * width
+
+
 def test_calibration_saturates_at_family_extremum():
     # the peak location cannot be pushed past about -0.532 Omega_R; the
     # -0.5374 reference target lands on the closest-approach branch

@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from qrotor.exceptions import InvalidInputError, UnsupportedModeError
+from qrotor.exceptions import InvalidInputError
 from qrotor.optics import (
     BeamConfig,
-    harmonic_decomposition,
     lg_mode_amplitude,
     optical_potential,
-    radial_curvature,
-    radial_trap_frequency,
     ring_minima,
     trap_depth_from_power,
 )
@@ -39,13 +36,6 @@ def test_mode_peak_radius_at_waist(fig_beam):
         options={"xatol": 1e-13},
     )
     assert abs(res.x - 15.81e-6) < 0.01e-6
-
-
-def test_mode_amplitude_rejects_higher_radial_modes(fig_beam):
-    from dataclasses import replace
-
-    with pytest.raises(UnsupportedModeError, match="radial_p"):
-        lg_mode_amplitude(replace(fig_beam, radial_p=1), 1e-5, 0.0, 0.0)
 
 
 def test_potential_value_on_ring(fig_beam, li6):
@@ -78,13 +68,6 @@ def test_potential_periodicity_when_collimated(fig_beam):
     assert np.allclose(v1, v2, rtol=1e-12, atol=1e-40)
 
 
-def test_potential_rejects_radial_modes(fig_beam):
-    from dataclasses import replace
-
-    with pytest.raises(UnsupportedModeError):
-        optical_potential(replace(fig_beam, radial_p=1), 1e-5, 1e-6)
-
-
 def test_ring_minima_reference_values(fig_beam, li6):
     geo = ring_minima(fig_beam, li6, [0])[0]
     assert geo.r_l == pytest.approx(15.811e-6, abs=1e-9)
@@ -113,41 +96,50 @@ def test_ring_minima_are_stationary_points(fig_beam, li6):
         assert abs(dvdz) < 1e-3 * force_scale  # axial curvature is much stiffer
 
 
-def test_harmonic_decomposition_values(fig_beam):
-    v_l, w_j = harmonic_decomposition(fig_beam, 0)
-    z_j = fig_beam.ring_z(0)
-    r_l = fig_beam.ring_radius(z_j)
-    ww2 = (fig_beam.width(z_j) / fig_beam.waist_w0) ** 2
-    assert v_l(r_l) == pytest.approx(-fig_beam.trap_depth_V0 / ww2, rel=1e-12)
-    assert w_j(z_j) == 0.0
-    dz = 3e-8
-    assert w_j(z_j + dz) == pytest.approx(w_j(z_j - dz), rel=1e-12)
+def test_harmonic_decomposition_values(fig_beam, li6):
+    # each axis: omega = sqrt(kappa / M), b = sqrt(hbar / (M omega)), and the
+    # depth is the potential on the ring
+    for j in (0, 200):
+        geo = ring_minima(fig_beam, li6, [j])[0]
+        assert geo.depth_at_ring == pytest.approx(
+            optical_potential(fig_beam, geo.r_l, geo.z_j), rel=1e-12)
+        for kappa, omega, b in ((geo.kappa_z, geo.omega_z, geo.b_z),
+                                (geo.kappa_r, geo.omega_r, geo.b_r)):
+            assert omega == pytest.approx(np.sqrt(kappa / li6.mass), rel=1e-15)
+            assert b == pytest.approx(np.sqrt(HBAR / (li6.mass * omega)), rel=1e-15)
+        # the axial curvature is the full potential's, along z at r_l
+        h = 1e-10
+        v = [optical_potential(fig_beam, geo.r_l, geo.z_j + d) for d in (-h, 0.0, h)]
+        assert geo.kappa_z == pytest.approx((v[0] - 2 * v[1] + v[2]) / h**2, rel=1e-5)
 
 
-def test_radial_curvature_matches_finite_differences(fig_beam):
-    v_l, _ = harmonic_decomposition(fig_beam, 0)
-    r_l = float(fig_beam.ring_radius(fig_beam.ring_z(0)))
-    h = 1e-9
-    fd = (v_l(r_l + h) - 2 * v_l(r_l) + v_l(r_l - h)) / h**2
-    assert radial_curvature(fig_beam, 0) == pytest.approx(fd, rel=1e-6)
-
-
-def test_axial_harmonic_frequency_identity(fig_beam, li6):
-    # sqrt(W''/M) of the decomposed well equals the ring's omega_z exactly
+def test_radial_curvature_matches_finite_differences(fig_beam, li6):
     geo = ring_minima(fig_beam, li6, [0])[0]
-    z_j = geo.z_j
-    ww2 = (fig_beam.width(z_j) / fig_beam.waist_w0) ** 2
-    curvature = 2.0 * fig_beam.trap_depth_V0 * fig_beam.wavenumber**2 / ww2
-    assert np.sqrt(curvature / li6.mass) == pytest.approx(geo.omega_z, rel=1e-12)
+    h = 1e-9
+    v = [optical_potential(fig_beam, geo.r_l + d, geo.z_j) for d in (-h, 0.0, h)]
+    assert geo.kappa_r == pytest.approx((v[0] - 2 * v[1] + v[2]) / h**2, rel=1e-6)
+
+
+def test_axial_harmonic_frequency_identity(fig_beam, li6, e0_recoil):
+    # closed forms from the recoil energy E0: omega_z = (2 / ww) sqrt(E0 V0) / hbar
+    # and b_z = sqrt(ww) / k (E0 / V0)^(1/4), ww = w(z_j) / w0
+    v0, k = fig_beam.trap_depth_V0, fig_beam.wavenumber
+    for j in (0, 200):
+        geo = ring_minima(fig_beam, li6, [j])[0]
+        ww = fig_beam.width(geo.z_j) / fig_beam.waist_w0
+        assert geo.omega_z == pytest.approx(2 / ww * np.sqrt(e0_recoil * v0) / HBAR, rel=1e-12)
+        assert geo.b_z == pytest.approx(np.sqrt(ww) / k * (e0_recoil / v0) ** 0.25, rel=1e-12)
 
 
 def test_radial_frequency_independent_of_oam(fig_beam, li6):
+    # at the waist omega_r = sqrt(8 V0 / (M w0^2)) for any l
     from dataclasses import replace
 
-    ref = radial_trap_frequency(fig_beam, li6, 0)
-    for l in (1, 2, 10, 25, 50):
-        beam = replace(fig_beam, oam_l=l)
-        assert radial_trap_frequency(beam, li6, 0) == pytest.approx(ref, rel=1e-12)
+    waist = replace(fig_beam, collimated=True)
+    expected = np.sqrt(8 * waist.trap_depth_V0 / (li6.mass * waist.waist_w0**2))
+    for l in (1, 2, 5, 10, 25, 50, -5):
+        geo = ring_minima(replace(waist, oam_l=l), li6, [0])[0]
+        assert geo.omega_r == pytest.approx(expected, rel=1e-12)
 
 
 def test_beam_config_validation():
@@ -156,6 +148,9 @@ def test_beam_config_validation():
                    phase_z0=671e-9, trap_depth_V0=1e-28)
     with pytest.raises(InvalidInputError):
         BeamConfig(wavelength=671e-9, waist_w0=-1e-6, power_P0=1.0, oam_l=5,
+                   phase_z0=1e-7, trap_depth_V0=1e-28)
+    with pytest.raises(InvalidInputError, match="oam_l"):  # an l = 0 beam has no ring
+        BeamConfig(wavelength=671e-9, waist_w0=10e-6, power_P0=1.0, oam_l=0,
                    phase_z0=1e-7, trap_depth_V0=1e-28)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 import qrotor.spectrum
 from qrotor.exceptions import ConvergenceError, InvalidInputError
-from qrotor.optics import radial_trap_frequency, ring_minima
+from qrotor.optics import ring_minima
 from qrotor.spectrum import (
     EnergyLevel,
     QuantumNumbers,
@@ -112,7 +112,7 @@ def test_radial_solver_symmetric_in_m_sign(fig_beam, li6):
 
 def test_harmonic_radial_profile_oracle(fig_beam, li6):
     # harmonic profile plus centrifugal: gaps n hbar w_r + m^2 C to first order
-    omega_r = radial_trap_frequency(fig_beam, li6, 0)
+    omega_r = ring_minima(fig_beam, li6, [0])[0].omega_r
     c = rotational_constant(R_L, li6)
     base = solve_radial(fig_beam, li6, 0, 0, 2, radial_profile="harmonic")
     for n in (1, 2):
