@@ -40,31 +40,27 @@ def spans():
 
 
 def _traced(spans):
-    return sorted(f"{mod}.{fn}" for mod, fns in spans.TRACED.items() for fn in fns)
+    """(dotted name, module, function name) of every function the recorder wraps."""
+    return [(f"{mod}.{fn}", importlib.import_module(mod), fn)
+            for mod, fns in spans.TRACED.items() for fn in fns]
 
 
 def test_recorder_installs_and_uninstalls(spans):
-    originals = {}
-    for name in _traced(spans):
-        mod, _, fn = name.rpartition(".")
-        originals[name] = getattr(importlib.import_module(mod), fn)
+    originals = {name: getattr(module, fn) for name, module, fn in _traced(spans)}
     recorder = spans.Recorder()
     recorder.install()
     try:
-        for name, original in originals.items():
-            mod, _, fn = name.rpartition(".")
-            assert getattr(importlib.import_module(mod), fn) is not original, name
+        for name, module, fn in _traced(spans):
+            assert getattr(module, fn) is not originals[name], name
     finally:
         recorder.uninstall()
-    for name, original in originals.items():
-        mod, _, fn = name.rpartition(".")
-        assert getattr(importlib.import_module(mod), fn) is original, name
+    for name, module, fn in _traced(spans):
+        assert getattr(module, fn) is originals[name], name
 
 
 def test_traced_functions_take_the_arguments_the_counters_bind(spans):
     traced = _traced(spans)
-    assert set(BOUND) <= set(traced)
-    for name in traced:
-        mod, _, fn = name.rpartition(".")
-        params = inspect.signature(getattr(importlib.import_module(mod), fn)).parameters
+    assert set(BOUND) <= {name for name, _, _ in traced}
+    for name, module, fn in traced:
+        params = inspect.signature(getattr(module, fn)).parameters
         assert BOUND.get(name, set()) <= set(params), name
