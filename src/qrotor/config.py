@@ -193,8 +193,26 @@ def _species_from(body: dict) -> AtomSpecies:
     return _validated("species", AtomSpecies, mass=sec.pop("mass_amu") * ATOMIC_MASS, **sec)
 
 
+def _derived(field: str, what: str, compute) -> float:
+    """compute(), refused naming `field` unless it is a finite, positive float."""
+    try:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            value = float(compute())
+    except OverflowError as err:
+        raise InvalidInputError(f"{field} is out of range: {what} overflows") from err
+    if not 0.0 < value < math.inf:
+        raise InvalidInputError(
+            f"{field} is out of range: {what} is {value:.3g}, not a finite positive float")
+    return value
+
+
 def _beam_from(sec: dict, species: AtomSpecies) -> tuple[BeamConfig, float]:
-    """The beam and the rotational frequency its ring radius implies."""
+    """The beam and the rotational frequency its ring radius implies.
+
+    The quantities derived from the wavelength and the waist are computed
+    here, each checked to be a finite, positive float, so a value that
+    overflows or vanishes exits 2 naming its field.
+    """
     # the key stays readable: every shipped config spells out the p = 0 mode
     if sec.pop("radial_p") != 0:
         raise ConfigError("beam.radial_p must be 0: the ring trap is a p = 0 Laguerre-Gaussian mode")
@@ -202,12 +220,13 @@ def _beam_from(sec: dict, species: AtomSpecies) -> tuple[BeamConfig, float]:
     if sec["phase_z0"] is None:
         sec["phase_z0"] = sec["wavelength"] / 4.0
     if depth_j is None:
-        try:
-            depth_j = recoils * recoil_energy(species, sec["wavelength"])
-        except OverflowError as err:
-            raise InvalidInputError("wavelength is too small: its recoil energy overflows") from err
+        depth_j = recoils * _derived("wavelength", "its recoil energy (J)",
+                                     lambda: recoil_energy(species, sec["wavelength"]))
     beam = BeamConfig(**sec, trap_depth_V0=depth_j)
-    return beam, rotational_constant(float(beam.ring_radius(beam.ring_z(0))), species) / HBAR
+    omega0 = _derived(
+        "waist_w0", "the rotor frequency of ring 0 (rad/s)",
+        lambda: rotational_constant(beam.ring_radius(beam.ring_z(0)), species) / HBAR)
+    return beam, omega0
 
 
 def _lineshape_from(ls: dict) -> LineshapeJob:
@@ -241,7 +260,7 @@ def _lineshape_from(ls: dict) -> LineshapeJob:
             f"lineshape.tau is too large: tau Omega_R = {tau * omega_r:.3g} asks a peak scan "
             f"of more than {MAX_SCAN_POINTS} points"
         )
-    # the fit's Jacobian divides by (Omega_eff^2 + x^2)^2, which must be a
+    # the fit's slopes divide by (Omega_eff^2 + x^2)^2, which must be a
     # normal, finite float over the fit's box (see raman.fit_lineshape); that
     # bounds every detuning the run squares as well
     least, greatest = fit_denominator_range(omega_r, ls["grid_half_width_over_OmegaR"])

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import InvalidInputError, ValidityError
+from .exceptions import FitError, InvalidInputError, ValidityError
 from .raman import RamanConfig, kick_stark_scale
 from .units import HBAR, MU_B, AtomSpecies
 
@@ -169,15 +169,28 @@ def evolve_populations(
 def oscillation_frequency(times, population, guess: float) -> tuple[float, float]:
     """Fit A sin^2(Omega t / 2) + c to a population trace.
 
-    Returns ``(Omega, A)``; feed roughly one to two Rabi periods of data.
+    A and c enter linearly, so variable projection (`_varpro`) leaves a 1-D
+    search in Omega from ``guess``.  Returns ``(Omega, A)``; feed roughly one
+    to two Rabi periods of data.
     """
-    from scipy.optimize import curve_fit
+    from ._varpro import varpro
 
-    def shape(t, amplitude, omega, offset):
-        return amplitude * np.sin(0.5 * omega * t) ** 2 + offset
+    if not guess:
+        raise InvalidInputError("guess must be a nonzero frequency: Omega is searched in its units")
+    t = np.asarray(times, dtype=float)
+    y = np.asarray(population, dtype=float)
+    ones, zeros = np.ones_like(t), np.zeros_like(t)
 
-    popt, _ = curve_fit(shape, times, population, p0=[1.0, guess, 0.0])
-    return float(abs(popt[1])), float(popt[0])
+    def basis(theta):
+        half = 0.5 * theta[0] * t
+        sin_h = np.sin(half)
+        return (np.stack([sin_h * sin_h, ones]),
+                np.stack([t * sin_h * np.cos(half), zeros])[None])
+
+    sol = varpro(basis, y, [guess], [-np.inf], [np.inf], abs(guess), 1e-10)
+    if not sol.success:
+        raise FitError("oscillation fit did not converge", best=sol.theta[0])
+    return float(abs(sol.theta[0])), float(sol.coef[0])
 
 
 @dataclass(frozen=True)

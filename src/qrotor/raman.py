@@ -548,31 +548,24 @@ def fit_model(delta, amplitude, delta_0, omega_eff):
     so its on-resonance value is exactly A; with the physical pulse duration
     held fixed the reference fit constants are not reproducible (any trial
     width away from Omega_R then caps the model below its own amplitude).
+
+    Returns ``(model, d model / d delta_0, d model / d Omega_eff)`` from one
+    pass that shares the sin and cos: the fit needs all three at every
+    evaluation.  With x = delta - delta_0, g^2 = Omega_eff^2 + x^2 and
+    u = pi g / (2 Omega_eff),
+    dP0/dx = (Omega_eff^2 / g^2) x (pi sin u cos u / (Omega_eff g) - 2 sin^2 u / g^2);
+    at the pi-pulse duration P0 depends on x / Omega_eff alone, so
+    d/d Omega_eff = (x / Omega_eff) d/d delta_0.
     """
-    x = np.asarray(delta, dtype=float) - delta_0
-    return amplitude * transition_probability(x, omega_eff, np.pi / omega_eff)
-
-
-def _fit_jacobian(delta, amplitude, delta_0, omega_eff):
     x = np.asarray(delta, dtype=float) - delta_0
     g2 = omega_eff**2 + x**2
     g = np.sqrt(g2)
-    u = 0.5 * (np.pi / omega_eff) * g
-    sin_u, cos_u = np.sin(u), np.cos(u)
-    f = omega_eff**2 / g2 * sin_u**2
-    df_dx = (
-        -2.0 * x * omega_eff**2 / g2**2 * sin_u**2
-        + omega_eff**2 / g2 * 2.0 * sin_u * cos_u * (0.5 * np.pi / omega_eff) * x / g
-    )
-    du_dom = -0.5 * np.pi * x**2 / (omega_eff**2 * g)
-    df_dom = 2.0 * omega_eff * x**2 / g2**2 * sin_u**2 + (
-        omega_eff**2 / g2
-    ) * 2.0 * sin_u * cos_u * du_dom
-    jac = np.empty((len(x), 3))
-    jac[:, 0] = f
-    jac[:, 1] = -amplitude * df_dx
-    jac[:, 2] = amplitude * df_dom
-    return jac
+    u = (0.5 * np.pi / omega_eff) * g
+    sin_u = np.sin(u)
+    sin2 = sin_u * sin_u
+    weight = amplitude * omega_eff**2 / g2
+    d_delta_0 = weight * x * (2.0 * sin2 / g2 - np.pi * sin_u * np.cos(u) / (omega_eff * g))
+    return weight * sin2, d_delta_0, d_delta_0 * (x / omega_eff)
 
 
 # The fit's box in units of Omega_R: delta_0 within FIT_CENTRE_RANGE of the
@@ -586,7 +579,7 @@ FIT_SCREEN_TOL = 1e-6
 
 
 def fit_denominator_range(omega_r: float, half_width: float) -> tuple[float, float]:
-    """Least and greatest (Omega_eff^2 + x^2)^2 that the fit's Jacobian divides by.
+    """Least and greatest (Omega_eff^2 + x^2)^2 that the fit's slopes divide by.
 
     Over the fit's box, on a grid of half-width ``half_width`` Omega_R, the
     detuning x = delta - delta_0 stays within (2 half_width + FIT_CENTRE_RANGE)
@@ -602,29 +595,33 @@ def fit_denominator_range(omega_r: float, half_width: float) -> tuple[float, flo
 def fit_lineshape(ls: Lineshape) -> FitResult:
     """Least-squares fit of A * P0(delta - delta_0, Omega_eff) to the lineshape.
 
-    Damped Gauss-Newton (trust-region least squares) with the analytic
-    Jacobian, multi-started over width guesses {1, 1.5, 2} Omega_R because the
-    sin^2 sidelobes create secondary minima.  Requires the grid to span at
-    least +/- 4 Omega_R around the peak with >= FIT_MIN_POINTS points.
+    A enters linearly, so variable projection (`_varpro`) eliminates it:
+    A = <P0, y> / <P0, P0> at each (delta_0, Omega_eff), clipped to
+    [1e-9, 1.5], and damped Newton steps built from the analytic slopes of
+    `fit_model` move (delta_0, Omega_eff) within the fit's box.  The fit is
+    multi-started over width guesses {1, 1.5, 2} Omega_R because the sin^2
+    sidelobes create secondary minima.  Requires the grid to span at least
+    +/- 4 Omega_R around the peak with >= FIT_MIN_POINTS points.
 
     Each start runs only to tolerance FIT_SCREEN_TOL, which tells the basins
     apart: where the starts land in different minima their costs differ by
     30% or more.  Only the lowest-cost start is then polished at 1e-15.  Its
-    answer is determined to ~1e-9 relative, not 1e-15: the trust region's
-    cost comparisons reach rounding first, so starts polished in the same
-    basin agree to about that, the ninth printed digit.
+    answer is determined to ~1e-8 relative, not 1e-15: the cost is flat to
+    rounding over that much of the parameters.  scipy's trust-region least
+    squares (TRF, same box) agrees with it to 6.4e-9 relative on fig4 and to
+    within 3.9e-9 on calibrated stacks of 9 to 30 rings: the ninth printed
+    digit is not determined.
 
-    delta_0 and Omega_eff are scaled by Omega_R (``x_scale``): the step
-    test takes xtol relative to |x|, which the amplitude ~1 dominates, so
-    unscaled they would pass it after one step once Omega_R < ~1e-25.
-    Floats still bound Omega_R: the Jacobian divides by (Omega_eff^2 + x^2)^2,
-    which must be a normal, finite float over the fit's box
+    delta_0 and Omega_eff move in units of Omega_R: the step test is
+    relative to them, which holds at every scale of Omega_R.  Floats still
+    bound Omega_R: the slopes divide twice by Omega_eff^2 + x^2, and its
+    square must be a normal, finite float over the fit's box
     (`fit_denominator_range`).  That asks (0.2 Omega_R)^4 >= 2.2e-308, so
-    Omega_R >= 6.1e-77 (below it the Jacobian loses digits, then turns to
-    inf and NaN), and, on a grid of half-width 8 Omega_R, Omega_R <= 5.9e75.
-    The config reader refuses an Omega_R outside that range.
+    Omega_R >= 6.1e-77, and, on a grid of half-width 8 Omega_R,
+    Omega_R <= 5.9e75.  The config reader refuses an Omega_R outside that
+    range.
     """
-    from scipy.optimize import least_squares
+    from ._varpro import varpro
 
     delta = ls.delta_grid
     y = ls.probability
@@ -636,34 +633,25 @@ def fit_lineshape(ls: Lineshape) -> FitResult:
             f"with at least {FIT_MIN_POINTS} points"
         )
 
-    def residual(p):
-        return fit_model(delta, *p) - y
-
-    def jacobian(p):
-        return _fit_jacobian(delta, *p)
+    def basis(theta):
+        profile, d_delta_0, d_omega = fit_model(delta, 1.0, *theta)
+        return profile[None, :], np.stack([d_delta_0, d_omega])[:, None, :]
 
     w_lo, w_hi = FIT_WIDTH_BOUNDS
-    lower = [1e-9, peak - FIT_CENTRE_RANGE * ls.Omega_R, w_lo * ls.Omega_R]
-    upper = [1.5, peak + FIT_CENTRE_RANGE * ls.Omega_R, w_hi * ls.Omega_R]
+    lower = [peak - FIT_CENTRE_RANGE * ls.Omega_R, w_lo * ls.Omega_R]
+    upper = [peak + FIT_CENTRE_RANGE * ls.Omega_R, w_hi * ls.Omega_R]
 
     def solve(start, tol):
-        return least_squares(
-            residual, start, jac=jacobian, method="trf",
-            bounds=(lower, upper), x_scale=[1.0, ls.Omega_R, ls.Omega_R],
-            xtol=tol, ftol=tol, gtol=tol, max_nfev=2000,
-        )
+        return varpro(basis, y, start, lower, upper, ls.Omega_R, tol, coef_bounds=(1e-9, 1.5))
 
-    amplitude = min(max(float(y.max()), lower[0]), upper[0])
-    screened = [solve([amplitude, peak, guess * ls.Omega_R], FIT_SCREEN_TOL)
-                for guess in (1.0, 1.5, 2.0)]
-    best = solve(min(screened, key=lambda res: res.cost).x, 1e-15)
-    rms = float(np.sqrt(np.mean(residual(best.x) ** 2)))
+    screened = [solve([peak, guess * ls.Omega_R], FIT_SCREEN_TOL) for guess in (1.0, 1.5, 2.0)]
+    best = solve(min(screened, key=lambda sol: sol.cost).theta, 1e-15)
     result = FitResult(
-        amplitude_A=float(best.x[0]),
-        delta_0=float(best.x[1]),
-        Omega_R_eff=float(best.x[2]),
-        rms_residual=rms,
+        amplitude_A=float(best.coef[0]),
+        delta_0=float(best.theta[0]),
+        Omega_R_eff=float(best.theta[1]),
+        rms_residual=float(np.sqrt(np.mean(best.residual**2))),
     )
-    if not best.success:
+    if not best.success or not all(map(math.isfinite, vars(result).values())):
         raise FitError("lineshape fit did not converge", best=result)
     return result

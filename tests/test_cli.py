@@ -292,7 +292,7 @@ def test_lineshape_physical_shift_model(runner, tmp_path):
     ("lineshape", "lineshape", "tau", 1e6),
     ("lineshape", "lineshape", "tau", 1e200),
     # the fit's (Omega_eff^2 + x^2)^2 leaves the normal floats: each crashed in
-    # least_squares (inf/NaN Jacobian) or, at 1e-200, in the calibration's brentq
+    # the fit (inf/NaN Jacobian) or, at 1e-200, in the calibration's brentq
     ("lineshape", "lineshape", "Omega_R", 1e-90),
     ("lineshape", "lineshape", "Omega_R", 1e-100),
     ("lineshape", "lineshape", "Omega_R", 1e-160),
@@ -405,6 +405,21 @@ def test_unsupported_beam_mode_exits_2(runner, tmp_path, config_dir, command, ke
     res = runner.invoke(cli, [command, "--config", str(p), "--out", str(out)])
     assert res.exit_code == 2, res.output
     assert f"beam.{key}" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("waist", [1e300, 1e-300])
+@pytest.mark.parametrize("command", ["spectrum", "budget", "tilt"])
+def test_waist_out_of_the_floats_exits_2(runner, tmp_path, config_dir, command, waist):
+    # 1e300 crashed with OverflowError in the Rayleigh range; 1e-300 exited 2
+    # naming a field derived from the waist (sensor.omega_0, rotation_scan)
+    cfg = json.loads((config_dir / SHIPPED_BY_COMMAND[command]).read_text())
+    cfg["beam"]["waist_w0"] = waist
+    p = write_config(tmp_path, "waist.json", cfg)
+    out = tmp_path / "x.out"
+    res = runner.invoke(cli, [command, "--config", str(p), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "beam.waist_w0 is out of range" in res.output
     assert not out.exists()
 
 

@@ -1,0 +1,226 @@
+"""The variable-projection solver behind both least-squares fits.
+
+scipy stays here as an independent oracle: `least_squares` (trust-region
+reflective, the same box) for the lineshape fit and `curve_fit` for the
+ladder's oscillation frequency.
+"""
+
+import numpy as np
+import pytest
+from scipy.optimize import curve_fit, least_squares
+
+import qrotor._varpro
+import qrotor.raman
+from qrotor._varpro import varpro
+from qrotor.exceptions import InvalidInputError
+from qrotor.fivelevel import FiveLevelModel, evolve_populations, oscillation_frequency, tuned_model
+from qrotor.raman import (
+    FIT_CENTRE_RANGE,
+    FIT_SCREEN_TOL,
+    FIT_WIDTH_BOUNDS,
+    Lineshape,
+    QuadraticShift,
+    calibrate_quadratic_scale,
+    effective_coupling,
+    fit_lineshape,
+    fit_model,
+    lineshape_from_rabi,
+    transition_probability,
+)
+from qrotor.units import LI6
+
+OMEGA_R = 3.142
+TAU = np.pi / OMEGA_R
+GRID = np.linspace(-8 * OMEGA_R, 8 * OMEGA_R, 1601)
+
+
+def _counting_fit_model(monkeypatch):
+    calls = []
+    original = qrotor.raman.fit_model
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qrotor.raman, "fit_model", counting)
+    return calls
+
+
+def _calibrated(j_max, target):
+    cal = calibrate_quadratic_scale(OMEGA_R, TAU, j_max, target * OMEGA_R)
+    return lineshape_from_rabi(OMEGA_R, TAU, j_max, QuadraticShift(cal.scale_s), GRID)
+
+
+def _basis(theta):
+    profile, d_delta_0, d_omega = fit_model(GRID, 1.0, *theta)
+    return profile[None, :], np.stack([d_delta_0, d_omega])[:, None, :]
+
+
+def _box(y):
+    peak = GRID[int(np.argmax(y))]
+    w_lo, w_hi = FIT_WIDTH_BOUNDS
+    return (peak, [peak - FIT_CENTRE_RANGE * OMEGA_R, w_lo * OMEGA_R],
+            [peak + FIT_CENTRE_RANGE * OMEGA_R, w_hi * OMEGA_R])
+
+
+@pytest.mark.parametrize("amplitude, delta_0, omega_eff", [
+    (0.7, -2.1, 4.7), (1.0, 0.0, 3.142), (0.3, 1.0, 0.7)])
+def test_fit_model_slopes_match_central_differences(amplitude, delta_0, omega_eff):
+    model, d_delta_0, d_omega = fit_model(GRID, amplitude, delta_0, omega_eff)
+    p0 = transition_probability(GRID - delta_0, omega_eff, np.pi / omega_eff)
+    assert np.allclose(model, amplitude * p0, rtol=0, atol=1e-15)
+    h = 1e-6
+
+    def central(d_delta_0, d_omega):
+        return (fit_model(GRID, amplitude, delta_0 + d_delta_0, omega_eff + d_omega)[0]
+                - fit_model(GRID, amplitude, delta_0 - d_delta_0, omega_eff - d_omega)[0]) / (2 * h)
+
+    fd_delta_0, fd_omega = central(h, 0.0), central(0.0, h)
+    assert np.max(np.abs(d_delta_0 - fd_delta_0)) < 1e-8
+    assert np.max(np.abs(d_omega - fd_omega)) < 1e-8
+
+
+@pytest.mark.parametrize("amplitude, delta_0, omega_eff", [
+    (0.73, -1.1, 1.37), (0.4, 0.6, 2.9), (0.95, -0.2, 0.8), (0.6, -0.5, 4.2)])
+def test_noise_free_curve_is_recovered(monkeypatch, amplitude, delta_0, omega_eff):
+    # three starts and the polish took 20-29 evaluations; the exact fit
+    # stops each one as soon as its cost reaches rounding
+    y = fit_model(GRID, amplitude, delta_0 * OMEGA_R, omega_eff * OMEGA_R)[0]
+    calls = _counting_fit_model(monkeypatch)
+    fit = fit_lineshape(Lineshape(GRID, y, OMEGA_R, 0, TAU))
+    assert 0 < len(calls) <= 40
+    assert fit.amplitude_A == pytest.approx(amplitude, rel=1e-12)
+    assert fit.delta_0 == pytest.approx(delta_0 * OMEGA_R, rel=1e-12)
+    assert fit.Omega_R_eff == pytest.approx(omega_eff * OMEGA_R, rel=1e-12)
+
+
+@pytest.mark.parametrize("ls_args", [(12, -0.5374), (5, None)], ids=["calibrated", "on_face"])
+@pytest.mark.parametrize("face", ["centre_up", "centre_down", "width_low", "width_high"])
+@pytest.mark.parametrize("tol, most", [(FIT_SCREEN_TOL, 30), (1e-15, 40)])
+def test_starts_against_each_face_end_inside_the_box(ls_args, face, tol, most):
+    # a coordinate on a face whose descent leaves the box is held there: the
+    # j_max 5 stack has its minimum on the 5 Omega_R face (up to 21
+    # evaluations seen at the screen tolerance, 26 at 1e-15)
+    j_max, target = ls_args
+    if target is None:
+        y = lineshape_from_rabi(OMEGA_R, TAU, j_max, QuadraticShift(12.0 * OMEGA_R / j_max**2),
+                                GRID).probability
+    else:
+        y = _calibrated(j_max, target).probability
+    peak, lower, upper = _box(y)
+    start = {"centre_up": (upper[0], 1.5 * OMEGA_R), "centre_down": (lower[0], 1.5 * OMEGA_R),
+             "width_low": (peak, lower[1]), "width_high": (peak, upper[1])}[face]
+    sol = varpro(_basis, y, start, lower, upper, OMEGA_R, tol, coef_bounds=(1e-9, 1.5))
+    assert sol.success
+    assert sol.nfev <= most
+    assert np.all(np.asarray(lower) <= sol.theta) and np.all(sol.theta <= np.asarray(upper))
+    assert 1e-9 <= sol.coef[0] <= 1.5
+
+
+def test_uphill_step_out_of_a_face_is_damped(monkeypatch):
+    # The secant estimate of the residual curvature can make the system
+    # indefinite.  Here the first Gauss-Newton step overshoots from 3 to the
+    # 0.5 face, the gradient there points into the box, and the estimate
+    # (forced negative once) sends the step out of the box, where it clips to
+    # nothing.  Without damping that step the fit stopped on the face with a
+    # gradient of 6.5.
+    t = np.linspace(0.0, 3.0, 200)
+
+    def decay(theta):
+        e = np.exp(-theta[0] * t)
+        return e[None], (-t * e)[None, None]
+
+    secant, calls = qrotor._varpro._secant, []
+
+    def negative_once(*args):
+        calls.append(None)
+        return np.array([[-1e3]]) if len(calls) == 1 else secant(*args)
+
+    monkeypatch.setattr(qrotor._varpro, "_secant", negative_once)
+    sol = varpro(decay, 0.8 * np.exp(-t), [3.0], [0.5], [4.0], 1.0, 1e-10)
+    assert calls and sol.success
+    assert sol.theta[0] == pytest.approx(1.0, rel=1e-9)
+    assert sol.coef[0] == pytest.approx(0.8, rel=1e-9)
+
+
+def trf_fit(ls):
+    """The fit as scipy's trust-region reflective least squares runs it.
+
+    A, delta_0 and Omega_eff move together in the same box, three width
+    starts are screened to FIT_SCREEN_TOL and the best is polished at 1e-15.
+    """
+    delta, y, om = ls.delta_grid, ls.probability, ls.Omega_R
+    peak = float(delta[int(np.argmax(y))])
+
+    def residual(p):
+        return fit_model(delta, *p)[0] - y
+
+    def jacobian(p):
+        profile, d_delta_0, d_omega = fit_model(delta, 1.0, p[1], p[2])
+        return np.column_stack([profile, p[0] * d_delta_0, p[0] * d_omega])
+
+    lower = [1e-9, peak - FIT_CENTRE_RANGE * om, FIT_WIDTH_BOUNDS[0] * om]
+    upper = [1.5, peak + FIT_CENTRE_RANGE * om, FIT_WIDTH_BOUNDS[1] * om]
+
+    def solve(start, tol):
+        return least_squares(residual, start, jac=jacobian, method="trf", bounds=(lower, upper),
+                             x_scale=[1.0, om, om], xtol=tol, ftol=tol, gtol=tol, max_nfev=2000)
+
+    amplitude = min(max(float(y.max()), lower[0]), upper[0])
+    screened = [solve([amplitude, peak, g * om], FIT_SCREEN_TOL) for g in (1.0, 1.5, 2.0)]
+    return solve(min(screened, key=lambda res: res.cost).x, 1e-15).x
+
+
+@pytest.mark.parametrize("j_max, target", [(80, -0.5374), (9, -0.4), (12, -0.3), (15, -0.45)],
+                         ids=["fig4", "j9", "j12", "j15"])
+def test_fit_matches_trust_region_least_squares(j_max, target):
+    # measured: 6.4e-9 relative on fig4, at most 2.2e-9 on the other stacks
+    ls = _calibrated(j_max, target)
+    fit = fit_lineshape(ls)
+    oracle = trf_fit(ls)
+    got = [fit.amplitude_A, fit.delta_0, fit.Omega_R_eff]
+    assert got == pytest.approx(list(oracle), rel=1e-7)
+
+
+def test_clipped_amplitude_is_held_at_its_bound():
+    # data twice a trial profile: the amplitude sits on its 1.5 bound, and
+    # the plain Jacobian at that amplitude fits the rest
+    y = 2.0 * fit_model(GRID, 1.0, -0.4 * OMEGA_R, 1.3 * OMEGA_R)[0]
+    peak, lower, upper = _box(y)
+    sol = varpro(_basis, y, [peak, 1.5 * OMEGA_R], lower, upper, OMEGA_R, 1e-15,
+                 coef_bounds=(1e-9, 1.5))
+    assert sol.success and sol.coef[0] == 1.5
+    oracle = least_squares(lambda th: fit_model(GRID, 1.5, *th)[0] - y, [peak, 1.5 * OMEGA_R],
+                           bounds=(lower, upper), x_scale=OMEGA_R,
+                           xtol=1e-15, ftol=1e-15, gtol=1e-15).x
+    assert sol.theta == pytest.approx(oracle, rel=1e-7)
+
+
+def test_oscillation_frequency_recovers_a_synthetic_trace():
+    times = np.linspace(0.0, 2.0, 400)
+    trace = 0.83 * np.sin(0.5 * 3.7 * times) ** 2 + 0.05
+    omega, amplitude = oscillation_frequency(times, trace, 3.5)
+    assert omega == pytest.approx(3.7, rel=1e-10)
+    assert amplitude == pytest.approx(0.83, rel=1e-10)
+
+
+def test_oscillation_frequency_needs_a_nonzero_guess():
+    # the search runs in units of the guess; curve_fit returned Omega ~ 1e7 here
+    times = np.linspace(0.0, 2.0, 200)
+    with pytest.raises(InvalidInputError, match="guess"):
+        oscillation_frequency(times, 0.9 * np.sin(1.5 * times) ** 2, 0.0)
+
+
+def test_oscillation_frequency_matches_curve_fit_on_criterion_9():
+    from test_fivelevel import build_cfg
+
+    cfg = build_cfg(1.0, 300.0, 300.0, 0.025, 0.02)
+    omega_r = effective_coupling(cfg, LI6).Omega_R
+    model = tuned_model(FiveLevelModel(cfg, LI6, omega_2L0=1.0))
+    n_periods = int(np.ceil(2.2 * np.pi / omega_r / (2 * np.pi / model.drive_frequency)))
+    times, pops = evolve_populations(model, n_periods, 512)
+    omega, amplitude = oscillation_frequency(times, pops[:, 1], omega_r)
+    popt, _ = curve_fit(lambda t, a, om, c: a * np.sin(0.5 * om * t) ** 2 + c,
+                        times, pops[:, 1], p0=[1.0, omega_r, 0.0])
+    assert omega == pytest.approx(abs(popt[1]), rel=1e-7)
+    assert amplitude == pytest.approx(popt[0], rel=1e-7)

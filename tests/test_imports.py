@@ -1,9 +1,9 @@
 """Each subcommand imports only what it runs: scipy loads where it is called.
 
 Every case runs in a fresh interpreter and lists the ``scipy`` modules in
-``sys.modules`` afterwards.  Only the ``lineshape`` run (its calibration and
-fit) may load scipy; that run is also the control that shows the probe sees
-a scipy import when there is one.
+``sys.modules`` afterwards.  Only the ``lineshape`` run (its calibration)
+may load scipy; that run is also the control that shows the probe sees a
+scipy import when there is one.  Both least-squares fits run on numpy alone.
 """
 
 import json
@@ -60,3 +60,26 @@ def test_lineshape_loads_scipy(tmp_path, config_dir):
     assert "scipy.optimize" in scipy_modules(RUN_CLI, "lineshape", "--config", str(p),
                                              "--out", str(out))
     assert out.stat().st_size > 0
+
+
+FIT_LINESHAPE = """
+import numpy as np
+from qrotor.raman import QuadraticShift, fit_lineshape, lineshape_from_rabi
+om = 3.142
+ls = lineshape_from_rabi(om, np.pi / om, 12, QuadraticShift(0.0144 * om),
+                         np.linspace(-8 * om, 8 * om, 801))
+assert fit_lineshape(ls).Omega_R_eff > 0
+"""
+OSCILLATION_FREQUENCY = """
+import numpy as np
+from qrotor.fivelevel import oscillation_frequency
+t = np.linspace(0.0, 2.0, 200)
+omega, amplitude = oscillation_frequency(t, 0.9 * np.sin(1.5 * t) ** 2, 2.8)
+assert abs(omega - 3.0) < 1e-9 and abs(amplitude - 0.9) < 1e-9
+"""
+
+
+@pytest.mark.parametrize("body", [FIT_LINESHAPE, OSCILLATION_FREQUENCY],
+                         ids=["fit_lineshape", "oscillation_frequency"])
+def test_least_squares_fits_load_no_scipy(body):
+    assert scipy_modules(body) == []
