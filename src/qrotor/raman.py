@@ -165,10 +165,88 @@ def transition_probability(delta, omega_r: float, tau: float):
     if omega_r < 0:
         raise InvalidInputError("omega_r must be non-negative")
     delta = np.asarray(delta, dtype=float)
-    g2 = omega_r**2 + delta**2
-    safe = np.where(g2 > 0.0, g2, 1.0)
-    out = (omega_r**2 / safe) * np.sin(0.5 * tau * np.sqrt(g2)) ** 2
-    return np.where(g2 > 0.0, out, 0.0)
+    if not omega_r**2 > 0.0:
+        # no coupling (or one that squares to 0): P0 = 0, also where g^2 = 0
+        return np.zeros_like(delta)
+    # Omega_R^2 / g^2 sin^2(tau g / 2) on two buffers made per call
+    g2 = np.square(delta, out=np.empty_like(delta))
+    g2 += omega_r**2
+    sin2 = np.sqrt(g2, out=np.empty_like(g2))
+    sin2 *= 0.5 * tau
+    np.sin(sin2, out=sin2)
+    np.square(sin2, out=sin2)
+    np.divide(omega_r**2, g2, out=g2)
+    g2 *= sin2
+    return g2
+
+
+def _p0_slopes(delta, p0, omega_r: float, tau: float, order: int = 2) -> list:
+    """[dP0/d delta, d^2 P0/d delta^2][:order], the one home of P0's derivatives.
+
+    ``p0`` is `transition_probability` at ``delta``.  With
+    g^2 = Omega_R^2 + delta^2, u = tau g / 2 and w = Omega_R^2 / g^2, so that
+    sin^2 u = P0 / w, take t1 = (tau / 2) sin 2u / g and
+    t2 = 2 sin^2 u / g^2 = 2 P0 / Omega_R^2:
+
+        dP0/d delta      = w delta (t1 - t2)
+        d^2 P0/d delta^2 = w (t1 - t2 + (delta^2 / g^2) (tau^2 cos 2u / 2 - 5 t1 + 4 t2)).
+
+    Needs Omega_R > 0.  t1 and t2 agree to about u^2 for a short pulse, so
+    the slopes carry a relative rounding error of about eps / u^2.
+    """
+    x = np.asarray(delta, dtype=float)
+    g2 = omega_r**2 + x * x
+    g = np.sqrt(g2)
+    w = omega_r**2 / g2
+    t1 = (0.5 * tau) * np.sin(tau * g) / g
+    t2 = (2.0 / omega_r**2) * p0
+    slopes = [w * x * (t1 - t2)]
+    if order > 1:
+        cos_2u = 1.0 - g2 * t2
+        slopes.append(w * (t1 - t2 + (x * x / g2) * (0.5 * tau * tau * cos_2u - 5.0 * t1
+                                                        + 4.0 * t2)))
+    return slopes
+
+
+def _falling_root(f, lo, hi, f_lo, f_hi, xtol: float, max_iter: int = 200):
+    """Roots of f on brackets [lo, hi] where f falls through 0, element by element.
+
+    ``f(x)`` returns ``(value, slope)`` at an array of points, and f_lo >= 0 >=
+    f_hi are its values at the bracket ends.  A safeguarded Newton iteration
+    (Press et al., Numerical Recipes, ``rtsafe``): it starts at the
+    false-position point, keeps a bracket around a sign change, and bisects
+    whenever a Newton step would leave the bracket or does not halve the step
+    before last.  With a slope of None the step is a secant through the last
+    two points instead.  An element stops at the first point whose next step
+    is at most ``xtol``.  Returns that point, the last one f was given, and
+    f's output there.
+    """
+    lo, hi, f_lo, f_hi = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = lo + f_lo * (hi - lo) / (f_lo - f_hi)
+        x = np.where((x >= lo) & (x <= hi), x, 0.5 * (lo + hi))
+        nearer = np.abs(f_lo) < np.abs(f_hi)
+        x_prev, v_prev = np.where(nearer, lo, hi), np.where(nearer, f_lo, f_hi)
+        step_old = step = hi - lo
+        done = np.zeros(x.shape, dtype=bool)
+        for _ in range(max_iter):
+            out = f(x)
+            value, slope = np.asarray(out[0], dtype=float), out[1]
+            if slope is None:
+                slope = (value - v_prev) / (x - x_prev)
+            x_prev, v_prev = x, value
+            lo, hi = np.where(value > 0, x, lo), np.where(value > 0, hi, x)
+            newton = x - value / slope
+            fast = np.abs(2.0 * value) <= np.abs(step_old * slope)
+            take = (newton >= lo) & (newton <= hi) & fast
+            step_old, step = step, np.where(take, newton, 0.5 * (lo + hi)) - x
+            done |= np.abs(step) <= xtol
+            if done.all():
+                break
+            x = np.where(done, x, x + step)
+        else:
+            out = f(x)
+    return x, out
 
 
 _STATE_0 = np.array([1.0, 0.0, 0.0], dtype=complex)
@@ -191,16 +269,19 @@ def peak_fwhm(omega_r: float, tau: float | None = None) -> float:
 
     At the pi-pulse duration the width is 1.597 Omega_R.
     """
-    from scipy.optimize import brentq
-
     if omega_r <= 0:
         raise InvalidInputError("omega_r must be positive")
     if tau is None:
         tau = np.pi / omega_r
-    top = float(transition_probability(0.0, omega_r, tau))
-    f = lambda d: float(transition_probability(d, omega_r, tau)) - top / 2.0
-    half = brentq(f, 1e-9 * omega_r, 1.2 * omega_r, xtol=1e-14 * omega_r)
-    return 2.0 * half
+    half = 0.5 * float(transition_probability(0.0, omega_r, tau))
+
+    def excess(d):
+        p = transition_probability(d, omega_r, tau)
+        return p - half, _p0_slopes(d, p, omega_r, tau, 1)[0]
+
+    lo, hi = 1e-9 * omega_r, 1.2 * omega_r
+    root, _ = _falling_root(excess, lo, hi, excess(lo)[0], excess(hi)[0], 1e-14 * omega_r)
+    return 2.0 * float(root)
 
 
 # --------------------------------------------------------------------------
@@ -296,7 +377,7 @@ def stack_average(delta, omega_r: float, tau: float, ring_shifts) -> np.ndarray:
     value depends only on that point: splitting the grid across workers gives
     bit-identical results.
     """
-    return _folded_average(delta, omega_r, tau, *_fold(ring_shifts))
+    return _folded_average(delta, omega_r, tau, *_fold(ring_shifts))[0]
 
 
 def _fold(ring_shifts) -> tuple[np.ndarray, np.ndarray]:
@@ -307,19 +388,26 @@ def _fold(ring_shifts) -> tuple[np.ndarray, np.ndarray]:
     return shifts, counts
 
 
-def _folded_average(delta, omega_r: float, tau: float, shifts, counts) -> np.ndarray:
-    """`stack_average` over shifts already folded by `_fold`."""
+def _folded_average(delta, omega_r: float, tau: float, shifts, counts, order: int = 0):
+    """Stack means of P0 and of its first ``order`` delta derivatives.
+
+    Over shifts already folded by `_fold`: row k of the result, shaped
+    ``(order + 1, *delta.shape)``, is the count-weighted mean of the k-th
+    derivative (`_p0_slopes`) of P0(delta + shift).
+    """
     d = np.asarray(delta, dtype=float)
     points = d.reshape(-1, 1)
-    total = np.zeros(len(points))
+    total = np.zeros((order + 1, len(points)))
     for g in range(0, len(points), _GRID_CHUNK):
         rows = slice(g, g + _GRID_CHUNK)
         for r in range(0, shifts.size, _RING_CHUNK):
             rings = slice(r, r + _RING_CHUNK)
-            p = transition_probability(points[rows] + shifts[rings], omega_r, tau)
-            p *= counts[rings]
-            total[rows] += p.sum(axis=-1)
-    return (total / counts.sum()).reshape(d.shape)
+            x = points[rows] + shifts[rings]
+            p = transition_probability(x, omega_r, tau)
+            terms = np.stack([p, *_p0_slopes(x, p, omega_r, tau, order)]) if order else p[None]
+            terms *= counts[rings]
+            total[:, rows] += terms.sum(axis=-1)
+    return (total / counts.sum()).reshape((order + 1, *d.shape))
 
 
 def lineshape_from_rabi(
@@ -381,7 +469,11 @@ def ensemble_lineshape(
 
 # Peak search window in units of Omega_R, and scan steps per narrowest feature.
 PEAK_WINDOW = (-5.0, 1.0)
-_SCAN_STEPS_PER_FEATURE = 100
+_SCAN_STEPS_PER_FEATURE = 10
+# Lobe heights closer than this, relative, tie in `lineshape_peak`.
+LOBE_TIE_RTOL = 1e-12
+# Each lobe's top is placed to this fraction of the narrowest feature.
+_PEAK_XTOL = 1e-10
 # The most points a peak scan, or a lineshape grid, may take: 2^20 float64,
 # the ~8 MB that the stack average's blocks also keep to.
 MAX_SCAN_POINTS = 2**20
@@ -405,43 +497,53 @@ def lineshape_peak(
 ):
     """Continuous peak (delta_max, P_max) of the stack-averaged lineshape.
 
-    Scans [-5, +1] Omega_R, then refines the best grid point with a bounded
-    scalar minimiser over +/- 2 scan steps.  The scan spacing is 1/100 of the
-    narrowest feature P0 can have: its width Omega_R, or the fringe period
-    2 pi / tau when the pulse is longer than 2 pi / Omega_R.  At
-    tau = pi / Omega_R that is 0.01 Omega_R (601 points); a scan of more
-    than MAX_SCAN_POINTS is refused by the config reader.  The ring shifts
-    are folded once, for the scan and every refinement step.
+    Scans [-5, +1] Omega_R with the stack means of P0 and of its slope
+    (`_folded_average`), ten steps per narrowest feature P0 can have: its
+    width Omega_R, or the fringe period 2 pi / tau when the pulse is longer
+    than 2 pi / Omega_R.  At tau = pi / Omega_R that is 0.1 Omega_R (61
+    points); a scan of more than MAX_SCAN_POINTS is refused by the config
+    reader.  Every scan step across which the mean slope falls through zero
+    brackets a lobe, and each lobe's top is the root of the mean slope in its
+    bracket (`_falling_root`, Newton steps on the mean curvature) to 1e-10 of
+    the feature.  A window edge that the mean slope leaves by is a candidate
+    too.  The highest candidate is the peak.  Lobes whose heights agree to
+    LOBE_TIE_RTOL, below what rounding resolves, tie (an unshifted stack
+    under a long pulse has two equal lobes at +/- delta); of tied lobes the
+    one at the lowest delta is taken, the side that positive ring shifts push
+    the line to.  The ring shifts are folded once, for the scan and every
+    refinement step.
 
     A scan whose values differ by no more than sqrt(eps) of its maximum has
     no peak that rounding does not move across the window (a pulse with
     tau Omega_R below ~1e-4 leaves P0 that flat, or underflows it to 0):
     that raises ConvergenceError.
     """
-    from scipy.optimize import minimize_scalar
-
     j = np.arange(-j_max, j_max + 1)
     folded = _fold(shift_model.shifts(j, beam, species, kick_oam_L))
     lo_edge, hi_edge = PEAK_WINDOW
     xs = np.linspace(lo_edge * omega_r, hi_edge * omega_r, int(peak_scan_points(omega_r, tau)))
-    ys = _folded_average(xs, omega_r, tau, *folded)
-    i = int(np.argmax(ys))
-    depth = ys[i] - ys.min()
-    if not depth > np.sqrt(np.finfo(float).eps) * ys[i]:
+    ys, slopes = _folded_average(xs, omega_r, tau, *folded, order=1)
+    top = ys.max()
+    depth = top - ys.min()
+    if not depth > np.sqrt(np.finfo(float).eps) * top:
         raise ConvergenceError(
             f"the lineshape is flat to rounding over the peak window (tau Omega_R = "
             f"{tau * omega_r:.3g}): its peak cannot be placed",
-            {"P_max": float(ys[i]), "depth": float(depth)},
+            {"P_max": float(top), "depth": float(depth)},
         )
-    lo = xs[max(i - 2, 0)]
-    hi = xs[min(i + 2, len(xs) - 1)]
-    res = minimize_scalar(
-        lambda d: -float(_folded_average(d, omega_r, tau, *folded)),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-12 * omega_r},
+    rising = slopes > 0.0
+    k = np.flatnonzero(rising[:-1] & ~rising[1:])
+    tops, (_, _, top_heights) = _falling_root(
+        lambda d: _folded_average(d, omega_r, tau, *folded, order=2)[[1, 2, 0]],
+        xs[k], xs[k + 1], slopes[k], slopes[k + 1],
+        _PEAK_XTOL * omega_r / _features_per_omega_r(omega_r, tau),
     )
-    return float(res.x), float(-res.fun)
+    ends = [i for i, leaves in ((0, not rising[0]), (-1, rising[-1])) if leaves]
+    candidates = np.concatenate([tops, xs[ends]])
+    heights = np.concatenate([top_heights, ys[ends]])
+    tied = heights >= heights.max() * (1.0 - LOBE_TIE_RTOL)
+    best = int(np.argmin(np.where(tied, candidates, np.inf)))
+    return float(candidates[best]), float(heights[best])
 
 
 @dataclass(frozen=True)
@@ -466,66 +568,96 @@ def calibrate_quadratic_scale(
     saturates as the broadening grows, so targets beyond the extremum are
     unattainable; in that case the extremal s (closest approach) is returned
     with ``on_target = False``.  Each scale's peak (delta_max, P_max) is
-    searched once and kept, so the result carries the peak at its scale.
+    searched once, by `lineshape_peak` with its own scan, and kept, so the
+    result carries the peak at its scale.
 
-    The root is asked for only to the precision delta_max(s) carries.  The
-    peak is flat, so rounding in P moves delta_max by about sqrt(eps) of P0's
+    Both solves use the slope of delta_max(s) in closed form.  At the peak the
+    stack-mean slope <P0'> vanishes and its s-derivative is <j^2 P0''>, so
+    d delta_max / ds = -<j^2 P0''> / <P0''>, both means taken at delta_max
+    (`_p0_slopes`).
+
+    The extremum is a root of that slope, but the ends of [1e-6 s_max, s_max]
+    need not bracket it: delta_max(s) falls to a minimum and can rise to a
+    local maximum before s_max (at j_max 12, tau Omega_R = pi the slope is
+    -52 at 1e-6 s_max, +0.9 at 0.7 s_max and -1.4 at s_max).  So golden-section
+    steps on the values of delta_max, as a bounded minimiser takes them, first
+    narrow the interval until its two inner points bracket a slope that turns
+    from falling to rising.  A secant iteration on the slope inside that
+    bracket (`_falling_root`) then locates the minimum.  The target's root is
+    a Newton iteration with the slope, safeguarded inside [1e-9 s_max, s_ext].
+
+    Both solves ask for s only to the precision delta_max(s) carries.  The
+    peak is flat, so rounding in P moves delta_max by up to sqrt(eps) of P0's
     width: Omega_R, or its fringe period 2 pi / tau when the pulse is longer
     than 2 pi / Omega_R, or pi / tau when it is shorter than pi / Omega_R (P0
     is then a sinc^2 about 1/tau wide).  delta_max(s) falls at most as fast as
     the mean shift s <j^2>, <j^2> = j_max (j_max + 1) / 3, so s is resolved to
-    that precision over <j^2>.  An on-target peak lands within 4 sqrt(eps) of
-    P0's width of the target (6e-8 Omega_R for tau Omega_R in [pi, 2 pi],
-    6e-4 Omega_R at tau Omega_R = 3e-4); for tau Omega_R from 3e-4 to 2 pi
-    and j_max from 5 to 30 the miss stays below one sqrt(eps) of the width.
-
-    The extremum is flat in s as well: delta_max(s) - delta_ext grows as
-    (s - s_ext)^2 / s_max^2 in units of the feature, so the sqrt(eps) noise
-    in delta_max hides s within about eps^(1/4) s_max = 1.2e-4 s_max of the
-    extremum.  It is located to xatol = 1e-5 s_max, ten times below that
-    floor; at the floor itself the shift a saturated run reports moves by
-    ~1e-4 of its value between units of Omega_R.
+    that precision over <j^2>, about 1e-8 s_max for a pi pulse.  An on-target
+    peak lands within 4 sqrt(eps) of P0's width of the target (6e-8 Omega_R
+    for tau Omega_R in [pi, 2 pi], 6e-4 Omega_R at tau Omega_R = 3e-4).  The
+    slope is not flat at the extremum, so a saturated scale is pinned to that
+    tolerance too, the same in units of Omega_R at every scale of Omega_R.
 
     A target that the smallest scale tried, 1e-9 s_max, already passes has
     no root on the bracket and raises CalibrationTargetError, as does a
     target that is not negative.
     """
-    from scipy.optimize import brentq, minimize_scalar
-
     if target_delta_max >= 0:
         raise CalibrationTargetError("target_delta_max must be negative for s >= 0 shifts")
     if s_max is None:
         # peak saturation happens near s j_max^2 ~ 2 Omega_R
         s_max = 3.0 * omega_r / max(j_max, 1) ** 2
+    j2 = np.arange(-j_max, j_max + 1, dtype=float) ** 2
 
     @functools.cache
     def peak(s):
-        return lineshape_peak(omega_r, tau, j_max, QuadraticShift(s))
+        """delta_max, P_max and d delta_max / ds at scale s."""
+        d_max, p_max = lineshape_peak(omega_r, tau, j_max, QuadraticShift(s))
+        x = d_max + s * j2
+        curvature = _p0_slopes(x, transition_probability(x, omega_r, tau), omega_r, tau)[1]
+        return d_max, p_max, -float(np.dot(j2, curvature) / curvature.sum())
 
-    def dmax(s):
-        return peak(s)[0]
+    def slope(s):
+        return peak(float(s))[2]
 
-    extremum = minimize_scalar(
-        dmax, bounds=(1e-6 * s_max, s_max), method="bounded",
-        options={"xatol": 1e-5 * s_max},
-    )
-    s_ext, d_ext = float(extremum.x), float(extremum.fun)
+    width = max(omega_r / _features_per_omega_r(omega_r, tau), np.pi / tau)
+    resolution = np.sqrt(np.finfo(float).eps) * width
+    mean_j2 = max(j_max * (j_max + 1), 1) / 3.0
+    xtol = resolution / mean_j2
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    lo, hi = 1e-6 * s_max, s_max
+    left, right = lo + golden * (hi - lo), hi - golden * (hi - lo)
+    while not slope(left) < 0.0 < slope(right) and hi - lo > xtol:
+        if peak(left)[0] <= peak(right)[0]:
+            hi, right = right, left
+            left = lo + golden * (hi - lo)
+        else:
+            lo, left = left, right
+            right = hi - golden * (hi - lo)
+    if slope(left) < 0.0 < slope(right):
+        s_ext = float(_falling_root(lambda s: (-slope(s), None), left, right,
+                                    -slope(left), -slope(right), xtol)[0])
+    else:  # the minimum is at an end of [1e-6 s_max, s_max]
+        s_ext = min(left, right, key=lambda s: peak(s)[0])
+    d_ext, p_ext, _ = peak(s_ext)
     if target_delta_max < d_ext:
-        return CalibrationResult(s_ext, d_ext, target_delta_max, False, peak(s_ext)[1])
+        return CalibrationResult(s_ext, d_ext, target_delta_max, False, p_ext)
     s_lo = 1e-9 * s_max
-    d_lo = dmax(s_lo)
+    d_lo = peak(s_lo)[0]
     if d_lo <= target_delta_max:
         raise CalibrationTargetError(
             f"the target delta_max = {target_delta_max / omega_r:.3g} Omega_R is passed "
             f"already at the smallest scale tried, s = {s_lo:.3g}, where delta_max = "
             f"{d_lo / omega_r:.3g} Omega_R"
         )
-    width = max(omega_r / _features_per_omega_r(omega_r, tau), np.pi / tau)
-    resolution = np.sqrt(np.finfo(float).eps) * width
-    mean_j2 = max(j_max * (j_max + 1), 1) / 3.0
-    s_star = float(brentq(lambda s: dmax(s) - target_delta_max, s_lo, s_ext,
-                          xtol=resolution / mean_j2))
-    d_star, p_star = peak(s_star)
+
+    def miss(s):
+        d_max, _, d_slope = peak(float(s))
+        return d_max - target_delta_max, d_slope
+
+    s_star = float(_falling_root(miss, s_lo, s_ext, d_lo - target_delta_max,
+                                 d_ext - target_delta_max, xtol)[0])
+    d_star, p_star, _ = peak(s_star)
     return CalibrationResult(s_star, d_star, target_delta_max, True, p_star)
 
 
@@ -549,23 +681,16 @@ def fit_model(delta, amplitude, delta_0, omega_eff):
     held fixed the reference fit constants are not reproducible (any trial
     width away from Omega_R then caps the model below its own amplitude).
 
-    Returns ``(model, d model / d delta_0, d model / d Omega_eff)`` from one
-    pass that shares the sin and cos: the fit needs all three at every
-    evaluation.  With x = delta - delta_0, g^2 = Omega_eff^2 + x^2 and
-    u = pi g / (2 Omega_eff),
-    dP0/dx = (Omega_eff^2 / g^2) x (pi sin u cos u / (Omega_eff g) - 2 sin^2 u / g^2);
-    at the pi-pulse duration P0 depends on x / Omega_eff alone, so
-    d/d Omega_eff = (x / Omega_eff) d/d delta_0.
+    Returns ``(model, d model / d delta_0, d model / d Omega_eff)``: the fit
+    needs all three at every evaluation.  With x = delta - delta_0 the first
+    slope is -A dP0/dx (`_p0_slopes`); at the pi-pulse duration P0 depends
+    on x / Omega_eff alone, so d/d Omega_eff = (x / Omega_eff) d/d delta_0.
     """
     x = np.asarray(delta, dtype=float) - delta_0
-    g2 = omega_eff**2 + x**2
-    g = np.sqrt(g2)
-    u = (0.5 * np.pi / omega_eff) * g
-    sin_u = np.sin(u)
-    sin2 = sin_u * sin_u
-    weight = amplitude * omega_eff**2 / g2
-    d_delta_0 = weight * x * (2.0 * sin2 / g2 - np.pi * sin_u * np.cos(u) / (omega_eff * g))
-    return weight * sin2, d_delta_0, d_delta_0 * (x / omega_eff)
+    tau = np.pi / omega_eff
+    p = transition_probability(x, omega_eff, tau)
+    d_delta_0 = -amplitude * _p0_slopes(x, p, omega_eff, tau, 1)[0]
+    return amplitude * p, d_delta_0, d_delta_0 * (x / omega_eff)
 
 
 # The fit's box in units of Omega_R: delta_0 within FIT_CENTRE_RANGE of the
@@ -607,8 +732,9 @@ def fit_lineshape(ls: Lineshape) -> FitResult:
     apart: where the starts land in different minima their costs differ by
     30% or more.  Only the lowest-cost start is then polished at 1e-15.  Its
     answer is determined to ~1e-8 relative, not 1e-15: the cost is flat to
-    rounding over that much of the parameters.  scipy's trust-region least
-    squares (TRF, same box) agrees with it to 6.4e-9 relative on fig4 and to
+    rounding over that much of the parameters.  A trust-region reflective
+    least-squares solve on the same box (the oracle in tests/test_fits.py)
+    agrees with it to 6.4e-9 relative on fig4 and to
     within 3.9e-9 on calibrated stacks of 9 to 30 rings: the ninth printed
     digit is not determined.
 

@@ -1,9 +1,10 @@
-"""Each subcommand imports only what it runs: scipy loads where it is called.
+"""Each subcommand imports only what it runs, and none of them loads scipy.
 
 Every case runs in a fresh interpreter and lists the ``scipy`` modules in
-``sys.modules`` afterwards.  Only the ``lineshape`` run (its calibration)
-may load scipy; that run is also the control that shows the probe sees a
-scipy import when there is one.  Both least-squares fits run on numpy alone.
+``sys.modules`` afterwards.  scipy is a test dependency only: the package's
+fits, roots and extrema run on numpy.  The control is a body that imports
+scipy itself, which shows that the probe sees a scipy import when there is
+one.
 """
 
 import json
@@ -51,15 +52,20 @@ def test_subcommand_without_fits_loads_no_scipy(tmp_path, config_dir, command, c
     assert out.stat().st_size > 0
 
 
-def test_lineshape_loads_scipy(tmp_path, config_dir):
+def test_probe_sees_a_scipy_import():
+    assert "scipy.optimize" in scipy_modules("import scipy.optimize")
+
+
+def test_calibrated_lineshape_loads_no_scipy(tmp_path, config_dir):
+    # fig4 calibrates its quadratic scale, searches the peak and fits the curve
     cfg = json.loads((config_dir / "fig4_lineshape.json").read_text())
     cfg["lineshape"].update(j_max=12, grid_points=401)
+    assert "calibrate_delta_max_over_OmegaR" in cfg["lineshape"]["shift_model"]
     p = tmp_path / "small.json"
     p.write_text(json.dumps(cfg))
     out = tmp_path / "ls.csv"
-    assert "scipy.optimize" in scipy_modules(RUN_CLI, "lineshape", "--config", str(p),
-                                             "--out", str(out))
-    assert out.stat().st_size > 0
+    assert scipy_modules(RUN_CLI, "lineshape", "--config", str(p), "--out", str(out)) == []
+    assert json.loads((tmp_path / "ls.csv.fit.json").read_text())["calibration_on_target"] is False
 
 
 FIT_LINESHAPE = """

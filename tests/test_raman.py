@@ -100,6 +100,17 @@ def test_probability_peak_and_tails():
     assert transition_probability(0.0, 0.0, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("om", [3.142, 1e-50, 1e50, 0.0, 1e-160])
+def test_probability_kernel_keeps_the_formula_bits(om):
+    # the in-place kernel takes the formula's operations in the formula's order
+    delta = np.random.default_rng(5).normal(0.0, 5.0 * max(om, 1.0), (40, 30))
+    for tau in (np.pi / max(om, 1e-300), 0.3, 7.0):
+        g2 = om**2 + delta**2
+        safe = np.where(g2 > 0.0, g2, 1.0)
+        formula = np.where(g2 > 0.0, (om**2 / safe) * np.sin(0.5 * tau * np.sqrt(g2)) ** 2, 0.0)
+        assert np.array_equal(transition_probability(delta, om, tau), formula)
+
+
 def test_fwhm_constant():
     om = 3.142
     assert peak_fwhm(om) / om == pytest.approx(1.597, abs=1e-3)
