@@ -208,7 +208,7 @@ def _p0_slopes(delta, p0, omega_r: float, tau: float, order: int = 2) -> list:
     return slopes
 
 
-def _falling_root(f, lo, hi, f_lo, f_hi, xtol: float, max_iter: int = 200):
+def _falling_root(f, lo, hi, f_lo, f_hi, xtol: float):
     """Roots of f on brackets [lo, hi] where f falls through 0, element by element.
 
     ``f(x)`` returns ``(value, slope)`` at an array of points, and f_lo >= 0 >=
@@ -229,7 +229,7 @@ def _falling_root(f, lo, hi, f_lo, f_hi, xtol: float, max_iter: int = 200):
         x_prev, v_prev = np.where(nearer, lo, hi), np.where(nearer, f_lo, f_hi)
         step_old = step = hi - lo
         done = np.zeros(x.shape, dtype=bool)
-        for _ in range(max_iter):
+        for _ in range(200):  # bisection alone narrows a bracket by 2^-200
             out = f(x)
             value, slope = np.asarray(out[0], dtype=float), out[1]
             if slope is None:
@@ -470,7 +470,8 @@ def ensemble_lineshape(
 # Peak search window in units of Omega_R, and scan steps per narrowest feature.
 PEAK_WINDOW = (-5.0, 1.0)
 _SCAN_STEPS_PER_FEATURE = 10
-# Lobe heights closer than this, relative, tie in `lineshape_peak`.
+# Lobe heights closer than this, relative, tie in `lineshape_peak`: P_max is
+# stated to 1e-12, while a height's rounding is ~1e-16.
 LOBE_TIE_RTOL = 1e-12
 # Each lobe's top is placed to this fraction of the narrowest feature.
 _PEAK_XTOL = 1e-10
@@ -507,11 +508,10 @@ def lineshape_peak(
     bracket (`_falling_root`, Newton steps on the mean curvature) to 1e-10 of
     the feature.  A window edge that the mean slope leaves by is a candidate
     too.  The highest candidate is the peak.  Lobes whose heights agree to
-    LOBE_TIE_RTOL, below what rounding resolves, tie (an unshifted stack
-    under a long pulse has two equal lobes at +/- delta); of tied lobes the
-    one at the lowest delta is taken, the side that positive ring shifts push
-    the line to.  The ring shifts are folded once, for the scan and every
-    refinement step.
+    LOBE_TIE_RTOL tie (an unshifted stack under a long pulse has two lobes
+    at +/- delta, equal to rounding); of tied lobes the one at the lowest
+    delta is taken, the side that positive ring shifts push the line to.
+    The ring shifts are folded once, for the scan and every refinement step.
 
     A scan whose values differ by no more than sqrt(eps) of its maximum has
     no peak that rounding does not move across the window (a pulse with
@@ -538,7 +538,7 @@ def lineshape_peak(
         xs[k], xs[k + 1], slopes[k], slopes[k + 1],
         _PEAK_XTOL * omega_r / _features_per_omega_r(omega_r, tau),
     )
-    ends = [i for i, leaves in ((0, not rising[0]), (-1, rising[-1])) if leaves]
+    ends = ([0] if not rising[0] else []) + ([-1] if rising[-1] else [])
     candidates = np.concatenate([tops, xs[ends]])
     heights = np.concatenate([top_heights, ys[ends]])
     tied = heights >= heights.max() * (1.0 - LOBE_TIE_RTOL)
