@@ -5,7 +5,7 @@ formatting (nine significant digits, fixed orderings), so repeated runs on the
 same configuration are byte-identical, at any worker count.
 
 Exit codes: 0 success, 2 configuration error (also an unwritable output),
-3 numerical-convergence error, 4 validity-inequality violation.
+3 numerical-convergence error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import RunConfig, parse_config
 from .exceptions import (CalibrationTargetError, ConfigError, ConvergenceError, FitError,
-                         QRotorError, ValidityError)
+                         QRotorError)
 from .output import write_csv, write_json, write_together
 from .raman import (
     QuadraticShift,
@@ -34,7 +34,6 @@ from .units import HBAR
 
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
-EXIT_VALIDITY = 4
 
 
 def _guarded(fn):
@@ -47,9 +46,6 @@ def _guarded(fn):
         except (ConvergenceError, FitError) as err:
             click.echo(f"error: {err}", err=True)
             sys.exit(EXIT_CONVERGENCE)
-        except ValidityError as err:
-            click.echo(f"error: {err} (ratio {err.ratio})", err=True)
-            sys.exit(EXIT_VALIDITY)
         except QRotorError as err:
             # every other library error is an input this run cannot take
             click.echo(f"error: {err}", err=True)

@@ -44,8 +44,8 @@ _CUSTOM_SPECIES = {
     "label": (str, "custom"),
 }
 _BEAM = {
-    "wavelength": (float, _REQUIRED), "waist_w0": (float, _REQUIRED), "power_P0": (float, 1.0),
-    "oam_l": (int, _REQUIRED), "radial_p": (int, 0), "phase_z0": (float, None),
+    "wavelength": (float, _REQUIRED), "waist_w0": (float, _REQUIRED), "oam_l": (int, _REQUIRED),
+    "radial_p": (int, 0), "phase_z0": (float, None),
     "trap_depth_J": (float, None), "trap_depth_recoils": (float, 10.0),
     "collimated": (bool, False), "z_eff": (float, None),
 }

@@ -24,17 +24,6 @@ class ConvergenceError(QRotorError):
         self.diagnostics = dict(diagnostics or {})
 
 
-class ValidityError(QRotorError):
-    """A perturbative-validity inequality is violated.
-
-    ``ratio`` holds the offending ratio so callers can report it.
-    """
-
-    def __init__(self, message, ratio=None):
-        super().__init__(message)
-        self.ratio = ratio
-
-
 class ConfigError(QRotorError):
     """A run configuration failed validation; message names the field."""
 

@@ -32,12 +32,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import FitError, InvalidInputError, ValidityError
+from .exceptions import FitError, InvalidInputError
 from .raman import RamanConfig, kick_stark_scale
 from .units import HBAR, MU_B, AtomSpecies
-
-# |v_b|, |v_e| beyond this make the perturbative elimination meaningless.
-_PERTURBATIVE_LIMIT = 0.3
 
 
 @dataclass(frozen=True)
@@ -93,14 +90,6 @@ class FiveLevelModel:
             h[..., i, j] += tone
             h[..., j, i] += np.conj(tone)
         return h
-
-    def perturbative_ratios(self) -> tuple[float, float]:
-        """(|v_b|, |v_e|): magnetic and optical dressing amplitudes."""
-        w_p, w_s = self.magnetic_couplings
-        v_b = max(abs(w_p), abs(w_s)) / abs(HBAR * self.cfg.Delta_hf)
-        _, g1 = self.electric_couplings
-        v_e = g1 / abs(HBAR * self.cfg.Delta_e)
-        return v_b, v_e
 
 
 def raman_resonance(model: FiveLevelModel, iterations: int = 4) -> float:
@@ -191,73 +180,6 @@ def oscillation_frequency(times, population, guess: float) -> tuple[float, float
     if not sol.success:
         raise FitError("oscillation fit did not converge", best=sol.theta[0])
     return float(abs(sol.theta[0])), float(sol.coef[0])
-
-
-@dataclass(frozen=True)
-class EliminationResult:
-    """Effective two-level reduction of the ladder.
-
-    ``off_diagonal(t) = static_coupling + cos_amplitude * cos(w_ps t)``; the
-    cos amplitude equals twice the effective coupling V of the factorised
-    chain (exact algebraic identity).  ``stark_shift`` is the kick-pulse level
-    shift quoted with the laser-minus-resonance detuning in the denominator,
-    so red detuning (Delta_e < 0) gives a negative, trapping shift.
-    """
-
-    h_e: float
-    epsilon_2L: float
-    static_coupling: float
-    cos_amplitude: float
-    stark_shift: float
-    v_b: float
-    v_e: float
-    omega_ps: float
-
-    def hamiltonian(self, t: float) -> np.ndarray:
-        c = self.static_coupling + self.cos_amplitude * np.cos(self.omega_ps * t)
-        return np.array([[0.0, c], [c, self.epsilon_2L]])
-
-
-def adiabatic_eliminate(
-    cfg: RamanConfig, species: AtomSpecies, omega_2L0: float
-) -> EliminationResult:
-    """Two-step elimination: hyperfine dressing first, then the excited state.
-
-    The kick-pulse element is h_e = (1/2) |u_L + u_-L| d with the dipole scale
-    d = sqrt(alpha hbar |Delta_e|): h_e = g1 / sqrt(2) with g1 the ladder's
-    |1> - |4> element, so h_e^2 = V_e hbar |Delta_e| / 2 with V_e the kick
-    Stark scale.  Dressing by the radio-frequency fields multiplies it by
-    (1 - |v_b(t)|^2 / 2), and the second elimination yields the off-diagonal
-    -2 |h_e(t)|^2 / (hbar Delta_e) whose expansion is the static Stark part
-    plus the cos(w_ps t) Raman drive.  v_b and v_e are the ladder's
-    ``perturbative_ratios`` (m_F = 1/2).
-    """
-    model = FiveLevelModel(cfg, species, omega_2L0)
-    v_b, v_e = model.perturbative_ratios()
-    # (1/2) |u_L + u_-L| d, both components adding in phase on the ring at phi = 0.
-    h_e = model.electric_couplings[1] / math.sqrt(2.0)
-    if v_b >= _PERTURBATIVE_LIMIT:
-        raise ValidityError("magnetic dressing |v_b| too large", ratio=v_b)
-    if v_e >= _PERTURBATIVE_LIMIT:
-        raise ValidityError("optical dressing |v_e| too large", ratio=v_e)
-
-    # -2 |h_e|^2 / (hbar Delta_e) including the dressed (1 - |v_b(t)|^2) factor,
-    # with the effective 1/3 spin weight of the coupling chain.
-    base = 2.0 * h_e**2 / (HBAR * cfg.Delta_e)
-    spin_weight = species.g_factor**2 * MU_B**2 / (3.0 * HBAR**2 * cfg.Delta_hf**2)
-    static_b2 = cfg.B_p0**2 + cfg.B_s0**2
-    static_coupling = -base * (1.0 - spin_weight * static_b2)
-    cos_amplitude = base * spin_weight * 2.0 * cfg.B_p0 * cfg.B_s0
-    return EliminationResult(
-        h_e=h_e,
-        epsilon_2L=HBAR * omega_2L0,
-        static_coupling=float(static_coupling),
-        cos_amplitude=float(cos_amplitude),
-        stark_shift=float(base),
-        v_b=float(v_b),
-        v_e=float(v_e),
-        omega_ps=cfg.omega_ps,
-    )
 
 
 def tuned_model(model: FiveLevelModel) -> FiveLevelModel:

@@ -1,4 +1,4 @@
-"""Laguerre-Gaussian trap optics: mode amplitudes, ring potential, harmonic scales.
+"""Laguerre-Gaussian trap optics: the ring potential and each ring's harmonic wells.
 
 A retro-reflected LG beam with orbital angular momentum l and p = 0 forms a
 standing wave whose intensity maxima are stacked rings: the cos^2 standing-wave
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .units import HBAR, C_LIGHT, AtomSpecies
+from .units import HBAR, AtomSpecies
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,6 @@ class BeamConfig:
         Laser wavelength (m).
     waist_w0 : float
         Beam waist at focus (m).
-    power_P0 : float
-        Beam power (W).  Enters only the mode amplitude normalisation; the
-        trap depth is specified directly via ``trap_depth_V0``.
     oam_l : int
         Orbital angular momentum index of the trap beam; nonzero, since an
         l = 0 beam has no ring.
@@ -44,8 +41,7 @@ class BeamConfig:
         Trap depth (J), i.e. the potential amplitude of the standing wave.
     collimated : bool
         If True, freeze w(z) = w0 (uniform-waist region between the relay
-        lenses); wavefront-curvature and axial phases are dropped in the
-        same limit.
+        lenses).
     z_eff : float or None
         Effective divergence length replacing the Rayleigh range when
         modelling residual ring-radius variation along the stack.
@@ -53,7 +49,6 @@ class BeamConfig:
 
     wavelength: float
     waist_w0: float
-    power_P0: float
     oam_l: int
     phase_z0: float = 0.0
     trap_depth_V0: float = 0.0
@@ -133,44 +128,6 @@ def ring_peak_factor(l: int) -> float:
     return math.exp(l * math.log(l) - l - math.lgamma(l + 1))
 
 
-def lg_mode_amplitude(beam: BeamConfig, r, phi, z):
-    """Slowly varying LG mode envelope u_{l,0}(r, phi, z) of a p = 0 beam.
-
-    Includes the donut amplitude (r sqrt(2)/w)^|l| exp(-r^2/w^2), the
-    wavefront-curvature phase, the axial mode phase (|l| + 1) atan(z/z_R), and
-    the azimuthal winding exp(-i l phi).  Normalisation sqrt(2 / (pi |l|!))
-    with field scale sqrt(P0/c)/w(z), so |u|^2 integrates to P0/c over a
-    transverse plane.
-
-    Parameters are scalars or broadcastable arrays; r must be >= 0.
-    """
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise InvalidInputError("r must be non-negative")
-    l = abs(beam.oam_l)
-    w = beam.width(z)
-
-    log_norm = 0.5 * (math.log(2.0) - math.log(math.pi) - math.lgamma(l + 1))
-    amp = (
-        math.exp(log_norm)
-        * np.sqrt(beam.power_P0 / C_LIGHT)
-        / w
-        * (r * np.sqrt(2.0) / w) ** l
-        * np.exp(-(r**2) / w**2)
-    )
-
-    phase = -beam.oam_l * np.asarray(phi, dtype=float)
-    if not beam.collimated:
-        zr = beam.divergence_length
-        z = np.asarray(z, dtype=float)
-        phase = (
-            phase
-            - beam.wavenumber * r**2 * z / (2.0 * (z**2 + zr**2))
-            + (l + 1) * np.arctan(z / zr)
-        )
-    return amp * np.exp(1j * phase)
-
-
 def optical_potential(beam: BeamConfig, r, z):
     """Standing-wave ring potential of the counter-propagating p = 0 trap.
 
@@ -226,17 +183,3 @@ def ring_minima(beam: BeamConfig, species: AtomSpecies, j_range) -> list[TrapGeo
                                 kappa_r, *_oscillator(kappa_r, species.mass)))
     return out
 
-
-def trap_depth_from_power(polarizability: float, beam: BeamConfig) -> float:
-    """Optional helper: depth V0 = 8 alpha P0 l^l e^-l / (pi l! c w0^2).
-
-    Derived from V = -alpha |E|^2 with the counter-propagating standing wave
-    evaluated at its ring maximum.
-    """
-    return (
-        8.0
-        * polarizability
-        * beam.power_P0
-        * ring_peak_factor(abs(beam.oam_l))
-        / (math.pi * C_LIGHT * beam.waist_w0**2)
-    )

@@ -36,9 +36,6 @@ from .output import parallel_map
 from .spectrum import rotational_constant
 from .units import HBAR, C_LIGHT, MU_B, AtomSpecies
 
-# Operational reading of "much greater than" for the detuning hierarchy.
-VALIDITY_RATIO = 10.0
-
 
 @dataclass(frozen=True)
 class RamanConfig:
@@ -75,39 +72,15 @@ class RamanConfig:
     def omega_ps(self) -> float:
         return self.omega_p - self.omega_s
 
-    def check_matching(self, beam: BeamConfig, rtol: float = 1e-6) -> None:
-        """Enforce the radius-matching condition w_e sqrt(L/2) = w0 sqrt(l/2)."""
-        r_kick = self.kick_waist_w_e * np.sqrt(self.kick_oam_L / 2.0)
-        r_trap = float(beam.ring_radius(0.0))
-        if abs(r_kick - r_trap) > rtol * r_trap:
-            raise InvalidInputError(
-                "kick/trap radius matching violated: "
-                f"w_e sqrt(L/2) = {r_kick:.6e} vs w0 sqrt(l/2) = {r_trap:.6e}"
-            )
-
-    def validity_warnings(self, omega_2L0: float | None = None) -> tuple[str, ...]:
-        """Hierarchy checks |Delta_e| >> |Delta_hf| >> omega_2L0 (ratio >= 10)."""
-        notes = []
-        if abs(self.Delta_e) < VALIDITY_RATIO * abs(self.Delta_hf):
-            notes.append(
-                f"|Delta_e|/|Delta_hf| = {abs(self.Delta_e / self.Delta_hf):.3g} < {VALIDITY_RATIO:g}"
-            )
-        if omega_2L0 is not None and abs(self.Delta_hf) < VALIDITY_RATIO * abs(omega_2L0):
-            notes.append(
-                f"|Delta_hf|/omega_2L0 = {abs(self.Delta_hf / omega_2L0):.3g} < {VALIDITY_RATIO:g}"
-            )
-        return tuple(notes)
-
 
 @dataclass(frozen=True)
 class CouplingResult:
-    """Effective Raman coupling chain; ``warnings`` carries validity notes."""
+    """Effective Raman coupling chain: V = V_e V_b / (hbar Delta_hf)."""
 
     V: float          # J
     V_b: float        # J
     V_e: float        # J
     Omega_R: float    # rad/s
-    warnings: tuple[str, ...] = ()
 
 
 def kick_stark_scale(cfg: RamanConfig) -> float:
@@ -122,15 +95,8 @@ def kick_stark_scale(cfg: RamanConfig) -> float:
     )
 
 
-def effective_coupling(
-    cfg: RamanConfig, species: AtomSpecies, omega_2L0: float | None = None
-) -> CouplingResult:
-    """Two-photon coupling V, its factors, and the Rabi frequency 2 sqrt(2) V / hbar.
-
-    Violated detuning hierarchies are reported in ``warnings`` rather than
-    raised: a marginal hierarchy degrades the model quietly, it does not make
-    the numbers meaningless.
-    """
+def effective_coupling(cfg: RamanConfig, species: AtomSpecies) -> CouplingResult:
+    """Two-photon coupling V, its factors, and the Rabi frequency 2 sqrt(2) V / hbar."""
     g = species.g_factor
     v_b = (
         g**2 * MU_B**2 * cfg.B_p0 * cfg.B_s0 / (3.0 * HBAR * cfg.Delta_hf)
@@ -138,22 +104,7 @@ def effective_coupling(
     v_e = kick_stark_scale(cfg)
     v = v_e * v_b / (HBAR * cfg.Delta_hf)
     omega_r = 2.0 * math.sqrt(2.0) * v / HBAR
-    return CouplingResult(
-        V=v, V_b=v_b, V_e=v_e, Omega_R=omega_r,
-        warnings=cfg.validity_warnings(omega_2L0),
-    )
-
-
-def rwa_hamiltonian(delta: float, omega_r: float) -> np.ndarray:
-    """3-level rotating-wave Hamiltonian over hbar on {|0>, |+2L>, |-2L>}.
-
-    Off-diagonals Omega_R sqrt(2)/4 couple |0> to each kicked state; the
-    kicked states sit at -delta.  Units: rad/s (energy / hbar).
-    """
-    c = omega_r * np.sqrt(2.0) / 4.0
-    return np.array(
-        [[0.0, c, c], [c, -delta, 0.0], [c, 0.0, -delta]], dtype=complex
-    )
+    return CouplingResult(V=v, V_b=v_b, V_e=v_e, Omega_R=omega_r)
 
 
 def transition_probability(delta, omega_r: float, tau: float):
@@ -247,21 +198,6 @@ def _falling_root(f, lo, hi, f_lo, f_hi, xtol: float):
         else:
             out = f(x)
     return x, out
-
-
-_STATE_0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-_STATE_F = np.array([0.0, 1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-
-
-def evolve_rwa(delta: float, omega_r: float, tau: float) -> float:
-    """Evolution of |0> under the RWA Hamiltonian, exp(-i H tau) = V exp(-i E tau) V^+.
-
-    Independent dynamics oracle: agrees with ``transition_probability`` to
-    better than 1e-10 absolute everywhere.
-    """
-    energies, vecs = np.linalg.eigh(rwa_hamiltonian(delta, omega_r))
-    u = (vecs * np.exp(-1j * energies * tau)) @ vecs.conj().T
-    return float(np.abs(np.vdot(_STATE_F, u @ _STATE_0)) ** 2)
 
 
 def peak_fwhm(omega_r: float, tau: float | None = None) -> float:
@@ -444,29 +380,6 @@ def lineshape_from_rabi(
     )
 
 
-def ensemble_lineshape(
-    beam: BeamConfig,
-    species: AtomSpecies,
-    cfg: RamanConfig,
-    j_max: int,
-    shift_model,
-    delta_grid,
-) -> Lineshape:
-    """Ensemble lineshape with the Rabi frequency derived from the drive config."""
-    cfg.check_matching(beam)
-    coupling = effective_coupling(cfg, species)
-    return lineshape_from_rabi(
-        coupling.Omega_R,
-        cfg.pulse_duration_tau,
-        j_max,
-        shift_model,
-        delta_grid,
-        beam=beam,
-        species=species,
-        kick_oam_L=cfg.kick_oam_L,
-    )
-
-
 # Peak search window in units of Omega_R, and scan steps per narrowest feature.
 PEAK_WINDOW = (-5.0, 1.0)
 _SCAN_STEPS_PER_FEATURE = 10
@@ -599,11 +512,17 @@ def calibrate_quadratic_scale(
     tolerance too, the same in units of Omega_R at every scale of Omega_R.
 
     A target that the smallest scale tried, 1e-9 s_max, already passes has
-    no root on the bracket and raises CalibrationTargetError, as does a
-    target that is not negative.
+    no root on the bracket and raises CalibrationTargetError, as do a target
+    that is not negative and a one-ring stack (j_max = 0), whose only ring
+    is unshifted at every s.
     """
     if target_delta_max >= 0:
         raise CalibrationTargetError("target_delta_max must be negative for s >= 0 shifts")
+    if j_max == 0:
+        raise CalibrationTargetError(
+            "a one-ring stack (j_max = 0) has no scale to calibrate: its peak does not "
+            "move with s"
+        )
     if s_max is None:
         # peak saturation happens near s j_max^2 ~ 2 Omega_R
         s_max = 3.0 * omega_r / max(j_max, 1) ** 2

@@ -94,28 +94,6 @@ def transition_frequency(
     return energy_over_hbar(m_end) - energy_over_hbar(m_start)
 
 
-def line_splitting(m_ell: int, L: int, Omega: float, omega_0: float = 0.0) -> float:
-    """Splitting of mirror lines, w(m,+1) - w(-m at zeta... ) = 4 L Omega.
-
-    Evaluated as the difference of the two first-principles line frequencies;
-    the m_ell- and omega_0-dependence cancels identically.
-    """
-    return transition_frequency(m_ell, +1, L, omega_0, Omega) - transition_frequency(
-        m_ell, -1, L, omega_0, Omega
-    )
-
-
-def periodicity_check(
-    m_ell: int, m_Omega: int, L: int, omega_0: float, Omega: float,
-    rtol: float = 1e-12,
-) -> bool:
-    """Line-frequency periodicity under (m_ell, Omega) -> (m_ell + m_W, Omega - 2 m_W w0)."""
-    lhs = transition_frequency(m_ell + m_Omega, +1, L, omega_0, Omega - 2 * m_Omega * omega_0)
-    rhs = transition_frequency(m_ell, +1, L, omega_0, Omega)
-    scale = max(abs(lhs), abs(rhs), omega_0)
-    return abs(lhs - rhs) <= rtol * scale
-
-
 def budget_frequency(cfg: SensorConfig) -> float:
     """Rotation uncertainty from drive-frequency stability alone.
 

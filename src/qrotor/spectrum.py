@@ -283,11 +283,6 @@ def assemble_spectrum(
     )
 
 
-def rotating_frame_energy(level: EnergyLevel, omega: float) -> float:
-    """Level energy in a frame rotating at omega: eps + hbar * omega * m_ell."""
-    return level.energy + HBAR * omega * level.qn.m_ell
-
-
 def spectrum_rows(spectrum: RotorSpectrum):
     """Rows (n_z, n_r, m_ell, energy_J, energy_kB_nK, degeneracy) for export."""
     return [

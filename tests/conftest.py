@@ -29,7 +29,6 @@ def fig_beam(e0_recoil):
     return BeamConfig(
         wavelength=WAVELENGTH,
         waist_w0=WAIST,
-        power_P0=1.0,
         oam_l=TRAP_L,
         phase_z0=WAVELENGTH / 4.0,
         trap_depth_V0=10.0 * e0_recoil,

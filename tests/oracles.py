@@ -1,0 +1,129 @@
+"""Independent oracles for package code, kept apart from the code they check.
+
+- `evolve_rwa` propagates the 3-level rotating-wave Hamiltonian by
+  eigendecomposition; it checks the closed form
+  `qrotor.raman.transition_probability` (acceptance criterion 5).
+- `adiabatic_eliminate` reduces the five-level ladder in two perturbative
+  steps; its cos(w_ps t) amplitude checks the coupling chain of
+  `qrotor.raman.effective_coupling` (cos amplitude = 2 V).
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from qrotor.fivelevel import FiveLevelModel
+from qrotor.units import HBAR, MU_B
+
+# |v_b|, |v_e| beyond this make the perturbative elimination meaningless.
+PERTURBATIVE_LIMIT = 0.3
+
+
+class DressingError(Exception):
+    """A dressing amplitude is too large for the perturbative elimination."""
+
+    def __init__(self, message, ratio):
+        super().__init__(message)
+        self.ratio = ratio
+
+
+def rwa_hamiltonian(delta: float, omega_r: float) -> np.ndarray:
+    """3-level rotating-wave Hamiltonian over hbar on {|0>, |+2L>, |-2L>}.
+
+    Off-diagonals Omega_R sqrt(2)/4 couple |0> to each kicked state; the
+    kicked states sit at -delta.  Units: rad/s (energy / hbar).
+    """
+    c = omega_r * np.sqrt(2.0) / 4.0
+    return np.array(
+        [[0.0, c, c], [c, -delta, 0.0], [c, 0.0, -delta]], dtype=complex
+    )
+
+
+_STATE_0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+_STATE_F = np.array([0.0, 1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+
+
+def evolve_rwa(delta: float, omega_r: float, tau: float) -> float:
+    """Evolution of |0> under the RWA Hamiltonian, exp(-i H tau) = V exp(-i E tau) V^+.
+
+    Returns the population of (|+2L> + |-2L>)/sqrt(2) after ``tau``.
+    """
+    energies, vecs = np.linalg.eigh(rwa_hamiltonian(delta, omega_r))
+    u = (vecs * np.exp(-1j * energies * tau)) @ vecs.conj().T
+    return float(np.abs(np.vdot(_STATE_F, u @ _STATE_0)) ** 2)
+
+
+def perturbative_ratios(model: FiveLevelModel) -> tuple[float, float]:
+    """(|v_b|, |v_e|): the ladder's magnetic and optical dressing amplitudes."""
+    w_p, w_s = model.magnetic_couplings
+    v_b = max(abs(w_p), abs(w_s)) / abs(HBAR * model.cfg.Delta_hf)
+    _, g1 = model.electric_couplings
+    v_e = g1 / abs(HBAR * model.cfg.Delta_e)
+    return v_b, v_e
+
+
+@dataclass(frozen=True)
+class EliminationResult:
+    """Effective two-level reduction of the ladder.
+
+    ``off_diagonal(t) = static_coupling + cos_amplitude * cos(w_ps t)``; the
+    cos amplitude equals twice the effective coupling V of the factorised
+    chain (exact algebraic identity).  ``stark_shift`` is the kick-pulse level
+    shift quoted with the laser-minus-resonance detuning in the denominator,
+    so red detuning (Delta_e < 0) gives a negative, trapping shift.
+    """
+
+    h_e: float
+    epsilon_2L: float
+    static_coupling: float
+    cos_amplitude: float
+    stark_shift: float
+    v_b: float
+    v_e: float
+    omega_ps: float
+
+    def hamiltonian(self, t: float) -> np.ndarray:
+        c = self.static_coupling + self.cos_amplitude * np.cos(self.omega_ps * t)
+        return np.array([[0.0, c], [c, self.epsilon_2L]])
+
+
+def adiabatic_eliminate(cfg, species, omega_2L0: float) -> EliminationResult:
+    """Two-step elimination: hyperfine dressing first, then the excited state.
+
+    The kick-pulse element is h_e = (1/2) |u_L + u_-L| d with the dipole scale
+    d = sqrt(alpha hbar |Delta_e|): h_e = g1 / sqrt(2) with g1 the ladder's
+    |1> - |4> element, so h_e^2 = V_e hbar |Delta_e| / 2 with V_e the kick
+    Stark scale.  Dressing by the radio-frequency fields multiplies it by
+    (1 - |v_b(t)|^2 / 2), and the second elimination yields the off-diagonal
+    -2 |h_e(t)|^2 / (hbar Delta_e) whose expansion is the static Stark part
+    plus the cos(w_ps t) Raman drive.  v_b and v_e are `perturbative_ratios`
+    of the ladder (m_F = 1/2); either at PERTURBATIVE_LIMIT or beyond raises
+    DressingError.
+    """
+    model = FiveLevelModel(cfg, species, omega_2L0)
+    v_b, v_e = perturbative_ratios(model)
+    # (1/2) |u_L + u_-L| d, both components adding in phase on the ring at phi = 0.
+    h_e = model.electric_couplings[1] / math.sqrt(2.0)
+    if v_b >= PERTURBATIVE_LIMIT:
+        raise DressingError("magnetic dressing |v_b| too large", ratio=v_b)
+    if v_e >= PERTURBATIVE_LIMIT:
+        raise DressingError("optical dressing |v_e| too large", ratio=v_e)
+
+    # -2 |h_e|^2 / (hbar Delta_e) including the dressed (1 - |v_b(t)|^2) factor,
+    # with the effective 1/3 spin weight of the coupling chain.
+    base = 2.0 * h_e**2 / (HBAR * cfg.Delta_e)
+    spin_weight = species.g_factor**2 * MU_B**2 / (3.0 * HBAR**2 * cfg.Delta_hf**2)
+    static_b2 = cfg.B_p0**2 + cfg.B_s0**2
+    static_coupling = -base * (1.0 - spin_weight * static_b2)
+    cos_amplitude = base * spin_weight * 2.0 * cfg.B_p0 * cfg.B_s0
+    return EliminationResult(
+        h_e=h_e,
+        epsilon_2L=HBAR * omega_2L0,
+        static_coupling=float(static_coupling),
+        cos_amplitude=float(cos_amplitude),
+        stark_shift=float(base),
+        v_b=float(v_b),
+        v_e=float(v_e),
+        omega_ps=cfg.omega_ps,
+    )

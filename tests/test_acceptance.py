@@ -13,7 +13,6 @@ from qrotor.optics import ring_minima
 from qrotor.raman import (
     QuadraticShift,
     calibrate_quadratic_scale,
-    evolve_rwa,
     fit_lineshape,
     lineshape_from_rabi,
     lineshape_peak,
@@ -30,6 +29,7 @@ from qrotor.sensor import (
 from qrotor.spectrum import SpectrumLimits, assemble_spectrum, rotational_constant, solve_axial, solve_radial
 from qrotor.units import HBAR, K_B, LI6
 
+from oracles import evolve_rwa
 from test_fivelevel import build_cfg
 from qrotor.raman import effective_coupling
 

@@ -305,6 +305,8 @@ def test_lineshape_physical_shift_model(runner, tmp_path):
     ("lineshape", "lineshape", "grid_points", 100000000),
     # the quartic shift profile is gone: naming it is an unknown model
     ("lineshape", "lineshape", "shift_model", {"model": "quartic"}),
+    # the beam power only normalised the LG mode amplitude, which is gone
+    ("budget", "beam", "power_P0", 1.0),
 ])
 def test_bad_field_exits_2_naming_it(runner, tmp_path, command, section, key, value):
     cfg = copy.deepcopy(MINIMAL)
@@ -345,6 +347,22 @@ def test_calibration_without_a_sign_change_exits_naming_the_field(runner, tmp_pa
     res = runner.invoke(cli, ["lineshape", "--config", str(p), "--out", str(tmp_path / "b.csv")])
     assert res.exit_code == code, res.output
     assert key in res.output
+
+
+@pytest.mark.parametrize("j_max, extra", [(0, ()), (80, ("--jmax", "0"))],
+                         ids=["config", "flag"])
+def test_one_ring_calibration_exits_2_naming_the_field(runner, tmp_path, config_dir,
+                                                        j_max, extra):
+    # one ring's peak does not move with the scale: there is nothing to calibrate
+    cfg = json.loads((config_dir / "fig4_lineshape.json").read_text())
+    cfg["lineshape"]["j_max"] = j_max
+    p = write_config(tmp_path, "one_ring.json", cfg)
+    out = tmp_path / "l.csv"
+    res = runner.invoke(cli, ["lineshape", "--config", str(p), "--out", str(out), *extra])
+    assert res.exit_code == 2, res.output
+    assert "lineshape.shift_model.calibrate_delta_max_over_OmegaR" in res.output
+    assert "does not move with s" in res.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("omega_r", [1e-50, 1e-76])
@@ -535,5 +553,5 @@ def test_any_config_mutation_is_an_artifact_or_a_documented_exit(tmp_path_factor
         ("lineshape",) if "lineshape" in cfg else ())
     for command in commands:
         res = runner.invoke(cli, [command, "--config", str(p), "--out", str(tmp / "out")])
-        assert res.exit_code in (0, 2, 3, 4), (command, res.output, res.exception)
+        assert res.exit_code in (0, 2, 3), (command, res.output, res.exception)
         assert "Traceback" not in res.output

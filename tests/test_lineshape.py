@@ -312,6 +312,14 @@ def test_calibration_target_passed_at_the_smallest_scale_is_refused():
         calibrate_quadratic_scale(OMEGA_R, TAU, 12, -1e-300 * OMEGA_R)
 
 
+def test_one_ring_calibration_is_refused_before_any_peak_search(monkeypatch):
+    # a single ring sits at j = 0, unshifted at every s: delta_max(s) is flat
+    calls = _counting(monkeypatch, "lineshape_peak")
+    with pytest.raises(CalibrationTargetError, match="does not move with s"):
+        calibrate_quadratic_scale(OMEGA_R, TAU, 0, -0.5 * OMEGA_R)
+    assert calls == []
+
+
 @pytest.mark.parametrize("tau", [1e-300, 1e-150, 1e-6])
 def test_flat_lineshape_has_no_peak_to_place(tau):
     # tau Omega_R below ~1e-4 leaves P0 flat to rounding over the window
@@ -408,25 +416,6 @@ def test_broadened_fit_center_differs_from_peak():
     fit = fit_lineshape(ls)
     assert abs(fit.delta_0 - d_max) > 0.05 * OMEGA_R
     assert fit.delta_0 < d_max < 0.0
-
-
-def test_ensemble_wrapper_enforces_matching_and_derives_rabi(fig_beam):
-    from test_raman import make_raman
-    from qrotor.raman import effective_coupling, ensemble_lineshape
-
-    cfg = make_raman()  # w_e = w0 sqrt(l/L): matched to the trap ring
-    grid = np.linspace(-8 * 3.142, 8 * 3.142, 201)
-    ls = ensemble_lineshape(fig_beam, LI6, cfg, 5, NoShift(), grid)
-    omega_r = effective_coupling(cfg, LI6).Omega_R
-    direct = lineshape_from_rabi(omega_r, cfg.pulse_duration_tau, 5, NoShift(), grid)
-    assert np.allclose(ls.probability, direct.probability, rtol=1e-14)
-    assert ls.Omega_R == pytest.approx(omega_r, rel=1e-14)
-
-    import dataclasses
-
-    mismatched = dataclasses.replace(cfg, kick_waist_w_e=cfg.kick_waist_w_e * 1.01)
-    with pytest.raises(InvalidInputError):
-        ensemble_lineshape(fig_beam, LI6, mismatched, 5, NoShift(), grid)
 
 
 def test_lineshape_grid_validation():

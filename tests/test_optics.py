@@ -1,41 +1,9 @@
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
 
 from qrotor.exceptions import InvalidInputError
-from qrotor.optics import (
-    BeamConfig,
-    lg_mode_amplitude,
-    optical_potential,
-    ring_minima,
-    trap_depth_from_power,
-)
+from qrotor.optics import BeamConfig, optical_potential, ring_minima
 from qrotor.units import HBAR, K_B
-
-
-def test_mode_vanishes_on_axis_for_nonzero_oam(fig_beam):
-    assert lg_mode_amplitude(fig_beam, 0.0, 0.3, 1e-6) == 0.0
-
-
-def test_mode_magnitude_independent_of_phi(fig_beam):
-    r, z = 12e-6, 3e-6
-    phis = np.linspace(0, 2 * np.pi, 17)
-    mags = np.abs(lg_mode_amplitude(fig_beam, r, phis, z))
-    assert np.allclose(mags, mags[0], rtol=1e-13)
-
-
-def test_mode_peak_radius_at_waist(fig_beam):
-    # dense scan plus local refinement
-    r = np.linspace(1e-7, 4e-5, 20001)
-    mag = np.abs(lg_mode_amplitude(fig_beam, r, 0.0, 0.0))
-    i = int(np.argmax(mag))
-    res = minimize_scalar(
-        lambda rr: -abs(lg_mode_amplitude(fig_beam, rr, 0.0, 0.0)),
-        bounds=(r[i - 2], r[i + 2]),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    assert abs(res.x - 15.81e-6) < 0.01e-6
 
 
 def test_potential_value_on_ring(fig_beam, li6):
@@ -144,13 +112,13 @@ def test_radial_frequency_independent_of_oam(fig_beam, li6):
 
 def test_beam_config_validation():
     with pytest.raises(InvalidInputError):
-        BeamConfig(wavelength=671e-9, waist_w0=10e-6, power_P0=1.0, oam_l=5,
+        BeamConfig(wavelength=671e-9, waist_w0=10e-6, oam_l=5,
                    phase_z0=671e-9, trap_depth_V0=1e-28)
     with pytest.raises(InvalidInputError):
-        BeamConfig(wavelength=671e-9, waist_w0=-1e-6, power_P0=1.0, oam_l=5,
+        BeamConfig(wavelength=671e-9, waist_w0=-1e-6, oam_l=5,
                    phase_z0=1e-7, trap_depth_V0=1e-28)
     with pytest.raises(InvalidInputError, match="oam_l"):  # an l = 0 beam has no ring
-        BeamConfig(wavelength=671e-9, waist_w0=10e-6, power_P0=1.0, oam_l=0,
+        BeamConfig(wavelength=671e-9, waist_w0=10e-6, oam_l=0,
                    phase_z0=1e-7, trap_depth_V0=1e-28)
 
 
@@ -163,11 +131,3 @@ def test_potential_bounded_by_ring_depth(fig_beam):
     assert np.all(v <= 0.0)
     assert np.all(v >= -bound * (1 + 1e-12))
 
-
-def test_trap_depth_from_power_scales_linearly(fig_beam):
-    v1 = trap_depth_from_power(1e-39, fig_beam)
-    from dataclasses import replace
-
-    v2 = trap_depth_from_power(1e-39, replace(fig_beam, power_P0=2.0))
-    assert v2 == pytest.approx(2 * v1, rel=1e-12)
-    assert v1 > 0

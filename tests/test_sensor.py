@@ -8,8 +8,6 @@ from qrotor.sensor import (
     budget_frequency,
     budget_rabi_fluctuation,
     budget_shot_noise,
-    line_splitting,
-    periodicity_check,
     rotation_scan_rows,
     sensor_budget,
     tilt_compensation,
@@ -75,20 +73,33 @@ def test_transition_frequency_validation():
 
 # --- splittings and periodicity ----------------------------------------------
 
+def splitting(m, L, omega):
+    """Mirror-line splitting w(m, +1) - w(m, -1)."""
+    return (transition_frequency(m, +1, L, OMEGA_0, omega)
+            - transition_frequency(m, -1, L, OMEGA_0, omega))
+
+
+def periodic(m, m_w, L, omega):
+    """w(m + m_W, +1) at Omega - 2 m_W w0 equals w(m, +1) at Omega, to 1e-12."""
+    lhs = transition_frequency(m + m_w, +1, L, OMEGA_0, omega - 2 * m_w * OMEGA_0)
+    rhs = transition_frequency(m, +1, L, OMEGA_0, omega)
+    return abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), OMEGA_0)
+
+
 def test_splitting_is_4_l_omega():
     # "exact" up to the cancellation floor of the ~5e4 rad/s line frequencies
     # the splitting is computed from
     for omega in (0.0, 1e-6, -3.7e-4, 0.21):
         for m in range(-3, 4):
             scale = abs(transition_frequency(m, +1, 25, OMEGA_0, omega))
-            assert line_splitting(m, 25, omega, OMEGA_0) == pytest.approx(
+            assert splitting(m, 25, omega) == pytest.approx(
                 4 * 25 * omega, abs=1e-11 * scale
             )
 
 
 def test_splitting_sign_distinguishes_rotation_sense():
-    assert line_splitting(1, 25, +1e-5, OMEGA_0) > 0
-    assert line_splitting(1, 25, -1e-5, OMEGA_0) < 0
+    assert splitting(1, 25, +1e-5) > 0
+    assert splitting(1, 25, -1e-5) < 0
 
 
 def test_periodicity_relation():
@@ -96,8 +107,8 @@ def test_periodicity_relation():
     for m in range(-5, 6):
         for m_w in range(-5, 6):
             omega = float(rng.uniform(-5 * OMEGA_0, 5 * OMEGA_0))
-            assert periodicity_check(m, m_w, 25, OMEGA_0, omega)
-    assert periodicity_check(2, 0, 25, OMEGA_0, 0.33)
+            assert periodic(m, m_w, 25, omega)
+    assert periodic(2, 0, 25, 0.33)
 
 
 def test_periodicity_negative_control():

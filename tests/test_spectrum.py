@@ -5,12 +5,9 @@ import qrotor.spectrum
 from qrotor.exceptions import ConvergenceError, InvalidInputError
 from qrotor.optics import ring_minima
 from qrotor.spectrum import (
-    EnergyLevel,
-    QuantumNumbers,
     SpectrumLimits,
     assemble_spectrum,
     rotational_constant,
-    rotating_frame_energy,
     solve_axial,
     solve_radial,
     spectrum_rows,
@@ -176,17 +173,6 @@ def test_spectrum_limits_reject_out_of_range(bad):
     fields = {"n_z_max": 1, "n_r_max": 1, "m_ell_max": 1, **bad}
     with pytest.raises(InvalidInputError, match=next(iter(bad))):
         SpectrumLimits(**fields)
-
-
-def test_rotating_frame_energy_shifts():
-    lvl0 = EnergyLevel(QuantumNumbers(0, 0, 0), energy=1e-30, degeneracy=2)
-    assert rotating_frame_energy(lvl0, 123.0) == lvl0.energy
-    lvl_p = EnergyLevel(QuantumNumbers(0, 0, 4), energy=1e-30, degeneracy=4)
-    lvl_m = EnergyLevel(QuantumNumbers(0, 0, -4), energy=1e-30, degeneracy=4)
-    assert rotating_frame_energy(lvl_p, 0.0) == lvl_p.energy
-    omega = 0.37
-    diff = rotating_frame_energy(lvl_m, omega) - rotating_frame_energy(lvl_p, omega)
-    assert diff == pytest.approx(-2 * HBAR * omega * 4, rel=1e-12)
 
 
 def test_spectrum_rows_columns(small_spectrum):
