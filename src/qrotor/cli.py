@@ -22,11 +22,11 @@ from .exceptions import (CalibrationTargetError, ConfigError, ConvergenceError, 
                          QRotorError)
 from .output import write_csv, write_json, write_together
 from .raman import (
-    QuadraticShift,
     calibrate_quadratic_scale,
     fit_lineshape,
     lineshape_from_rabi,
     lineshape_peak,
+    ring_shifts,
 )
 from .sensor import rotation_scan_rows, sensor_budget, tilt_compensation
 from .spectrum import assemble_spectrum, spectrum_rows
@@ -127,9 +127,8 @@ def lineshape(config_path, out, fmt, parallel, jmax):
     j_max = jmax if jmax is not None else job.j_max
     omega_r, tau = job.Omega_R, job.tau
 
-    model = job.shift_model()
-    calibration = None
-    if job.shift_model_name == "quadratic" and job.calibrate_delta_max_over_OmegaR is not None:
+    calibration, scale_s = None, job.shift_scale_s
+    if job.calibrate_delta_max_over_OmegaR is not None:
         try:
             calibration = calibrate_quadratic_scale(
                 omega_r, tau, j_max, job.calibrate_delta_max_over_OmegaR * omega_r
@@ -137,20 +136,18 @@ def lineshape(config_path, out, fmt, parallel, jmax):
         except CalibrationTargetError as err:
             raise ConfigError(
                 f"lineshape.shift_model.calibrate_delta_max_over_OmegaR: {err}") from err
-        model = QuadraticShift(calibration.scale_s)
+        scale_s = calibration.scale_s
+    shifts = ring_shifts(job.shift_model_name, j_max, scale_s, cfg.beam, cfg.species,
+                         job.kick_oam_L)
 
     half = job.grid_half_width_over_OmegaR * omega_r
-    ls = lineshape_from_rabi(
-        omega_r, tau, j_max, model, np.linspace(-half, half, job.grid_points),
-        cfg.beam, cfg.species, job.kick_oam_L, workers=workers,
-    )
+    ls = lineshape_from_rabi(omega_r, tau, shifts, np.linspace(-half, half, job.grid_points),
+                             workers=workers)
     fit = fit_lineshape(ls)
     if calibration is not None:
         d_max, p_max = calibration.delta_max, calibration.P_max
     else:
-        d_max, p_max = lineshape_peak(
-            omega_r, tau, j_max, model, cfg.beam, cfg.species, job.kick_oam_L
-        )
+        d_max, p_max = lineshape_peak(omega_r, tau, shifts)
 
     fit_payload = {
         "amplitude_A": fit.amplitude_A,
@@ -162,7 +159,7 @@ def lineshape(config_path, out, fmt, parallel, jmax):
         "peak": {"delta_max": d_max, "delta_max_over_OmegaR": d_max / omega_r,
                  "P_max": p_max},
         "shift_model": job.shift_model_name,
-        "scale_s": getattr(model, "scale_s", None),
+        "scale_s": scale_s,
         "calibration_on_target": None if calibration is None else calibration.on_target,
     }
     curve_rows = list(zip((ls.delta_grid / omega_r).tolist(), ls.probability.tolist()))
@@ -186,7 +183,7 @@ def lineshape(config_path, out, fmt, parallel, jmax):
 @_guarded
 def rotation_scan(config_path, out, fmt, parallel, omega):
     """Line frequencies of the six low-m transitions versus rotation rate."""
-    cfg, out_path, fmt, workers = _load(config_path, out, fmt, parallel)
+    cfg, out_path, fmt, _ = _load(config_path, out, fmt, parallel)
     job = cfg.rotation_scan
     omegas = (omega,) if omega is not None else job.omega_values
     rows = rotation_scan_rows(job.omega_0, job.kick_oam_L, omegas)
@@ -203,7 +200,7 @@ def rotation_scan(config_path, out, fmt, parallel, omega):
 @_guarded
 def budget(config_path, out, fmt, parallel):
     """Three-channel rotation-rate uncertainty budget."""
-    cfg, out_path, fmt, workers = _load(config_path, out, fmt, parallel)
+    cfg, out_path, fmt, _ = _load(config_path, out, fmt, parallel)
     b = sensor_budget(cfg.sensor)
     payload = {
         "inputs": dataclasses.asdict(cfg.sensor),
@@ -226,7 +223,7 @@ def budget(config_path, out, fmt, parallel):
 @_guarded
 def tilt(config_path, out, fmt, parallel):
     """Effective-gravity tilt geometry."""
-    cfg, out_path, fmt, workers = _load(config_path, out, fmt, parallel)
+    cfg, out_path, fmt, _ = _load(config_path, out, fmt, parallel)
     geo = tilt_compensation(cfg.tilt.gravity_g, cfg.tilt.acceleration_a,
                             cfg.tilt.angular_velocity_Omega)
     payload = {

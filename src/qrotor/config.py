@@ -20,8 +20,8 @@ import numpy as np
 
 from .exceptions import ConfigError, InvalidInputError
 from .optics import BeamConfig
-from .raman import (FIT_MIN_POINTS, MAX_SCAN_POINTS, SHIFT_MODELS, QuadraticShift,
-                    fit_denominator_range, peak_scan_points)
+from .raman import (FIT_MIN_POINTS, MAX_SCAN_POINTS, SHIFT_MODELS, fit_denominator_range,
+                    peak_scan_points)
 from .spectrum import SpectrumLimits, rotational_constant
 from .sensor import SensorConfig
 from .units import ATOMIC_MASS, HBAR, SPECIES, AtomSpecies, recoil_energy
@@ -98,12 +98,6 @@ class LineshapeJob:
     calibrate_delta_max_over_OmegaR: float | None
     grid_half_width_over_OmegaR: float
     grid_points: int
-
-    def shift_model(self):
-        if self.shift_model_name == "quadratic":
-            # a calibration target defers the scale to run time
-            return QuadraticShift(self.shift_scale_s or 0.0)
-        return SHIFT_MODELS[self.shift_model_name]()
 
 
 @dataclass(frozen=True)
@@ -239,6 +233,16 @@ def _lineshape_from(ls: dict) -> LineshapeJob:
         raise ConfigError(
             f"lineshape.shift_model.model '{model_name}' not one of {sorted(SHIFT_MODELS)}"
         )
+    # only the quadratic model reads a scale, given or calibrated, never both
+    given = [k for k in ("scale_s", "calibrate_delta_max_over_OmegaR") if shift[k] is not None]
+    if given and model_name != "quadratic":
+        raise ConfigError(f"lineshape.shift_model.{given[0]} applies to the quadratic model "
+                          f"only, not to '{model_name}'")
+    if len(given) == 2:
+        raise ConfigError("lineshape.shift_model.scale_s cannot be set with a calibration "
+                          "target, calibrate_delta_max_over_OmegaR, which chooses the scale")
+    if model_name == "quadratic" and not given:
+        scale_s = 0.0   # a quadratic stack with neither key is unshifted
     if scale_s is not None and scale_s < 0:
         raise ConfigError("lineshape.shift_model.scale_s must be non-negative")
     tau = float(np.pi / omega_r) if ls["tau"] is None else ls["tau"]

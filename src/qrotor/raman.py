@@ -224,57 +224,32 @@ def peak_fwhm(omega_r: float, tau: float | None = None) -> float:
 # ring-to-ring resonance shifts and the stack-averaged lineshape
 
 
-@dataclass(frozen=True)
-class NoShift:
-    """All rings resonate together; the stack average reduces to P0."""
-
-    def shifts(self, j, beam=None, species=None, L=None):
-        return np.zeros_like(np.asarray(j, dtype=float))
+# The ring-shift profiles of `ring_shifts`, by config name.
+SHIFT_MODELS = ("none", "quadratic", "physical")
 
 
-@dataclass(frozen=True)
-class QuadraticShift:
-    """delta_j = delta + s j^2 with a free non-negative scale.
+def ring_shifts(model: str, j_max: int, scale_s: float | None = None,
+                beam: BeamConfig | None = None, species: AtomSpecies | None = None,
+                L: int | None = None) -> np.ndarray:
+    """Resonance shift of each ring j = -j_max..j_max of the stack, in rad/s.
 
-    The leading ring-radius variation grows quadratically along the stack,
-    so all physically motivated shift profiles reduce to this form; the scale
-    absorbs the (unpublished) effective divergence length.
+    ``none``: all rings resonate together; the stack average reduces to P0.
+    ``quadratic``: s j^2 with a free non-negative scale s.  The leading
+    ring-radius variation grows quadratically along the stack, so all
+    physically motivated shift profiles reduce to this form; the scale absorbs
+    the (unpublished) effective divergence length.
+    ``physical``: 4 L^2 (omega0(r_l at ring 0) - omega0(r_l at ring j)), with
+    the ring radii from the beam's divergence length (``z_eff`` when set) and
+    omega0(r) = C(r) / hbar with the rotor constant C of ``species``.
     """
-
-    scale_s: float
-
-    def __post_init__(self):
-        if self.scale_s < 0:
-            raise InvalidInputError("scale_s must be non-negative")
-
-    def shifts(self, j, beam=None, species=None, L=None):
-        return self.scale_s * np.asarray(j, dtype=float) ** 2
-
-
-@dataclass(frozen=True)
-class PhysicalShift:
-    """delta_j = delta + 4 L^2 (omega0(r_l at ring 0) - omega0(r_l at ring j)).
-
-    Uses the beam's divergence length (``z_eff`` when set) to evaluate the
-    ring radii; omega0(r) = C(r) / hbar with the rotor constant C.
-    """
-
-    def shifts(self, j, beam: BeamConfig, species: AtomSpecies, L: int):
-        if beam is None or species is None or L is None:
-            raise InvalidInputError(
-                "geometric shift models need beam, species, and kick OAM context"
-            )
-        j = np.asarray(j, dtype=float)
+    j = np.arange(-j_max, j_max + 1, dtype=float)
+    if model == "quadratic":
+        return scale_s * j**2
+    if model == "physical":
         c0 = rotational_constant(beam.ring_radius(beam.ring_z(0)), species)
         cj = rotational_constant(beam.ring_radius(beam.ring_z(j)), species)
         return 4.0 * L**2 * (c0 - cj) / HBAR
-
-
-SHIFT_MODELS = {
-    "none": NoShift,
-    "quadratic": QuadraticShift,
-    "physical": PhysicalShift,
-}
+    return np.zeros_like(j)
 
 
 @dataclass(frozen=True)
@@ -284,8 +259,6 @@ class Lineshape:
     delta_grid: np.ndarray
     probability: np.ndarray
     Omega_R: float
-    j_max: int
-    tau: float
 
     def __post_init__(self):
         d = np.asarray(self.delta_grid, dtype=float)
@@ -346,38 +319,23 @@ def _folded_average(delta, omega_r: float, tau: float, shifts, counts, order: in
     return (total / counts.sum()).reshape((order + 1, *d.shape))
 
 
-def lineshape_from_rabi(
-    omega_r: float,
-    tau: float,
-    j_max: int,
-    shift_model,
-    delta_grid,
-    beam: BeamConfig | None = None,
-    species: AtomSpecies | None = None,
-    kick_oam_L: int | None = None,
-    workers: int = 1,
-) -> Lineshape:
+def lineshape_from_rabi(omega_r: float, tau: float, ring_shifts, delta_grid,
+                        workers: int = 1) -> Lineshape:
     """Ensemble lineshape for a directly specified Rabi frequency.
 
-    The stack holds N = 2 j_max + 1 singly occupied rings, |j| <= j_max.
+    The stack holds one singly occupied ring per entry of ``ring_shifts``,
+    that ring's resonance shift; the function `ring_shifts` gives the 2 j_max
+    + 1 rings |j| <= j_max of each profile.
     The grid is split into ``workers`` contiguous chunks averaged on a thread
     pool; a point's value does not depend on its chunk, so the curve is
     bit-identical at every worker count.
     """
-    j = np.arange(-j_max, j_max + 1)
-    shifts = shift_model.shifts(j, beam, species, kick_oam_L)
     grid = np.asarray(delta_grid, dtype=float)
     parts = parallel_map(
-        lambda sub: stack_average(sub, omega_r, tau, shifts),
+        lambda sub: stack_average(sub, omega_r, tau, ring_shifts),
         np.array_split(grid, max(workers, 1)), workers,
     )
-    return Lineshape(
-        delta_grid=grid,
-        probability=np.concatenate(parts),
-        Omega_R=omega_r,
-        j_max=j_max,
-        tau=tau,
-    )
+    return Lineshape(delta_grid=grid, probability=np.concatenate(parts), Omega_R=omega_r)
 
 
 # Peak search window in units of Omega_R, and scan steps per narrowest feature.
@@ -405,10 +363,7 @@ def peak_scan_points(omega_r: float, tau: float) -> float:
     return float(np.ceil((hi_edge - lo_edge) * steps_per_omega_r)) + 1.0
 
 
-def lineshape_peak(
-    omega_r: float, tau: float, j_max: int, shift_model,
-    beam=None, species=None, kick_oam_L=None,
-):
+def lineshape_peak(omega_r: float, tau: float, ring_shifts):
     """Continuous peak (delta_max, P_max) of the stack-averaged lineshape.
 
     Scans [-5, +1] Omega_R with the stack means of P0 and of its slope
@@ -431,8 +386,7 @@ def lineshape_peak(
     tau Omega_R below ~1e-4 leaves P0 that flat, or underflows it to 0):
     that raises ConvergenceError.
     """
-    j = np.arange(-j_max, j_max + 1)
-    folded = _fold(shift_model.shifts(j, beam, species, kick_oam_L))
+    folded = _fold(ring_shifts)
     lo_edge, hi_edge = PEAK_WINDOW
     xs = np.linspace(lo_edge * omega_r, hi_edge * omega_r, int(peak_scan_points(omega_r, tau)))
     ys, slopes = _folded_average(xs, omega_r, tau, *folded, order=1)
@@ -526,13 +480,14 @@ def calibrate_quadratic_scale(
     if s_max is None:
         # peak saturation happens near s j_max^2 ~ 2 Omega_R
         s_max = 3.0 * omega_r / max(j_max, 1) ** 2
-    j2 = np.arange(-j_max, j_max + 1, dtype=float) ** 2
+    j2 = ring_shifts("quadratic", j_max, 1.0)
 
     @functools.cache
     def peak(s):
         """delta_max, P_max and d delta_max / ds at scale s."""
-        d_max, p_max = lineshape_peak(omega_r, tau, j_max, QuadraticShift(s))
-        x = d_max + s * j2
+        shifts = s * j2
+        d_max, p_max = lineshape_peak(omega_r, tau, shifts)
+        x = d_max + shifts
         curvature = _p0_slopes(x, transition_probability(x, omega_r, tau), omega_r, tau)[1]
         return d_max, p_max, -float(np.dot(j2, curvature) / curvature.sum())
 

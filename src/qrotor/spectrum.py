@@ -52,7 +52,6 @@ class QuantumNumbers:
     n_z: int
     n_r: int
     m_ell: int
-    m_F: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,12 @@ from qrotor.cli import cli
 from qrotor.fivelevel import FiveLevelModel, evolve_populations, oscillation_frequency, tuned_model
 from qrotor.optics import ring_minima
 from qrotor.raman import (
-    QuadraticShift,
     calibrate_quadratic_scale,
     fit_lineshape,
     lineshape_from_rabi,
     lineshape_peak,
     peak_fwhm,
+    ring_shifts,
     transition_probability,
 )
 from qrotor.sensor import (
@@ -126,10 +126,10 @@ def test_criterion_6_ensemble_fit_regression():
     om = 3.142
     tau = np.pi / om
     cal = calibrate_quadratic_scale(om, tau, 80, -0.5374 * om)
-    model = QuadraticShift(cal.scale_s)
-    d_max, p_max = lineshape_peak(om, tau, 80, model)
+    shifts = ring_shifts("quadratic", 80, cal.scale_s)
+    d_max, p_max = lineshape_peak(om, tau, shifts)
     grid = np.linspace(-8 * om, 8 * om, 1601)
-    fit = fit_lineshape(lineshape_from_rabi(om, tau, 80, model, grid))
+    fit = fit_lineshape(lineshape_from_rabi(om, tau, shifts, grid))
     checks = [
         (f"calibration delta_max/Om = {d_max / om:.4f} (target -0.5374, "
          f"on_target={cal.on_target})", True),  # calibration is closest-approach

@@ -272,6 +272,23 @@ def test_lineshape_physical_shift_model(runner, tmp_path):
 
 # --- the config and exit-code contract -------------------------------------------
 
+# A shift-model key that the chosen model would not read, and the field named.
+# These runs used to ignore the key and exit 0: a physical stack with a
+# calibration target wrote its uncalibrated peak at -0.524 Omega_R.
+UNREAD_SHIFT_KEYS = [
+    ({"model": "none", "scale_s": 0.004}, "scale_s"),
+    ({"model": "physical", "scale_s": 0.004}, "scale_s"),
+    ({"model": "none", "calibrate_delta_max_over_OmegaR": -0.4},
+     "calibrate_delta_max_over_OmegaR"),
+    ({"model": "physical", "calibrate_delta_max_over_OmegaR": -0.4},
+     "calibrate_delta_max_over_OmegaR"),
+    ({"model": "quadratic", "scale_s": 0.004, "calibrate_delta_max_over_OmegaR": -0.4},
+     "scale_s"),
+]
+_UNREAD_IDS = ["-".join([shift["model"], *(k for k in shift if k != "model")])
+               for shift, _ in UNREAD_SHIFT_KEYS]
+
+
 @pytest.mark.parametrize("command, section, key, value", [
     ("budget", "lineshape", "Omega_R", "fast"),
     ("budget", "rotation_scan", "points", 2.5),
@@ -307,6 +324,8 @@ def test_lineshape_physical_shift_model(runner, tmp_path):
     ("lineshape", "lineshape", "shift_model", {"model": "quartic"}),
     # the beam power only normalised the LG mode amplitude, which is gone
     ("budget", "beam", "power_P0", 1.0),
+    *[pytest.param("lineshape", "lineshape", "shift_model", shift, id=f"shift_model-{name}")
+      for (shift, _), name in zip(UNREAD_SHIFT_KEYS, _UNREAD_IDS)],
 ])
 def test_bad_field_exits_2_naming_it(runner, tmp_path, command, section, key, value):
     cfg = copy.deepcopy(MINIMAL)
@@ -317,6 +336,17 @@ def test_bad_field_exits_2_naming_it(runner, tmp_path, command, section, key, va
     res = runner.invoke(cli, [command, "--config", str(p), "--out", str(tmp_path / "x.out")])
     assert res.exit_code == 2, res.output
     assert key in res.output
+
+
+@pytest.mark.parametrize("shift, field", UNREAD_SHIFT_KEYS, ids=_UNREAD_IDS)
+def test_shift_model_key_the_model_does_not_read_exits_2_naming_it(runner, tmp_path, shift,
+                                                                   field):
+    p = write_config(tmp_path, "ls.json", fast_lineshape_config(**shift))
+    out = tmp_path / "c.csv"
+    res = runner.invoke(cli, ["lineshape", "--config", str(p), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert f"lineshape.shift_model.{field}" in res.output
+    assert not out.exists()
 
 
 def _fig4_fit_in_units(runner, tmp_path, config_dir, omega_r):

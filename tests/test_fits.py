@@ -19,12 +19,12 @@ from qrotor.raman import (
     FIT_SCREEN_TOL,
     FIT_WIDTH_BOUNDS,
     Lineshape,
-    QuadraticShift,
     calibrate_quadratic_scale,
     effective_coupling,
     fit_lineshape,
     fit_model,
     lineshape_from_rabi,
+    ring_shifts,
     transition_probability,
 )
 from qrotor.units import LI6
@@ -48,7 +48,7 @@ def _counting_fit_model(monkeypatch):
 
 def _calibrated(j_max, target):
     cal = calibrate_quadratic_scale(OMEGA_R, TAU, j_max, target * OMEGA_R)
-    return lineshape_from_rabi(OMEGA_R, TAU, j_max, QuadraticShift(cal.scale_s), GRID)
+    return lineshape_from_rabi(OMEGA_R, TAU, ring_shifts("quadratic", j_max, cal.scale_s), GRID)
 
 
 def _basis(theta):
@@ -87,7 +87,7 @@ def test_noise_free_curve_is_recovered(monkeypatch, amplitude, delta_0, omega_ef
     # stops each one as soon as its cost reaches rounding
     y = fit_model(GRID, amplitude, delta_0 * OMEGA_R, omega_eff * OMEGA_R)[0]
     calls = _counting_fit_model(monkeypatch)
-    fit = fit_lineshape(Lineshape(GRID, y, OMEGA_R, 0, TAU))
+    fit = fit_lineshape(Lineshape(GRID, y, OMEGA_R))
     assert 0 < len(calls) <= 40
     assert fit.amplitude_A == pytest.approx(amplitude, rel=1e-12)
     assert fit.delta_0 == pytest.approx(delta_0 * OMEGA_R, rel=1e-12)
@@ -103,8 +103,8 @@ def test_starts_against_each_face_end_inside_the_box(ls_args, face, tol, most):
     # evaluations seen at the screen tolerance, 26 at 1e-15)
     j_max, target = ls_args
     if target is None:
-        y = lineshape_from_rabi(OMEGA_R, TAU, j_max, QuadraticShift(12.0 * OMEGA_R / j_max**2),
-                                GRID).probability
+        shifts = ring_shifts("quadratic", j_max, 12.0 * OMEGA_R / j_max**2)
+        y = lineshape_from_rabi(OMEGA_R, TAU, shifts, GRID).probability
     else:
         y = _calibrated(j_max, target).probability
     peak, lower, upper = _box(y)

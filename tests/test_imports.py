@@ -70,9 +70,9 @@ def test_calibrated_lineshape_loads_no_scipy(tmp_path, config_dir):
 
 FIT_LINESHAPE = """
 import numpy as np
-from qrotor.raman import QuadraticShift, fit_lineshape, lineshape_from_rabi
+from qrotor.raman import fit_lineshape, lineshape_from_rabi, ring_shifts
 om = 3.142
-ls = lineshape_from_rabi(om, np.pi / om, 12, QuadraticShift(0.0144 * om),
+ls = lineshape_from_rabi(om, np.pi / om, ring_shifts("quadratic", 12, 0.0144 * om),
                          np.linspace(-8 * om, 8 * om, 801))
 assert fit_lineshape(ls).Omega_R_eff > 0
 """

@@ -4,8 +4,14 @@ The files under ``tests/reference/`` are the outputs of
 ``qrotor <command> --config configs/<config> --out tests/reference/<artifact>``.
 A change that legitimately moves printed digits regenerates them that way and
 logs the diff.
+
+The shipped lineshape config is a calibrated quadratic stack.  The other ring
+shift models are pinned through the small configs of ``LOCAL_CASES``, written
+here to a temporary file; their references are the outputs of ``qrotor
+lineshape`` on those configs.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -25,6 +31,31 @@ CASES = [
 ]
 
 
+def _lineshape_config(j_max: int, shift_model: dict, **beam) -> dict:
+    return {
+        "species": {"name": "6Li"},
+        "beam": {"wavelength": 671e-9, "waist_w0": 10e-6, "oam_l": 5, **beam},
+        "lineshape": {"Omega_R": 3.142, "j_max": j_max, "kick_oam_L": 25,
+                      "shift_model": shift_model, "grid_half_width_over_OmegaR": 8.0,
+                      "grid_points": 401},
+    }
+
+
+LOCAL_CASES = [
+    ("lineshape_none.csv", _lineshape_config(20, {"model": "none"})),
+    ("lineshape_physical.csv", _lineshape_config(20, {"model": "physical"}, z_eff=5e-4)),
+    ("lineshape_quadratic.csv",
+     _lineshape_config(40, {"model": "quadratic", "scale_s": 0.0025})),
+]
+
+
+def _assert_matches_reference(folder: Path, artifact: str) -> None:
+    written = sorted(p.name for p in folder.iterdir())
+    assert artifact in written
+    for name in written:   # the lineshape CSV comes with its .fit.json sidecar
+        assert (folder / name).read_bytes() == (REFERENCE / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("command, config, artifact, extra", CASES,
                          ids=[f"{c[0]}{''.join(c[3])}" for c in CASES])
 def test_shipped_config_reproduces_reference(tmp_path, config_dir, command, config,
@@ -32,7 +63,17 @@ def test_shipped_config_reproduces_reference(tmp_path, config_dir, command, conf
     res = CliRunner().invoke(cli, [command, "--config", str(config_dir / config),
                                    "--out", str(tmp_path / artifact), *extra])
     assert res.exit_code == 0, res.output
-    written = sorted(p.name for p in tmp_path.iterdir())
-    assert artifact in written
-    for name in written:   # the lineshape CSV comes with its .fit.json sidecar
-        assert (tmp_path / name).read_bytes() == (REFERENCE / name).read_bytes(), name
+    _assert_matches_reference(tmp_path, artifact)
+
+
+@pytest.mark.parametrize("artifact, config", LOCAL_CASES, ids=[c[0] for c in LOCAL_CASES])
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_shift_model_config_reproduces_reference(tmp_path, artifact, config, workers):
+    out = tmp_path / "out"
+    out.mkdir()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    res = CliRunner().invoke(cli, ["lineshape", "--config", str(path),
+                                   "--out", str(out / artifact), "--parallel", workers])
+    assert res.exit_code == 0, res.output
+    _assert_matches_reference(out, artifact)
