@@ -12,7 +12,6 @@ acceptance criteria call.
 from .exceptions import (
     ConfigError,
     ConvergenceError,
-    FitError,
     InvalidInputError,
     QRotorError,
 )

@@ -18,8 +18,7 @@ import click
 import numpy as np
 
 from .config import RunConfig, parse_config
-from .exceptions import (CalibrationTargetError, ConfigError, ConvergenceError, FitError,
-                         QRotorError)
+from .exceptions import CalibrationTargetError, ConfigError, ConvergenceError, QRotorError
 from .output import write_csv, write_json, write_together
 from .raman import (
     calibrate_quadratic_scale,
@@ -43,7 +42,7 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ConvergenceError, FitError) as err:
+        except ConvergenceError as err:
             click.echo(f"error: {err}", err=True)
             sys.exit(EXIT_CONVERGENCE)
         except QRotorError as err:
@@ -60,10 +59,10 @@ def _guarded(fn):
 def _write_quantities(out_path, fmt, payload: dict) -> None:
     """The payload as JSON, or its scalar entries as a quantity,value CSV."""
     if fmt == "csv":
-        write_csv(out_path, ["quantity", "value"],
-                  [(k, v) for k, v in payload.items() if not isinstance(v, (dict, list))])
+        write_together((write_csv, out_path, ["quantity", "value"],
+                        [(k, v) for k, v in payload.items() if not isinstance(v, (dict, list))]))
     else:
-        write_json(out_path, payload)
+        write_together((write_json, out_path, payload))
 
 
 def _load(config_path, out, fmt, parallel) -> tuple[RunConfig, str, str, int]:
@@ -104,15 +103,15 @@ def spectrum(config_path, out, fmt, parallel):
     rows = spectrum_rows(spec)
     header = ["n_z", "n_r", "m_ell", "energy_J", "energy_kB_nK", "degeneracy"]
     if fmt == "csv":
-        write_csv(out_path, header, rows)
+        write_together((write_csv, out_path, header, rows))
     else:
-        write_json(out_path, {
+        write_together((write_json, out_path, {
             "levels": [dict(zip(header, row)) for row in rows],
             "gaps_J": {"eps_z": spec.gaps[0], "eps_r": spec.gaps[1],
                        "eps_ell": spec.gaps[2]},
             "inequalities_ok": spec.inequalities_ok,
             "ratio_threshold": spec.ratio_threshold,
-        })
+        }))
     click.echo(f"wrote {out_path} ({len(rows)} levels, inequalities_ok={spec.inequalities_ok})")
 
 
@@ -169,10 +168,10 @@ def lineshape(config_path, out, fmt, parallel, jmax):
                        (write_json, fit_path, fit_payload))
         click.echo(f"wrote {out_path} and {fit_path}")
     else:
-        write_json(out_path, {
+        write_together((write_json, out_path, {
             "curve": [{"delta_over_OmegaR": a, "probability": b} for a, b in curve_rows],
             "fit": fit_payload,
-        })
+        }))
         click.echo(f"wrote {out_path}")
 
 
@@ -189,9 +188,9 @@ def rotation_scan(config_path, out, fmt, parallel, omega):
     rows = rotation_scan_rows(job.omega_0, job.kick_oam_L, omegas)
     header = ["Omega", "m_ell", "zeta", "frequency"]
     if fmt == "csv":
-        write_csv(out_path, header, rows)
+        write_together((write_csv, out_path, header, rows))
     else:
-        write_json(out_path, {"lines": [dict(zip(header, r)) for r in rows]})
+        write_together((write_json, out_path, {"lines": [dict(zip(header, r)) for r in rows]}))
     click.echo(f"wrote {out_path} ({len(rows)} rows)")
 
 

@@ -30,7 +30,6 @@ from .units import ATOMIC_MASS, HBAR, SPECIES, AtomSpecies, recoil_energy
 # from other fields or left unset; a JSON null then reads as absent.
 _REQUIRED = object()
 _VECTOR = "vector"     # three numbers
-_NUMBERS = "numbers"   # a list of numbers
 
 _ROOT = {
     "species": (dict, _REQUIRED), "beam": (dict, _REQUIRED), "spectrum": (dict, {}),
@@ -41,12 +40,10 @@ _ROOT = {
 _CUSTOM_SPECIES = {
     "mass_amu": (float, _REQUIRED), "g_factor": (float, _REQUIRED),
     "hyperfine_splitting": (float, _REQUIRED), "F_ground": (float, _REQUIRED),
-    "label": (str, "custom"),
 }
 _BEAM = {
     "wavelength": (float, _REQUIRED), "waist_w0": (float, _REQUIRED), "oam_l": (int, _REQUIRED),
-    "radial_p": (int, 0), "phase_z0": (float, None),
-    "trap_depth_J": (float, None), "trap_depth_recoils": (float, 10.0),
+    "radial_p": (int, 0), "phase_z0": (float, None), "trap_depth_recoils": (float, 10.0),
     "collimated": (bool, False), "z_eff": (float, None),
 }
 _SPECTRUM = {  # the fields of SpectrumLimits
@@ -70,7 +67,7 @@ _SENSOR = {  # the fields of SensorConfig
     "Delta_hf": (float, 1.26e8),
 }
 _ROTATION_SCAN = {
-    "omega_0": (float, None), "kick_oam_L": (int, 25), "Omega_values": (_NUMBERS, None),
+    "omega_0": (float, None), "kick_oam_L": (int, 25),
     "Omega_min": (float, None), "Omega_max": (float, None), "points": (int, 81),
 }
 _TILT = {  # the fields of TiltJob
@@ -81,8 +78,7 @@ _TILT = {  # the fields of TiltJob
 _OUTPUT = {"path": (str, ""), "format": (str, "csv")}
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
-               str: "a string", dict: "an object", _VECTOR: "a list of 3 finite numbers",
-               _NUMBERS: "a list of finite numbers"}
+               str: "a string", dict: "an object", _VECTOR: "a list of 3 finite numbers"}
 
 
 @dataclass(frozen=True)
@@ -141,9 +137,8 @@ def _typed(value, kind, field: str):
     if kind is float:
         if _is_number(value):
             return float(value)
-    elif kind in (_VECTOR, _NUMBERS):
-        if isinstance(value, list) and all(map(_is_number, value)) and (
-                kind is _NUMBERS or len(value) == 3):
+    elif kind is _VECTOR:
+        if isinstance(value, list) and len(value) == 3 and all(map(_is_number, value)):
             return tuple(float(v) for v in value)
     elif type(value) is kind:  # so an int field refuses bool and float
         return value
@@ -210,12 +205,10 @@ def _beam_from(sec: dict, species: AtomSpecies) -> tuple[BeamConfig, float]:
     # the key stays readable: every shipped config spells out the p = 0 mode
     if sec.pop("radial_p") != 0:
         raise ConfigError("beam.radial_p must be 0: the ring trap is a p = 0 Laguerre-Gaussian mode")
-    depth_j, recoils = sec.pop("trap_depth_J"), sec.pop("trap_depth_recoils")
     if sec["phase_z0"] is None:
         sec["phase_z0"] = sec["wavelength"] / 4.0
-    if depth_j is None:
-        depth_j = recoils * _derived("wavelength", "its recoil energy (J)",
-                                     lambda: recoil_energy(species, sec["wavelength"]))
+    depth_j = sec.pop("trap_depth_recoils") * _derived(
+        "wavelength", "its recoil energy (J)", lambda: recoil_energy(species, sec["wavelength"]))
     beam = BeamConfig(**sec, trap_depth_V0=depth_j)
     omega0 = _derived(
         "waist_w0", "the rotor frequency of ring 0 (rad/s)",
@@ -308,13 +301,11 @@ def parse_config(path) -> RunConfig:
     if scan["kick_oam_L"] < 1:
         raise ConfigError("rotation_scan.kick_oam_L must be >= 1")
     omega0_scan = omega0_default if scan["omega_0"] is None else scan["omega_0"]
-    omegas = scan["Omega_values"]
-    if omegas is None:
-        lo = -2.0 * omega0_scan if scan["Omega_min"] is None else scan["Omega_min"]
-        hi = 2.0 * omega0_scan if scan["Omega_max"] is None else scan["Omega_max"]
-        if scan["points"] < 2 or hi <= lo:
-            raise ConfigError("rotation_scan needs points >= 2 and Omega_max > Omega_min")
-        omegas = tuple(np.linspace(lo, hi, scan["points"]))
+    lo = -2.0 * omega0_scan if scan["Omega_min"] is None else scan["Omega_min"]
+    hi = 2.0 * omega0_scan if scan["Omega_max"] is None else scan["Omega_max"]
+    if scan["points"] < 2 or hi <= lo:
+        raise ConfigError("rotation_scan needs points >= 2 and Omega_max > Omega_min")
+    omegas = tuple(np.linspace(lo, hi, scan["points"]))
 
     out = section("output", _OUTPUT)
     if out["format"] not in ("csv", "json"):

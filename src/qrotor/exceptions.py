@@ -14,9 +14,10 @@ class CalibrationTargetError(InvalidInputError):
 
 
 class ConvergenceError(QRotorError):
-    """A numerical solve failed its self-consistency check.
+    """A numerical solve failed its self-consistency check, or a fit did not converge.
 
-    Carries a ``diagnostics`` dict with grid sizes and observed drifts.
+    Carries a ``diagnostics`` dict: a solve's grid sizes and observed drifts,
+    or a fit's best parameters so far.
     """
 
     def __init__(self, message, diagnostics=None):
@@ -26,11 +27,3 @@ class ConvergenceError(QRotorError):
 
 class ConfigError(QRotorError):
     """A run configuration failed validation; message names the field."""
-
-
-class FitError(QRotorError):
-    """Nonlinear fit did not converge; carries the best parameters so far."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best

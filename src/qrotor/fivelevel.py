@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import FitError, InvalidInputError
+from .exceptions import ConvergenceError, InvalidInputError
 from .raman import RamanConfig, kick_stark_scale
 from .units import HBAR, MU_B, AtomSpecies
 
@@ -178,7 +178,8 @@ def oscillation_frequency(times, population, guess: float) -> tuple[float, float
 
     sol = varpro(basis, y, [guess], [-np.inf], [np.inf], abs(guess), 1e-10)
     if not sol.success:
-        raise FitError("oscillation fit did not converge", best=sol.theta[0])
+        raise ConvergenceError("oscillation fit did not converge",
+                               diagnostics={"Omega": sol.theta[0]})
     return float(abs(sol.theta[0])), float(sol.coef[0])
 
 

@@ -2,9 +2,11 @@
 
 Every float is rendered with nine significant digits in scientific notation,
 and orderings are fixed by construction, so identical configurations produce
-byte-identical artifacts regardless of platform or parallelism.  Files are
-written to a sibling in the same directory and then moved into place with
-``os.replace``, so a failed run leaves no partial artifact.
+byte-identical artifacts regardless of platform or parallelism.  The writers
+write straight to the path they are given; `write_together` is the one place
+that stages: it runs them on siblings ``<path>.<pid>.tmp`` in the same
+directory and renames each onto its path only once all are written, so a
+failed run leaves no partial artifact.
 """
 
 from __future__ import annotations
@@ -31,21 +33,6 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _staged(path) -> str:
-    """The sibling that `path` is written to first, named by process."""
-    return f"{path}.{os.getpid()}.tmp"
-
-
-def _write_text(path, text: str) -> None:
-    staged = _staged(path)
-    try:
-        Path(staged).write_text(text, encoding="utf-8")
-        os.replace(staged, path)
-    except BaseException:
-        Path(staged).unlink(missing_ok=True)
-        raise
-
-
 def write_together(*writes) -> None:
     """Run each ``(writer, path, *args)`` on a staged sibling of its path, then
     move every file into place: a failure leaves none of them written.
@@ -53,7 +40,7 @@ def write_together(*writes) -> None:
     Nothing is moved until all are written, and a directory in the way of any
     path fails the set before the first move.
     """
-    staged = [(_staged(path), path) for _, path, *_ in writes]
+    staged = [(f"{path}.{os.getpid()}.tmp", path) for _, path, *_ in writes]
     try:
         for (writer, _, *args), (tmp, _) in zip(writes, staged):
             writer(tmp, *args)
@@ -71,7 +58,7 @@ def write_together(*writes) -> None:
 def write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt_cell(c) for c in row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -99,20 +86,16 @@ def render_json(obj, indent: int = 0) -> str:
             return "[" + ", ".join(render_json(v) for v in seq) + "]"
         items = [f"{inner}{render_json(v, indent + 1)}" for v in seq]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return fmt_float(obj)
-    escaped = str(obj).replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+    if isinstance(obj, str):
+        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{escaped}"'
+    return _fmt_cell(obj)
 
 
 def write_json(path, obj) -> None:
-    _write_text(path, render_json(obj) + "\n")
+    Path(path).write_text(render_json(obj) + "\n", encoding="utf-8")
 
 
 def parallel_map(fn, items, workers: int = 1) -> list:

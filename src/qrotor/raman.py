@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import CalibrationTargetError, ConvergenceError, FitError, InvalidInputError
+from .exceptions import CalibrationTargetError, ConvergenceError, InvalidInputError
 from .optics import BeamConfig, ring_peak_factor
 from .output import parallel_map
 from .spectrum import rotational_constant
@@ -653,5 +653,5 @@ def fit_lineshape(ls: Lineshape) -> FitResult:
         rms_residual=float(np.sqrt(np.mean(best.residual**2))),
     )
     if not best.success or not all(map(math.isfinite, vars(result).values())):
-        raise FitError("lineshape fit did not converge", best=result)
+        raise ConvergenceError("lineshape fit did not converge", diagnostics=vars(result))
     return result

@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -326,6 +327,10 @@ _UNREAD_IDS = ["-".join([shift["model"], *(k for k in shift if k != "model")])
     ("budget", "beam", "power_P0", 1.0),
     *[pytest.param("lineshape", "lineshape", "shift_model", shift, id=f"shift_model-{name}")
       for (shift, _), name in zip(UNREAD_SHIFT_KEYS, _UNREAD_IDS)],
+    # keys that no config set: the depth is given in recoils, a scan by its range
+    pytest.param("budget", "beam", "trap_depth_J", 1e-30, id="beam-trap_depth_J"),
+    pytest.param("rotation-scan", "rotation_scan", "Omega_values", [0.0, 1.0],
+                 id="rotation_scan-Omega_values"),
 ])
 def test_bad_field_exits_2_naming_it(runner, tmp_path, command, section, key, value):
     cfg = copy.deepcopy(MINIMAL)
@@ -346,6 +351,34 @@ def test_shift_model_key_the_model_does_not_read_exits_2_naming_it(runner, tmp_p
     res = runner.invoke(cli, ["lineshape", "--config", str(p), "--out", str(out)])
     assert res.exit_code == 2, res.output
     assert f"lineshape.shift_model.{field}" in res.output
+    assert not out.exists()
+
+
+def test_custom_species_label_exits_2_naming_it(runner, tmp_path):
+    cfg = copy.deepcopy(MINIMAL)
+    cfg["species"] = {"mass_amu": 6.0, "g_factor": 1.0, "hyperfine_splitting": 1e9,
+                      "F_ground": 0.5, "label": "6Li"}
+    p = write_config(tmp_path, "label.json", cfg)
+    out = tmp_path / "b.json"
+    res = runner.invoke(cli, ["budget", "--config", str(p), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "unknown field 'species.label'" in res.output
+    assert not out.exists()
+
+
+def test_lineshape_fit_failure_exits_3(runner, tmp_path, monkeypatch):
+    import dataclasses
+
+    import qrotor._varpro
+
+    solve = qrotor._varpro.varpro
+    monkeypatch.setattr(qrotor._varpro, "varpro",
+                        lambda *a, **k: dataclasses.replace(solve(*a, **k), success=False))
+    p = write_config(tmp_path, "ls.json", fast_lineshape_config())
+    out = tmp_path / "c.csv"
+    res = runner.invoke(cli, ["lineshape", "--config", str(p), "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert "lineshape fit did not converge" in res.output
     assert not out.exists()
 
 
@@ -399,7 +432,7 @@ def test_one_ring_calibration_exits_2_naming_the_field(runner, tmp_path, config_
 def test_tiny_omega_r_gives_the_same_lineshape_in_its_units(runner, tmp_path, config_dir,
                                                             omega_r):
     # down to the fit's float limit (6.1e-77) the run is the Omega_R = 1 run,
-    # rescaled; the saturated calibration pins scale_s to ~5 digits
+    # rescaled; the saturated calibration pins scale_s to ~1e-8 relative
     assert _fig4_fit_in_units(runner, tmp_path, config_dir, omega_r) == pytest.approx(
         _fig4_fit_in_units(runner, tmp_path, config_dir, 1.0), rel=1e-4)
 
@@ -414,6 +447,30 @@ def test_lineshape_pair_is_written_together_or_not_at_all(runner, tmp_path, conf
     assert "cannot write the output" in res.output
     # no CSV, and no staged file left behind
     assert sorted(q.name for q in tmp_path.iterdir()) == ["fig4.json", "ls.csv.fit.json"]
+
+
+@pytest.mark.parametrize("command, config, suffixes", [
+    ("lineshape", "fig4_lineshape.json", ("", ".fit.json")),
+    ("budget", "budget.json", ("",)),
+], ids=["lineshape", "budget"])
+def test_each_artifact_is_staged_once(runner, tmp_path, config_dir, monkeypatch,
+                                      command, config, suffixes):
+    cfg = json.loads((config_dir / config).read_text())
+    if command == "lineshape":
+        cfg["lineshape"].update(j_max=12)
+    p = write_config(tmp_path, config, cfg)
+    moves, move = [], os.replace
+
+    def spy(src, dst):
+        moves.append((src, dst))
+        move(src, dst)
+
+    monkeypatch.setattr(os, "replace", spy)
+    out = tmp_path / "artifact"
+    res = runner.invoke(cli, [command, "--config", str(p), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    paths = [f"{out}{suffix}" for suffix in suffixes]
+    assert moves == [(f"{path}.{os.getpid()}.tmp", path) for path in paths]
 
 
 def test_failed_write_keeps_the_old_artifact(runner, tmp_path, config_dir, monkeypatch):
