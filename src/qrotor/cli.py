@@ -83,7 +83,7 @@ def _common_options(fn):
     fn = click.option("--format", "fmt", default=None,
                       type=click.Choice(["csv", "json"]),
                       help="Output format (overrides config).")(fn)
-    fn = click.option("--parallel", default=None, type=int,
+    fn = click.option("--parallel", default=None, type=click.IntRange(min=1),
                       help="Worker count for grid sweeps (default from config).")(fn)
     return fn
 

@@ -3,26 +3,28 @@
 The trap potential separates near a ring minimum into an axial harmonic well
 and a radial profile V_l(r), both read from the ring's `TrapGeometry`; the
 azimuthal motion contributes a rigid-rotor tower m^2 C(r) with
-C(r) = hbar^2 / (2 M r^2).  Both 1-D problems
-are solved in a Colbert-Miller sinc discrete-variable representation (DVR) on
-a uniform grid (D. T. Colbert and W. H. Miller, J. Chem. Phys. 96, 1982
-(1992)).  The radial equation (cylindrical Laplacian) is symmetrised with
-psi = chi / sqrt(r), which maps it onto a 1-D problem with effective potential
+C(r) = hbar^2 / (2 M r^2).  The axial well kappa_z (z - z_j)^2 / 2 is exactly
+harmonic: its levels are hbar omega_z (n + 1/2) and its eigenfunctions are
+Hermite functions.  Only the radial profile is solved numerically, in a
+Colbert-Miller sinc discrete-variable representation (DVR) on a uniform grid
+(D. T. Colbert and W. H. Miller, J. Chem. Phys. 96, 1982 (1992)).  The radial
+equation (cylindrical Laplacian) is symmetrised with psi = chi / sqrt(r),
+which maps it onto a 1-D problem with effective potential
 V_l(r) + (m^2 - 1/4) hbar^2 / (2 M r^2).
 
-The wells are smooth and each box spans 7-8 oscillator lengths either side,
-so the DVR eigenvalues converge exponentially in the basis size: on the fig2
+The well is smooth and the box spans 8 oscillator lengths either side, so
+the DVR eigenvalues converge exponentially in the basis size: on the fig2
 trap 42 points put every level within 3e-10 of a rotor gap of its 128-point
 value, which is the rounding floor of energies ~1e5 gaps deep.  Each solve is
 repeated in a basis of 3n/2 points, and the largest difference of the two in
 units of the ring's rotor constant C(r_l) is the convergence diagnostic: the
 levels are that deep, so a drift relative to the level energy would hide
-errors of a whole rotor gap.  Both bases are solved for eigenvalues only; the
-eigenfunctions of the larger basis are computed on request.
+errors of a whole rotor gap.  Both bases are solved for eigenvalues only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -37,12 +39,15 @@ from .units import HBAR, K_B, AtomSpecies
 # units of the rotor constant C(r_l), beyond which the basis is declared
 # unconverged.
 _CONVERGENCE_LIMIT = 1e-3
-# Default sinc-DVR basis size of both 1-D solves.  Its 3n/2 = 63-point check
-# stays below the 72 points at which OpenBLAS (0.3.31) hands eigvalsh's
-# tridiagonal reduction to a second thread (2-core machine: 0.15 ms per
-# 72-point solve on two cores, and in one run 2.8 ms, against 0.12 ms on one
-# core at 63 points).
+# Default sinc-DVR basis size of the radial solve, and the default number of
+# axial wavefunction samples.  Its 3n/2 = 63-point check stays below the 72
+# points at which OpenBLAS (0.3.31) hands eigvalsh's tridiagonal reduction to
+# a second thread (2-core machine: 0.15 ms per 72-point solve on two cores,
+# and in one run 2.8 ms, against 0.12 ms on one core at 63 points).
 _BASIS_POINTS = 42
+# Highest axial level a spectrum lists: the +/- 7 b_z sampling box of the axial
+# wavefunctions holds the turning point sqrt(2 n + 1) b_z of every n <= 23.
+_N_Z_MAX = 23
 
 
 @dataclass(frozen=True)
@@ -76,9 +81,9 @@ class BoundStates:
     ``wavefunctions[:, n]`` is state n sampled on ``grid``, normalised so that
     the trapezoid integral of |psi|^2 against ``measure`` equals one
     (measure = 1 for axial dz, measure = r for the radial r dr weight).
-    The spectrum needs only the energies, so the eigenvectors are computed on
-    first access to ``wavefunctions``, from the 3n/2-point DVR Hamiltonian
-    whose grid is ``grid``.
+    The spectrum needs only the energies, so the wavefunctions are computed
+    on first access: the axial ones are Hermite functions, the radial ones
+    the eigenvectors of the 3n/2-point DVR Hamiltonian whose grid is ``grid``.
     """
 
     energies: np.ndarray
@@ -104,6 +109,8 @@ class SpectrumLimits:
         for name in ("n_z_max", "n_r_max", "m_ell_max"):
             if getattr(self, name) < 0:
                 raise InvalidInputError(f"{name} must be non-negative")
+        if self.n_z_max > _N_Z_MAX:
+            raise InvalidInputError(f"n_z_max must be at most {_N_Z_MAX}")
         if self.ratio_threshold <= 0:
             raise InvalidInputError("ratio_threshold must be positive")
 
@@ -165,27 +172,29 @@ def solve_axial(
     n_z_max: int,
     grid_points: int = _BASIS_POINTS,
 ) -> BoundStates:
-    """Axial levels of the harmonic standing-wave well at ring j.
+    """Axial levels hbar omega_z (n + 1/2), n = 0..n_z_max, of the well at ring j.
 
-    Solves -(hbar^2/2M) d^2/dz^2 + kappa_z (z - z_j)^2 / 2 on a symmetric box
-    of +/- 7 b_z around z_j in a DVR basis of ``grid_points`` points; returns
-    the lowest n_z_max + 1 levels in ascending order.  Only eigenvalues are
-    computed here; see ``BoundStates.wavefunctions``.
+    The well kappa_z (z - z_j)^2 / 2 is exactly harmonic, so ``drift`` is 0.
+    The wavefunctions are the Hermite functions H_n(x) exp(-x^2/2) /
+    sqrt(2^n n! sqrt(pi) b_z), x = (z - z_j) / b_z, on ``grid_points``
+    uniform points over z_j +/- 7 b_z (see `_N_Z_MAX`).
     """
     if n_z_max < 0:
         raise InvalidInputError("n_z_max must be non-negative")
     geo = ring_minima(beam, species, [j])[0]
+    energies = HBAR * geo.omega_z * (np.arange(n_z_max + 1) + 0.5)
+    grid = np.linspace(geo.z_j - 7.0 * geo.b_z, geo.z_j + 7.0 * geo.b_z, grid_points)
 
-    def well(z):
-        return 0.5 * geo.kappa_z * (z - geo.z_j) ** 2
+    def vectors():
+        from numpy.polynomial.hermite import hermval  # ~3 ms of import that no CLI run needs
 
-    # at +/- 6 b_z the box raised the n = 3 level by 3e-11 of itself, ~1e-5 rotor gaps
-    half = 7.0 * geo.b_z
-    energies, grid, vectors, drift = _solve_dvr(
-        well, geo.z_j - half, geo.z_j + half, grid_points, species.mass, n_z_max + 1,
-        rotational_constant(geo.r_l, species),
-    )
-    return BoundStates(energies, grid, np.ones_like(grid), drift, vectors)
+        x = (grid - geo.z_j) / geo.b_z
+        norm = [math.exp(-0.5 * (n * math.log(2.0) + math.lgamma(n + 1)))
+                for n in range(n_z_max + 1)]
+        psi = hermval(x, np.diag(norm)) * np.exp(-0.5 * x**2)
+        return psi.T / np.sqrt(np.sqrt(np.pi) * geo.b_z)
+
+    return BoundStates(energies, grid, np.ones_like(grid), 0.0, vectors)
 
 
 def solve_radial(
@@ -195,32 +204,21 @@ def solve_radial(
     m_ell: int,
     n_r_max: int,
     grid_points: int = _BASIS_POINTS,
-    radial_profile: str = "full",
 ) -> BoundStates:
     """Radial levels eps_r(n_r, m_ell) of the ring profile plus centrifugal term.
 
-    ``radial_profile`` selects the full ring profile V_l(r) or its harmonic
-    expansion about r_l (the oracle used to validate the grid machinery).
     The box spans +/- 8 b_r around r_l in a DVR basis of ``grid_points``
-    points.
-    Eigenfunctions are returned as psi(r) = chi(r)/sqrt(r), orthonormal under
-    the cylindrical measure r dr; like the axial ones they are computed only
-    when ``wavefunctions`` is first read.
+    points.  Eigenfunctions are returned as psi(r) = chi(r)/sqrt(r),
+    orthonormal under the cylindrical measure r dr, and computed only when
+    ``wavefunctions`` is first read.
     """
     if n_r_max < 0:
         raise InvalidInputError("n_r_max must be non-negative")
     geo = ring_minima(beam, species, [j])[0]
-    if radial_profile == "full":
-        v_profile = lambda r: optical_potential(beam, r, geo.z_j)
-    elif radial_profile == "harmonic":
-        v_profile = lambda r: geo.depth_at_ring + 0.5 * geo.kappa_r * (r - geo.r_l) ** 2
-    else:
-        raise InvalidInputError("radial_profile must be 'full' or 'harmonic'")
-
     coeff = (m_ell**2 - 0.25) * HBAR**2 / (2.0 * species.mass)
 
     def v_eff(r):
-        return v_profile(r) + coeff / r**2
+        return optical_potential(beam, r, geo.z_j) + coeff / r**2
 
     lo = max(geo.r_l - 8.0 * geo.b_r, 1e-4 * geo.r_l)
     hi = geo.r_l + 8.0 * geo.b_r

@@ -36,15 +36,12 @@ class AtomSpecies:
     F_ground : float
         Hyperfine quantum number of the lower ground manifold
         (half-integer: 0.5, 1.0, 1.5, ...).
-    label : str
-        Human-readable species tag.
     """
 
     mass: float
     g_factor: float
     hyperfine_splitting: float
     F_ground: float
-    label: str = ""
 
     def __post_init__(self):
         if self.mass <= 0:
@@ -61,7 +58,6 @@ LI6 = AtomSpecies(
     g_factor=2.0 / 3.0,
     hyperfine_splitting=1.43e9,
     F_ground=0.5,
-    label="6Li",
 )
 
 SPECIES = {"6Li": LI6}

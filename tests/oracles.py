@@ -6,6 +6,13 @@
 - `adiabatic_eliminate` reduces the five-level ladder in two perturbative
   steps; its cos(w_ps t) amplitude checks the coupling chain of
   `qrotor.raman.effective_coupling` (cos amplitude = 2 V).
+- `axial_dvr` runs the package's sinc-DVR kernel on the exactly harmonic
+  axial well; it checks that kernel, and the closed-form
+  `qrotor.spectrum.solve_axial` levels and Hermite functions, against each
+  other (acceptance criterion 2).
+- `harmonic_ring_profile` stands in for `qrotor.optics.optical_potential`
+  with the ring's harmonic expansion, so that `solve_radial` can be run on a
+  profile whose gaps are known (acceptance criterion 2).
 """
 
 import math
@@ -14,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from qrotor.fivelevel import FiveLevelModel
-from qrotor.units import HBAR, MU_B
+from qrotor.optics import ring_minima
+from qrotor.spectrum import _solve_dvr, rotational_constant
+from qrotor.units import HBAR, LI6, MU_B
 
 # |v_b|, |v_e| beyond this make the perturbative elimination meaningless.
 PERTURBATIVE_LIMIT = 0.3
@@ -127,3 +136,33 @@ def adiabatic_eliminate(cfg, species, omega_2L0: float) -> EliminationResult:
         v_e=float(v_e),
         omega_ps=cfg.omega_ps,
     )
+
+
+def axial_dvr(beam, species, j: int, n_z_max: int, grid_points: int = 42):
+    """Sinc-DVR solve of the axial well kappa_z (z - z_j)^2 / 2 at ring j.
+
+    Runs `qrotor.spectrum._solve_dvr` on z_j +/- 7 b_z in a basis of
+    ``grid_points`` points checked against 3n/2, and returns its
+    ``(energies, grid, vectors, drift)``: the lowest n_z_max + 1 levels, the
+    3n/2-point grid, the eigenvectors on it (normalised against dz) and the
+    drift between the two bases in units of C(r_l).
+    """
+    geo = ring_minima(beam, species, [j])[0]
+    half = 7.0 * geo.b_z
+    return _solve_dvr(
+        lambda z: 0.5 * geo.kappa_z * (z - geo.z_j) ** 2,
+        geo.z_j - half, geo.z_j + half, grid_points, species.mass, n_z_max + 1,
+        rotational_constant(geo.r_l, species),
+    )
+
+
+def harmonic_ring_profile(beam, r, z):
+    """Stand-in for `qrotor.optics.optical_potential`: depth_at_ring + kappa_r (r - r_l)^2 / 2.
+
+    The expansion is about the ring whose antinode z_j is ``z``, with the
+    geometry `ring_minima` reports for it (depth and curvature do not depend
+    on the species).
+    """
+    j = round((float(z) - beam.phase_z0) * beam.wavenumber / math.pi)
+    geo = ring_minima(beam, LI6, [j])[0]
+    return geo.depth_at_ring + 0.5 * geo.kappa_r * (np.asarray(r) - geo.r_l) ** 2

@@ -7,6 +7,7 @@ verdict lines.
 import numpy as np
 from click.testing import CliRunner
 
+import qrotor.spectrum
 from qrotor.cli import cli
 from qrotor.fivelevel import FiveLevelModel, evolve_populations, oscillation_frequency, tuned_model
 from qrotor.optics import ring_minima
@@ -29,7 +30,7 @@ from qrotor.sensor import (
 from qrotor.spectrum import SpectrumLimits, assemble_spectrum, rotational_constant, solve_axial, solve_radial
 from qrotor.units import HBAR, K_B, LI6
 
-from oracles import evolve_rwa
+from oracles import axial_dvr, evolve_rwa, harmonic_ring_profile
 from test_fivelevel import build_cfg
 from qrotor.raman import effective_coupling
 
@@ -53,7 +54,7 @@ def test_criterion_1_ring_geometry(fig_beam, li6):
     _verdict(1, "ring radius", checks)
 
 
-def test_criterion_2_trap_scales(fig_beam, li6):
+def test_criterion_2_trap_scales(fig_beam, li6, monkeypatch):
     geo = ring_minima(fig_beam, li6, [0])[0]
     c_rl = rotational_constant(geo.r_l, li6)
     omega_r = geo.omega_r
@@ -74,10 +75,11 @@ def test_criterion_2_trap_scales(fig_beam, li6):
         (f"radial gap vs harmonic {gap_r / (HBAR * omega_r) - 1:+.2e}",
          _within(gap_r, HBAR * omega_r, 5e-2)),
     ]
-    # harmonic oracle: the same machinery on the pure quadratic profiles
+    # harmonic oracle: the DVR machinery on the pure quadratic profiles
     exact = HBAR * geo.omega_z * (np.arange(2) + 0.5)
-    oracle_ax = np.max(np.abs(ax.energies / exact - 1.0))
-    harm = solve_radial(fig_beam, li6, 0, 0, 1, radial_profile="harmonic")
+    oracle_ax = np.max(np.abs(axial_dvr(fig_beam, li6, 0, 1)[0] / exact - 1.0))
+    monkeypatch.setattr(qrotor.spectrum, "optical_potential", harmonic_ring_profile)
+    harm = solve_radial(fig_beam, li6, 0, 0, 1)
     oracle_rad = abs((harm.energies[1] - harm.energies[0]) / (HBAR * omega_r) - 1.0)
     checks += [
         (f"axial harmonic oracle {oracle_ax:.1e}", oracle_ax < 1e-6),

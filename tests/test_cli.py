@@ -190,6 +190,18 @@ def test_spectrum_byte_identical_across_workers(runner, tmp_path):
     assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_parallel_below_one_exits_2_naming_it(runner, tmp_path, workers):
+    # the config's parallelism is refused below 1 too
+    p = write_config(tmp_path, "ls.json", fast_lineshape_config())
+    out = tmp_path / "curve.csv"
+    res = runner.invoke(cli, ["lineshape", "--config", str(p), "--out", str(out),
+                              "--parallel", workers])
+    assert res.exit_code == 2
+    assert "--parallel" in res.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("shift", [
     {"model": "quadratic", "scale_s": 0.004},
     {"model": "quadratic", "calibrate_delta_max_over_OmegaR": -0.3},
@@ -331,6 +343,10 @@ _UNREAD_IDS = ["-".join([shift["model"], *(k for k in shift if k != "model")])
     pytest.param("budget", "beam", "trap_depth_J", 1e-30, id="beam-trap_depth_J"),
     pytest.param("rotation-scan", "rotation_scan", "Omega_values", [0.0, 1.0],
                  id="rotation_scan-Omega_values"),
+    # the +/- 7 b_z axial sampling box holds n_z <= 23; a huge n_z_max would
+    # build its level table until memory ran out
+    pytest.param("spectrum", "spectrum", "n_z_max", 24, id="spectrum-n_z_max-24"),
+    pytest.param("spectrum", "spectrum", "n_z_max", 10**9, id="spectrum-n_z_max-1e9"),
 ])
 def test_bad_field_exits_2_naming_it(runner, tmp_path, command, section, key, value):
     cfg = copy.deepcopy(MINIMAL)

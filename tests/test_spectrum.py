@@ -14,6 +14,8 @@ from qrotor.spectrum import (
 )
 from qrotor.units import HBAR, K_B
 
+from oracles import axial_dvr, harmonic_ring_profile
+
 
 R_L = 15.811388300841896e-6  # w0 sqrt(l/2) for w0 = 10 um, l = 5
 
@@ -43,30 +45,43 @@ def test_axial_levels_match_harmonic_oracle(fig_beam, li6):
 
 @pytest.mark.parametrize("j", [0, 3, -120])
 def test_axial_dvr_matches_harmonic_oracle_to_1e10(fig_beam, li6, j):
-    # the axial well is exactly harmonic, so the DVR levels are hbar w_z (n + 1/2)
-    geo = ring_minima(fig_beam, li6, [j])[0]
-    states = solve_axial(fig_beam, li6, j, 5)
-    exact = HBAR * geo.omega_z * (np.arange(6) + 0.5)
-    assert np.max(np.abs(states.energies / exact - 1.0)) <= 1e-10
+    # the axial well is exactly harmonic, so the DVR levels are the closed
+    # form hbar w_z (n + 1/2) that solve_axial returns
+    energies = axial_dvr(fig_beam, li6, j, 5)[0]
+    exact = solve_axial(fig_beam, li6, j, 5).energies
+    assert np.max(np.abs(energies / exact - 1.0)) <= 1e-10
 
 
 def test_axial_energies_converge_with_basis_size(fig_beam, li6):
     # the drift of an n-point solve is its difference from the 3n/2-point
     # solve, in units of the ring's rotor constant C(r_l)
-    coarse = solve_axial(fig_beam, li6, 0, 3, grid_points=42)
-    fine = solve_axial(fig_beam, li6, 0, 3, grid_points=63)
-    assert np.max(np.abs(coarse.energies / fine.energies - 1.0)) <= 1e-10
+    coarse, _, _, drift = axial_dvr(fig_beam, li6, 0, 3, grid_points=42)
+    fine = axial_dvr(fig_beam, li6, 0, 3, grid_points=63)[0]
+    assert np.max(np.abs(coarse / fine - 1.0)) <= 1e-10
     c_rl = rotational_constant(ring_minima(fig_beam, li6, [0])[0].r_l, li6)
-    diff = np.max(np.abs(coarse.energies - fine.energies)) / c_rl
-    assert coarse.drift == diff
+    diff = np.max(np.abs(coarse - fine)) / c_rl
+    assert drift == diff
     # the rounding floor of levels ~1e5 C(r_l) deep
-    assert coarse.drift <= 1e-8
+    assert drift <= 1e-8
 
 
 def test_axial_convergence_error_on_absurd_grid(fig_beam, li6):
     with pytest.raises(ConvergenceError) as err:
-        solve_axial(fig_beam, li6, 0, 3, grid_points=10)
+        axial_dvr(fig_beam, li6, 0, 3, grid_points=10)
     assert "grid_points" in err.value.diagnostics
+
+
+@pytest.mark.parametrize("j", [0, 3, -120])
+def test_axial_wavefunctions_match_dvr_eigenvectors(fig_beam, li6, j):
+    # the DVR's 63-point grid is the interior of a 65-point grid over the same
+    # +/- 7 b_z box, which is where solve_axial samples its Hermite functions
+    _, grid, vectors, _ = axial_dvr(fig_beam, li6, j, 5)
+    states = solve_axial(fig_beam, li6, j, 5, grid_points=65)
+    assert np.array_equal(states.grid[1:-1], grid)
+    hermite, dvr = states.wavefunctions[1:-1], vectors()
+    dvr = dvr * np.sign(np.sum(hermite * dvr, axis=0))
+    b_z = ring_minima(fig_beam, li6, [j])[0].b_z
+    assert np.max(np.abs(hermite - dvr)) * np.sqrt(b_z) <= 1e-6
 
 
 @pytest.mark.parametrize("m", [0, 5, 10])
@@ -107,15 +122,16 @@ def test_radial_solver_symmetric_in_m_sign(fig_beam, li6):
     assert np.allclose(plus.energies, minus.energies, rtol=1e-14)
 
 
-def test_harmonic_radial_profile_oracle(fig_beam, li6):
+def test_harmonic_radial_profile_oracle(fig_beam, li6, monkeypatch):
     # harmonic profile plus centrifugal: gaps n hbar w_r + m^2 C to first order
     omega_r = ring_minima(fig_beam, li6, [0])[0].omega_r
     c = rotational_constant(R_L, li6)
-    base = solve_radial(fig_beam, li6, 0, 0, 2, radial_profile="harmonic")
+    monkeypatch.setattr(qrotor.spectrum, "optical_potential", harmonic_ring_profile)
+    base = solve_radial(fig_beam, li6, 0, 0, 2)
     for n in (1, 2):
         gap = base.energies[n] - base.energies[0]
         assert gap == pytest.approx(n * HBAR * omega_r, rel=1e-3)
-    m5 = solve_radial(fig_beam, li6, 0, 5, 0, radial_profile="harmonic")
+    m5 = solve_radial(fig_beam, li6, 0, 5, 0)
     assert m5.energies[0] - base.energies[0] == pytest.approx(25 * c, rel=1e-3)
 
 
@@ -208,5 +224,8 @@ def test_spectrum_never_requests_eigenvectors(fig_beam, li6, monkeypatch):
             calls.append(_name)
             return _original(*args, **kwargs)
         monkeypatch.setattr(linalg, name, recording)
+    solve_axial(fig_beam, li6, 0, 3)
+    assert calls == []   # the axial levels are closed-form
     assemble_spectrum(fig_beam, li6, SpectrumLimits(n_z_max=1, n_r_max=1, m_ell_max=3))
-    assert calls and set(calls) == {"eigvalsh"}
+    # two eigenvalue solves (n and 3n/2 points) per radial solve, m_ell = 0..3
+    assert calls == ["eigvalsh"] * 2 * (3 + 1)
