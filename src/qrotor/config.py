@@ -4,12 +4,18 @@ Configurations are JSON files with one section per module, each read against
 one table of ``{key: (type, default)}``: unknown keys and values of the wrong
 type are errors naming ``section.key``, absent keys take the table's default.
 Only ``species`` and ``beam`` are mandatory; several defaults derive from the
-trap geometry (e.g. the rotational frequency from the ring radius).  Every
-section is validated against the module invariants before any computation.
+trap geometry (e.g. the rotational frequency from the ring radius).
+
+`parse_config` reads every section against its table, so a misspelled key
+fails every run.  It builds the trap (``species``, ``beam``), ``output`` and
+``parallelism`` at once.  Each optional section is checked against its
+module's invariants and built the first time it is read, so a run fails only
+on the sections its subcommand reads.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -76,6 +82,8 @@ _TILT = {  # the fields of TiltJob
     "angular_velocity_Omega": (_VECTOR, (0.0, 0.0, 0.0)),
 }
 _OUTPUT = {"path": (str, ""), "format": (str, "csv")}
+_OPTIONAL = {"spectrum": _SPECTRUM, "lineshape": _LINESHAPE, "sensor": _SENSOR,
+             "rotation_scan": _ROTATION_SCAN, "tilt": _TILT}
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
                str: "a string", dict: "an object", _VECTOR: "a list of 3 finite numbers"}
@@ -112,16 +120,34 @@ class TiltJob:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every key and type checked, the trap built; each optional section built on first read."""
+
     species: AtomSpecies
     beam: BeamConfig
-    spectrum: SpectrumLimits
-    lineshape: LineshapeJob
-    sensor: SensorConfig
-    rotation_scan: RotationScanJob
-    tilt: TiltJob
     output_path: str
     output_format: str
     parallelism: int
+    sections: dict  # the optional sections as read, each omega_0 default filled in
+
+    @functools.cached_property
+    def spectrum(self) -> SpectrumLimits:
+        return _validated("spectrum", SpectrumLimits, **self.sections["spectrum"])
+
+    @functools.cached_property
+    def lineshape(self) -> LineshapeJob:
+        return _lineshape_from(**self.sections["lineshape"])
+
+    @functools.cached_property
+    def sensor(self) -> SensorConfig:
+        return _validated("sensor", SensorConfig, **self.sections["sensor"])
+
+    @functools.cached_property
+    def rotation_scan(self) -> RotationScanJob:
+        return _rotation_scan_from(self.sections["rotation_scan"])
+
+    @functools.cached_property
+    def tilt(self) -> TiltJob:
+        return TiltJob(**self.sections["tilt"])
 
 
 def _is_number(value) -> bool:
@@ -216,10 +242,9 @@ def _beam_from(sec: dict, species: AtomSpecies) -> tuple[BeamConfig, float]:
     return beam, omega0
 
 
-def _lineshape_from(ls: dict) -> LineshapeJob:
-    shift = _read(ls["shift_model"], "lineshape.shift_model.", _SHIFT_MODEL)
-    omega_r, model_name, scale_s = ls["Omega_R"], shift["model"], shift["scale_s"]
-    target = shift["calibrate_delta_max_over_OmegaR"]
+def _lineshape_from(shift_model: dict, **ls) -> LineshapeJob:
+    omega_r, model_name, scale_s = ls["Omega_R"], shift_model["model"], shift_model["scale_s"]
+    target = shift_model["calibrate_delta_max_over_OmegaR"]
     if omega_r <= 0:
         raise ConfigError("lineshape.Omega_R must be positive")
     if model_name not in SHIFT_MODELS:
@@ -227,7 +252,8 @@ def _lineshape_from(ls: dict) -> LineshapeJob:
             f"lineshape.shift_model.model '{model_name}' not one of {sorted(SHIFT_MODELS)}"
         )
     # only the quadratic model reads a scale, given or calibrated, never both
-    given = [k for k in ("scale_s", "calibrate_delta_max_over_OmegaR") if shift[k] is not None]
+    given = [k for k in ("scale_s", "calibrate_delta_max_over_OmegaR")
+             if shift_model[k] is not None]
     if given and model_name != "quadratic":
         raise ConfigError(f"lineshape.shift_model.{given[0]} applies to the quadratic model "
                           f"only, not to '{model_name}'")
@@ -270,13 +296,23 @@ def _lineshape_from(ls: dict) -> LineshapeJob:
             "lineshape.Omega_R times lineshape.grid_half_width_over_OmegaR is too large: "
             "the fit's (Omega_eff^2 + x^2)^2 overflows"
         )
-    del ls["shift_model"]
     return LineshapeJob(**dict(ls, tau=tau), shift_model_name=model_name,
                         shift_scale_s=scale_s, calibrate_delta_max_over_OmegaR=target)
 
 
+def _rotation_scan_from(scan: dict) -> RotationScanJob:
+    if scan["kick_oam_L"] < 1:
+        raise ConfigError("rotation_scan.kick_oam_L must be >= 1")
+    omega_0 = scan["omega_0"]
+    lo = -2.0 * omega_0 if scan["Omega_min"] is None else scan["Omega_min"]
+    hi = 2.0 * omega_0 if scan["Omega_max"] is None else scan["Omega_max"]
+    if scan["points"] < 2 or hi <= lo:
+        raise ConfigError("rotation_scan needs points >= 2 and Omega_max > Omega_min")
+    return RotationScanJob(omega_0, scan["kick_oam_L"], tuple(np.linspace(lo, hi, scan["points"])))
+
+
 def parse_config(path) -> RunConfig:
-    """Load, validate, and resolve a JSON run configuration."""
+    """Load a JSON run configuration, check every key and type, and build the trap."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as err:  # unreadable, not UTF-8, or not JSON
@@ -284,43 +320,17 @@ def parse_config(path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     root = _read(raw, "", _ROOT)
-
-    def section(name: str, table: dict) -> dict:
-        return _read(root[name], name + ".", table)
-
     species = _species_from(root["species"])
-    beam, omega0_default = _validated("beam", _beam_from, section("beam", _BEAM), species)
-    limits = _validated("spectrum", SpectrumLimits, **section("spectrum", _SPECTRUM))
-    lineshape = _lineshape_from(section("lineshape", _LINESHAPE))
-    sensor = section("sensor", _SENSOR)
-    if sensor["omega_0"] is None:
-        sensor["omega_0"] = omega0_default
-    sensor = _validated("sensor", SensorConfig, **sensor)
-
-    scan = section("rotation_scan", _ROTATION_SCAN)
-    if scan["kick_oam_L"] < 1:
-        raise ConfigError("rotation_scan.kick_oam_L must be >= 1")
-    omega0_scan = omega0_default if scan["omega_0"] is None else scan["omega_0"]
-    lo = -2.0 * omega0_scan if scan["Omega_min"] is None else scan["Omega_min"]
-    hi = 2.0 * omega0_scan if scan["Omega_max"] is None else scan["Omega_max"]
-    if scan["points"] < 2 or hi <= lo:
-        raise ConfigError("rotation_scan needs points >= 2 and Omega_max > Omega_min")
-    omegas = tuple(np.linspace(lo, hi, scan["points"]))
-
-    out = section("output", _OUTPUT)
+    beam, omega_0 = _validated("beam", _beam_from, _read(root["beam"], "beam.", _BEAM), species)
+    sections = {name: _read(root[name], name + ".", table) for name, table in _OPTIONAL.items()}
+    ls = sections["lineshape"]
+    ls["shift_model"] = _read(ls["shift_model"], "lineshape.shift_model.", _SHIFT_MODEL)
+    for name in ("sensor", "rotation_scan"):  # both default to ring 0's rotor frequency
+        if sections[name]["omega_0"] is None:
+            sections[name]["omega_0"] = omega_0
+    out = _read(root["output"], "output.", _OUTPUT)
     if out["format"] not in ("csv", "json"):
         raise ConfigError("output.format must be 'csv' or 'json'")
     if root["parallelism"] < 1:
         raise ConfigError("parallelism must be a positive integer")
-    return RunConfig(
-        species=species,
-        beam=beam,
-        spectrum=limits,
-        lineshape=lineshape,
-        sensor=sensor,
-        rotation_scan=RotationScanJob(omega0_scan, scan["kick_oam_L"], omegas),
-        tilt=TiltJob(**section("tilt", _TILT)),
-        output_path=out["path"],
-        output_format=out["format"],
-        parallelism=root["parallelism"],
-    )
+    return RunConfig(species, beam, out["path"], out["format"], root["parallelism"], sections)

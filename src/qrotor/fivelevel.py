@@ -92,11 +92,11 @@ class FiveLevelModel:
         return h
 
 
-def raman_resonance(model: FiveLevelModel, iterations: int = 4) -> float:
+def raman_resonance(model: FiveLevelModel) -> float:
     """Drive frequency matching the dressed |0> -> |1> splitting.
 
     Diagonalises the static Hamiltonian (pump and kick dressing included
-    exactly), then iterates the Stokes-tone differential light shift
+    exactly), then iterates, four times, the Stokes-tone differential light shift
     w_s^2 [1/(E2'-E0'-w) - 1/(E3'-E1'-w)], which is first order in the drive
     intensity and does not cancel between the two legs because the kick-pulse
     Stark shifts detune them differently.
@@ -106,7 +106,7 @@ def raman_resonance(model: FiveLevelModel, iterations: int = 4) -> float:
     e0, e1, e2, e3 = (vals[idx[i]] for i in range(4))
     _, w_s = model.magnetic_couplings
     omega = (e1 - e0) / HBAR
-    for _ in range(iterations):
+    for _ in range(4):
         d02 = e2 - e0 - HBAR * omega
         d13 = e3 - e1 - HBAR * omega
         omega = (e1 - e0) / HBAR + w_s**2 * (1.0 / d02 - 1.0 / d13) / HBAR

@@ -427,7 +427,6 @@ def calibrate_quadratic_scale(
     tau: float,
     j_max: int,
     target_delta_max: float,
-    s_max: float | None = None,
 ) -> CalibrationResult:
     """Choose the quadratic shift scale that places the lineshape peak.
 
@@ -477,9 +476,8 @@ def calibrate_quadratic_scale(
             "a one-ring stack (j_max = 0) has no scale to calibrate: its peak does not "
             "move with s"
         )
-    if s_max is None:
-        # peak saturation happens near s j_max^2 ~ 2 Omega_R
-        s_max = 3.0 * omega_r / max(j_max, 1) ** 2
+    # peak saturation happens near s j_max^2 ~ 2 Omega_R
+    s_max = 3.0 * omega_r / j_max**2
     j2 = ring_shifts("quadratic", j_max, 1.0)
 
     @functools.cache

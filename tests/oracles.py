@@ -13,6 +13,10 @@
 - `harmonic_ring_profile` stands in for `qrotor.optics.optical_potential`
   with the ring's harmonic expansion, so that `solve_radial` can be run on a
   profile whose gaps are known (acceptance criterion 2).
+- `axial_frequency` takes the axial frequency from a finite difference of
+  `qrotor.optics.optical_potential`, not from the closed-form curvature that
+  `qrotor.spectrum.solve_axial` reads; it checks the axial gaps (acceptance
+  criterion 2).
 """
 
 import math
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qrotor.fivelevel import FiveLevelModel
-from qrotor.optics import ring_minima
+from qrotor.optics import optical_potential, ring_minima
 from qrotor.spectrum import _solve_dvr, rotational_constant
 from qrotor.units import HBAR, LI6, MU_B
 
@@ -166,3 +170,14 @@ def harmonic_ring_profile(beam, r, z):
     j = round((float(z) - beam.phase_z0) * beam.wavenumber / math.pi)
     geo = ring_minima(beam, LI6, [j])[0]
     return geo.depth_at_ring + 0.5 * geo.kappa_r * (np.asarray(r) - geo.r_l) ** 2
+
+
+def axial_frequency(beam, species, j: int) -> float:
+    """sqrt(kappa / M), kappa the central second difference of `optical_potential` along z.
+
+    The difference is taken at (r_l, z_j) of ring j with a step of 1e-3 b_z.
+    """
+    geo = ring_minima(beam, species, [j])[0]
+    step = 1e-3 * geo.b_z
+    v = optical_potential(beam, geo.r_l, geo.z_j + step * np.array([-1.0, 0.0, 1.0]))
+    return math.sqrt((v[0] - 2.0 * v[1] + v[2]) / step**2 / species.mass)

@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import qrotor.cli
 from qrotor.cli import cli
 from qrotor.config import parse_config
 from qrotor.exceptions import ConfigError
@@ -221,7 +222,7 @@ def test_config_rejects_non_positive_pulse_duration(runner, tmp_path, tau):
     cfg["lineshape"]["tau"] = tau
     p = write_config(tmp_path, "ls.json", cfg)
     with pytest.raises(ConfigError, match="tau"):
-        parse_config(p)
+        parse_config(p).lineshape
     res = runner.invoke(cli, ["lineshape", "--config", str(p),
                               "--out", str(tmp_path / "c.csv")])
     assert res.exit_code == 2
@@ -310,7 +311,8 @@ _UNREAD_IDS = ["-".join([shift["model"], *(k for k in shift if k != "model")])
     ("budget", "sensor", "kick_oam_L", True),
     ("budget", "sensor", "ring_count_N", 161.0),
     ("budget", "beam", "unknown_key", 1),
-    ("budget", "spectrum", "m_ell_max", -1),
+    # a shift-model key is checked in every run, like every other key
+    ("budget", "lineshape", "shift_model", {"modle": "none"}),
     ("spectrum", "spectrum", "m_ell_max", -1),
     # values whose derived numbers overflow: each crashed with a traceback before
     ("budget", "beam", "wavelength", 1e-244),
@@ -353,10 +355,79 @@ def test_bad_field_exits_2_naming_it(runner, tmp_path, command, section, key, va
     (cfg.setdefault(section, {}) if section else cfg)[key] = value
     p = write_config(tmp_path, "bad.json", cfg)
     with pytest.raises(ConfigError, match=key):
-        parse_config(p)
+        run_config = parse_config(p)
+        if section:  # an optional section is checked when it is read
+            getattr(run_config, section)
     res = runner.invoke(cli, [command, "--config", str(p), "--out", str(tmp_path / "x.out")])
     assert res.exit_code == 2, res.output
     assert key in res.output
+
+
+REFERENCE = Path(__file__).resolve().parent / "reference"
+# a shipped config, its subcommand and artifact; a section that subcommand
+# does not read, broken; and the subcommand that reads it
+UNREAD_SECTIONS = [
+    ("spectrum", "fig2_spectrum.json", "fig2_spectrum.csv", "sensor", "Omega_R", -1, "budget"),
+    ("budget", "budget.json", "budget.json", "lineshape", "tau", 1e6, "lineshape"),
+    ("budget", "budget.json", "budget.json", "spectrum", "m_ell_max", -1, "spectrum"),
+    ("tilt", "tilt.json", "tilt.json", "spectrum", "m_ell_max", -1, "spectrum"),
+    ("tilt", "tilt.json", "tilt.json", "rotation_scan", "points", 1, "rotation-scan"),
+    ("rotation-scan", "fig5_rotation_scan.json", "fig5_rotation_scan.csv", "lineshape",
+     "Omega_R", 1e-200, "lineshape"),
+    ("lineshape", "fig4_lineshape.json", "fig4_lineshape.csv", "sensor", "ring_count_N", 2,
+     "budget"),
+]
+
+
+@pytest.mark.parametrize("command, config, artifact, section, key, value, reader",
+                         UNREAD_SECTIONS, ids=[f"{c[0]}-{c[3]}-{c[4]}-{c[5]}"
+                                               for c in UNREAD_SECTIONS])
+def test_unread_section_does_not_fail_the_run(runner, tmp_path, config_dir, command, config,
+                                              artifact, section, key, value, reader):
+    cfg = json.loads((config_dir / config).read_text())
+    cfg.setdefault(section, {})[key] = value
+    p = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    out.mkdir()
+    res = runner.invoke(cli, [command, "--config", str(p), "--out", str(out / artifact)])
+    assert res.exit_code == 0, res.output
+    for written in out.iterdir():   # the lineshape CSV comes with its .fit.json sidecar
+        assert written.read_bytes() == (REFERENCE / written.name).read_bytes(), written.name
+    res = runner.invoke(cli, [reader, "--config", str(p), "--out", str(tmp_path / "x.out")])
+    assert res.exit_code == 2, res.output
+    assert key in res.output
+    assert not (tmp_path / "x.out").exists()
+
+
+OPTIONAL_SECTIONS = ("spectrum", "lineshape", "sensor", "rotation_scan", "tilt")
+
+
+SECTIONS_READ = [   # each subcommand, its shipped config and the sections it reads
+    ("spectrum", "fig2_spectrum.json", {"spectrum"}),
+    ("lineshape", "fig4_lineshape.json", {"lineshape"}),
+    ("rotation-scan", "fig5_rotation_scan.json", {"rotation_scan"}),
+    ("budget", "budget.json", {"sensor"}),
+    ("tilt", "tilt.json", {"tilt"}),
+]
+
+
+@pytest.mark.parametrize("command, config, built", SECTIONS_READ,
+                         ids=[c[0] for c in SECTIONS_READ])
+def test_each_subcommand_builds_only_the_sections_it_reads(runner, tmp_path, config_dir,
+                                                          monkeypatch, command, config, built):
+    parsed = []
+
+    def keep(path):
+        parsed.append(parse_config(path))
+        return parsed[-1]
+
+    monkeypatch.setattr(qrotor.cli, "parse_config", keep)
+    res = runner.invoke(cli, [command, "--config", str(config_dir / config),
+                              "--out", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+    [run_config] = parsed
+    # a cached_property keeps what it built in the instance's __dict__
+    assert {name for name in OPTIONAL_SECTIONS if name in vars(run_config)} == built
 
 
 @pytest.mark.parametrize("shift, field", UNREAD_SHIFT_KEYS, ids=_UNREAD_IDS)
