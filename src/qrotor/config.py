@@ -303,11 +303,17 @@ def _lineshape_from(shift_model: dict, **ls) -> LineshapeJob:
 def _rotation_scan_from(scan: dict) -> RotationScanJob:
     if scan["kick_oam_L"] < 1:
         raise ConfigError("rotation_scan.kick_oam_L must be >= 1")
+    if scan["points"] < 2:
+        raise ConfigError(f"rotation_scan.points must be >= 2, got {scan['points']}")
     omega_0 = scan["omega_0"]
     lo = -2.0 * omega_0 if scan["Omega_min"] is None else scan["Omega_min"]
     hi = 2.0 * omega_0 if scan["Omega_max"] is None else scan["Omega_max"]
-    if scan["points"] < 2 or hi <= lo:
-        raise ConfigError("rotation_scan needs points >= 2 and Omega_max > Omega_min")
+    if hi <= lo:
+        hi_said, lo_said = (f"{value:.6g}" + ("" if scan[key] is not None else f" (default {rule})")
+                            for key, value, rule in (("Omega_max", hi, "2 omega_0"),
+                                                     ("Omega_min", lo, "-2 omega_0")))
+        raise ConfigError(f"rotation_scan.Omega_max = {hi_said} must exceed "
+                          f"rotation_scan.Omega_min = {lo_said}")
     return RotationScanJob(omega_0, scan["kick_oam_L"], tuple(np.linspace(lo, hi, scan["points"])))
 
 

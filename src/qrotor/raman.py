@@ -111,7 +111,7 @@ def transition_probability(delta, omega_r: float, tau: float):
     """Closed-form transfer probability into (|+2L> + |-2L>)/sqrt(2).
 
     P0 = Omega_R^2/(Omega_R^2 + delta^2) sin^2((tau/2) sqrt(Omega_R^2 + delta^2));
-    peaks at 1 on resonance when tau = pi / Omega_R.
+    peaks at 1 on resonance when tau = pi / Omega_R.  Evaluated by `_p0_terms`.
     """
     if omega_r < 0:
         raise InvalidInputError("omega_r must be non-negative")
@@ -119,44 +119,56 @@ def transition_probability(delta, omega_r: float, tau: float):
     if not omega_r**2 > 0.0:
         # no coupling (or one that squares to 0): P0 = 0, also where g^2 = 0
         return np.zeros_like(delta)
-    # Omega_R^2 / g^2 sin^2(tau g / 2) on two buffers made per call
-    g2 = np.square(delta, out=np.empty_like(delta))
-    g2 += omega_r**2
-    sin2 = np.sqrt(g2, out=np.empty_like(g2))
-    sin2 *= 0.5 * tau
-    np.sin(sin2, out=sin2)
-    np.square(sin2, out=sin2)
-    np.divide(omega_r**2, g2, out=g2)
-    g2 *= sin2
-    return g2
+    return _p0_terms(delta, omega_r, tau)[0]
 
 
-def _p0_slopes(delta, p0, omega_r: float, tau: float, order: int = 2) -> list:
-    """[dP0/d delta, d^2 P0/d delta^2][:order], the one home of P0's derivatives.
+def _p0_terms(x, omega_r: float, tau: float, order: int = 0, work=None) -> list:
+    """[P0, dP0/d delta, d^2 P0/d delta^2][:order + 1] at detunings x: the one home of P0.
 
-    ``p0`` is `transition_probability` at ``delta``.  With
-    g^2 = Omega_R^2 + delta^2, u = tau g / 2 and w = Omega_R^2 / g^2, so that
-    sin^2 u = P0 / w, take t1 = (tau / 2) sin 2u / g and
-    t2 = 2 sin^2 u / g^2 = 2 P0 / Omega_R^2:
+    With g^2 = Omega_R^2 + x^2, u = tau g / 2 and t = tan u, every term comes
+    from the one t: sin^2 u = t^2 / (1 + t^2), sin 2u = 2 t / (1 + t^2) and
+    cos 2u = 1 - 2 sin^2 u.  With w = Omega_R^2 / g^2, t1 = (tau / 2) sin 2u / g
+    and t2 = 2 sin^2 u / g^2:
 
-        dP0/d delta      = w delta (t1 - t2)
-        d^2 P0/d delta^2 = w (t1 - t2 + (delta^2 / g^2) (tau^2 cos 2u / 2 - 5 t1 + 4 t2)).
+        P0               = Omega_R^2 t^2 / (g^2 (1 + t^2))  (= w sin^2 u)
+        dP0/d delta      = w x (t1 - t2)
+        d^2 P0/d delta^2 = w (t1 - t2 + (x^2 / g^2) (tau^2 cos 2u / 2 - 5 t1 + 4 t2)).
 
-    Needs Omega_R > 0.  t1 and t2 agree to about u^2 for a short pulse, so
-    the slopes carry a relative rounding error of about eps / u^2.
+    numpy's float64 tan is SIMD on AVX-512 (within 0.6 ulp), its sin scalar
+    libm, several times slower; elsewhere both are libm.  A point's value does
+    not depend on the array it sits in.  Needs Omega_R > 0.  t1 and t2 agree
+    to about u^2 for a short pulse, so the slopes carry a relative rounding
+    error of about eps / u^2.
+
+    ``work``, three float arrays shaped like x, holds the intermediates (made
+    here when None); at order 0 P0 is returned in the second of them.
     """
-    x = np.asarray(delta, dtype=float)
-    g2 = omega_r**2 + x * x
-    g = np.sqrt(g2)
-    w = omega_r**2 / g2
-    t1 = (0.5 * tau) * np.sin(tau * g) / g
-    t2 = (2.0 / omega_r**2) * p0
-    slopes = [w * x * (t1 - t2)]
+    g2, t_sq, buf = (np.empty_like(x) for _ in range(3)) if work is None else work
+
+    def scratch(a):   # order 0 overwrites its intermediates; the slopes read them
+        return None if order else a
+
+    np.multiply(x, x, out=g2)
+    g2 += omega_r**2
+    t = np.sqrt(g2, out=t_sq)
+    t *= 0.5 * tau
+    t = np.tan(t, out=scratch(t))
+    np.square(t, out=t_sq)
+    one_t2 = np.add(t_sq, 1.0, out=buf)
+    p0 = np.multiply(t_sq, omega_r**2, out=scratch(t_sq))
+    p0 /= np.multiply(one_t2, g2, out=scratch(one_t2))
+    terms = [p0]
+    if order:
+        w = omega_r**2 / g2
+        sin2 = t_sq / one_t2
+        t1 = (tau / np.sqrt(g2)) * t / one_t2
+        t2 = (2.0 / g2) * sin2
+        terms.append(w * x * (t1 - t2))
     if order > 1:
-        cos_2u = 1.0 - g2 * t2
-        slopes.append(w * (t1 - t2 + (x * x / g2) * (0.5 * tau * tau * cos_2u - 5.0 * t1
-                                                        + 4.0 * t2)))
-    return slopes
+        cos_2u = 1.0 - 2.0 * sin2
+        terms.append(w * (t1 - t2 + (x * x / g2) * (0.5 * tau * tau * cos_2u - 5.0 * t1
+                                                    + 4.0 * t2)))
+    return terms
 
 
 def _falling_root(f, lo, hi, f_lo, f_hi, xtol: float):
@@ -212,8 +224,8 @@ def peak_fwhm(omega_r: float, tau: float | None = None) -> float:
     half = 0.5 * float(transition_probability(0.0, omega_r, tau))
 
     def excess(d):
-        p = transition_probability(d, omega_r, tau)
-        return p - half, _p0_slopes(d, p, omega_r, tau, 1)[0]
+        p, slope = _p0_terms(np.asarray(d, dtype=float), omega_r, tau, 1)
+        return p - half, slope
 
     lo, hi = 1e-9 * omega_r, 1.2 * omega_r
     root, _ = _falling_root(excess, lo, hi, excess(lo)[0], excess(hi)[0], 1e-14 * omega_r)
@@ -269,9 +281,13 @@ class Lineshape:
             raise InvalidInputError("probabilities must lie in [0, 1]")
 
 
-# Block sizes of the stack average: each temporary holds at most
-# 4096 grid points x 256 rings of float64, about 8 MB, whatever the inputs.
-_GRID_CHUNK = 4096
+# Blocks of the stack average: grid rows x up to _RING_CHUNK sorted shifts,
+# at most _BLOCK_CELLS cells, 512 KB per float64 work buffer, so each step of
+# the order-0 path (two or three buffers) stays within a 2 MiB L2 cache.  On
+# a 2000-ring, 1601-point curve (min of 7), 32K to 128K cells agree within the
+# noise at one and two workers; 8K cells take 1.2x as long on one worker and
+# 2.7x on two, where each block's Python steps hold the interpreter lock.
+_BLOCK_CELLS = 2**16
 _RING_CHUNK = 256
 
 
@@ -280,11 +296,10 @@ def stack_average(delta, omega_r: float, tau: float, ring_shifts) -> np.ndarray:
 
     Equal shifts are folded into (value, count) pairs first, so a symmetric
     profile such as s j^2 costs j_max + 1 rings instead of 2 j_max + 1, and an
-    unshifted stack costs one.  The weighted sum then runs over blocks of
-    grid points and of sorted shifts.  Each point's sum goes through the ring
-    blocks in the same fixed order, so memory stays bounded and a point's
-    value depends only on that point: splitting the grid across workers gives
-    bit-identical results.
+    unshifted stack costs one.  The weighted sum then runs over cache-sized
+    blocks of grid points and sorted shifts (`_folded_average`).  A point's
+    value depends only on that point, so splitting the grid across workers
+    gives bit-identical results.
     """
     return _folded_average(delta, omega_r, tau, *_fold(ring_shifts))[0]
 
@@ -302,20 +317,31 @@ def _folded_average(delta, omega_r: float, tau: float, shifts, counts, order: in
 
     Over shifts already folded by `_fold`: row k of the result, shaped
     ``(order + 1, *delta.shape)``, is the count-weighted mean of the k-th
-    derivative (`_p0_slopes`) of P0(delta + shift).
+    derivative (`_p0_terms`) of P0(delta + shift).  Each block holds the grid
+    rows that _BLOCK_CELLS allows against one block of _RING_CHUNK sorted
+    shifts.  Every point's sum goes through the ring blocks in the same fixed
+    order, whatever its grid block, so a point's value does not depend on the
+    rest of the grid.  The blocks are computed in contiguous views of four
+    buffers made once per call (not per module: `lineshape_from_rabi` runs
+    this function on threads), so memory stays at about 2 MB whatever the
+    inputs.
     """
     d = np.asarray(delta, dtype=float)
-    points = d.reshape(-1, 1)
-    total = np.zeros((order + 1, len(points)))
-    for g in range(0, len(points), _GRID_CHUNK):
-        rows = slice(g, g + _GRID_CHUNK)
+    points = d.reshape(-1)
+    width = min(shifts.size, _RING_CHUNK)
+    rows = max(_BLOCK_CELLS // width, 1)
+    buffers = np.empty((4, min(rows, points.size) * width))
+    total = np.zeros((order + 1, points.size))
+    for g in range(0, points.size, rows):
+        block = points[g:g + rows, None]
         for r in range(0, shifts.size, _RING_CHUNK):
             rings = slice(r, r + _RING_CHUNK)
-            x = points[rows] + shifts[rings]
-            p = transition_probability(x, omega_r, tau)
-            terms = np.stack([p, *_p0_slopes(x, p, omega_r, tau, order)]) if order else p[None]
-            terms *= counts[rings]
-            total[:, rows] += terms.sum(axis=-1)
+            cells = block.size * counts[rings].size
+            x, *work = (b[:cells].reshape(block.size, -1) for b in buffers)
+            np.add(block, shifts[rings], out=x)
+            for k, term in enumerate(_p0_terms(x, omega_r, tau, order, work)):
+                term *= counts[rings]
+                total[k, g:g + rows] += term.sum(axis=-1)
     return (total / counts.sum()).reshape((order + 1, *d.shape))
 
 
@@ -347,7 +373,7 @@ LOBE_TIE_RTOL = 1e-12
 # Each lobe's top is placed to this fraction of the narrowest feature.
 _PEAK_XTOL = 1e-10
 # The most points a peak scan, or a lineshape grid, may take: 2^20 float64,
-# the ~8 MB that the stack average's blocks also keep to.
+# 8 MB per array of the curve.
 MAX_SCAN_POINTS = 2**20
 
 
@@ -440,7 +466,7 @@ def calibrate_quadratic_scale(
     Both solves use the slope of delta_max(s) in closed form.  At the peak the
     stack-mean slope <P0'> vanishes and its s-derivative is <j^2 P0''>, so
     d delta_max / ds = -<j^2 P0''> / <P0''>, both means taken at delta_max
-    (`_p0_slopes`).
+    (`_p0_terms`).
 
     The extremum is a root of that slope, but the ends of [1e-6 s_max, s_max]
     need not bracket it: delta_max(s) falls to a minimum and can rise to a
@@ -486,7 +512,7 @@ def calibrate_quadratic_scale(
         shifts = s * j2
         d_max, p_max = lineshape_peak(omega_r, tau, shifts)
         x = d_max + shifts
-        curvature = _p0_slopes(x, transition_probability(x, omega_r, tau), omega_r, tau)[1]
+        curvature = _p0_terms(x, omega_r, tau, 2)[2]
         return d_max, p_max, -float(np.dot(j2, curvature) / curvature.sum())
 
     def slope(s):
@@ -555,13 +581,13 @@ def fit_model(delta, amplitude, delta_0, omega_eff):
 
     Returns ``(model, d model / d delta_0, d model / d Omega_eff)``: the fit
     needs all three at every evaluation.  With x = delta - delta_0 the first
-    slope is -A dP0/dx (`_p0_slopes`); at the pi-pulse duration P0 depends
+    slope is -A dP0/dx (`_p0_terms`); at the pi-pulse duration P0 depends
     on x / Omega_eff alone, so d/d Omega_eff = (x / Omega_eff) d/d delta_0.
     """
     x = np.asarray(delta, dtype=float) - delta_0
     tau = np.pi / omega_eff
-    p = transition_probability(x, omega_eff, tau)
-    d_delta_0 = -amplitude * _p0_slopes(x, p, omega_eff, tau, 1)[0]
+    p, slope = _p0_terms(x, omega_eff, tau, 1)
+    d_delta_0 = -amplitude * slope
     return amplitude * p, d_delta_0, d_delta_0 * (x / omega_eff)
 
 

@@ -673,6 +673,26 @@ def test_rotation_scan_zero_kick_exits_2(runner, tmp_path, config_dir):
     assert "rotation_scan.kick_oam_L" in res.output
 
 
+@pytest.mark.parametrize("update, drop, message", [
+    ({"points": 1}, None, "rotation_scan.points must be >= 2, got 1"),
+    ({"Omega_max": -42.26}, None,
+     "rotation_scan.Omega_max = -42.26 must exceed rotation_scan.Omega_min = -42.26"),
+    # an unset bound is compared at its default, +/- 2 omega_0 = +/- 42.26
+    ({"Omega_min": 50.0}, "Omega_max", "rotation_scan.Omega_max = 42.26 (default 2 omega_0) "
+                                       "must exceed rotation_scan.Omega_min = 50"),
+], ids=["points", "Omega_max", "Omega_max-default"])
+def test_rotation_scan_range_exits_2_naming_the_field(runner, tmp_path, config_dir, update,
+                                                      drop, message):
+    cfg = json.loads((config_dir / "fig5_rotation_scan.json").read_text())
+    cfg["rotation_scan"].update(update)
+    cfg["rotation_scan"].pop(drop, None)
+    p = write_config(tmp_path, "range.json", cfg)
+    res = runner.invoke(cli, ["rotation-scan", "--config", str(p),
+                              "--out", str(tmp_path / "r.csv")])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+
+
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 _ODD_VALUES = st.one_of(st.sampled_from(["fast", True, False, None, [], {}, [1.0, 2.0]]),
                         st.integers(-5, 200), st.floats(-1e3, 1e3))

@@ -82,14 +82,41 @@ def test_stack_average_matches_naive_ring_mean(name):
         assert abs(float(got) - float(naive_stack_average(d, OMEGA_R, TAU, shifts))) < 1e-13
 
 
+def grid_beyond_one_block(shifts):
+    """A grid of more than one block of the stack average, not a whole number of them."""
+    width = min(np.unique(shifts).size, qrotor.raman._RING_CHUNK)
+    rows = qrotor.raman._BLOCK_CELLS // width
+    return np.linspace(-8 * OMEGA_R, 8 * OMEGA_R, 2 * rows + 37)
+
+
+def assert_split_invariant(shifts, splits):
+    grid = grid_beyond_one_block(shifts)
+    whole = stack_average(grid, OMEGA_R, TAU, shifts)
+    for pieces in splits:
+        parts = [stack_average(g, OMEGA_R, TAU, shifts) for g in np.array_split(grid, pieces)]
+        assert np.array_equal(np.concatenate(parts), whole), pieces
+
+
 @pytest.mark.parametrize("name", sorted(RING_SHIFTS))
 def test_stack_average_independent_of_grid_split(name):
-    shifts = RING_SHIFTS[name]
-    grid = np.linspace(-8 * OMEGA_R, 8 * OMEGA_R, 4501)  # more than one grid block
-    whole = stack_average(grid, OMEGA_R, TAU, shifts)
-    for pieces in (2, 4):
-        parts = [stack_average(g, OMEGA_R, TAU, shifts) for g in np.array_split(grid, pieces)]
-        assert np.array_equal(np.concatenate(parts), whole)
+    assert_split_invariant(RING_SHIFTS[name], (2, 4))
+
+
+@pytest.mark.parametrize("rings", [1, 255, 256, 257, 2001])
+def test_stack_average_bit_identical_across_block_boundaries(rings):
+    # distinct shifts: one ring block less, exactly, or one more than full
+    shifts = np.random.default_rng(rings).uniform(-3.0 * OMEGA_R, OMEGA_R, rings)
+    assert np.unique(shifts).size == rings
+    assert_split_invariant(shifts, (1, 2, 3, 7))
+
+
+def test_lineshape_bit_identical_at_every_worker_count():
+    shifts = quadratic(2000, 2e-6 * OMEGA_R)
+    grid = np.linspace(-8 * OMEGA_R, 8 * OMEGA_R, 1601)
+    one, *more = (lineshape_from_rabi(OMEGA_R, TAU, shifts, grid, workers).probability
+                  for workers in (1, 2, 3))
+    for curve in more:
+        assert np.array_equal(curve, one)
 
 
 def test_stack_average_rejects_empty_stack():
@@ -276,9 +303,9 @@ def _counting(monkeypatch, name):
 
 
 def test_fig4_fit_stops_at_the_printed_digits(monkeypatch):
-    # three starts screened to 1e-6, the best one polished at 1e-15: 35
+    # three starts screened to 1e-6, the best one polished at 1e-15: 33
     # evaluations of the model and its slopes by the variable-projection
-    # solver (8 + 8 + 9 + 10); 36 leaves 3% headroom.  The count moves with
+    # solver (8 + 8 + 9 + 8); 36 leaves 9% headroom.  The count moves with
     # the last digits of the data: scales within 2e-8 of the slope root that
     # places the calibrated scale take 30 to 33, so a change that moves the
     # calibrated scale in its last digits can cross the bound.  Every solver

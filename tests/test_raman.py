@@ -4,7 +4,13 @@ from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
 from qrotor.optics import ring_peak_factor
-from qrotor.raman import RamanConfig, effective_coupling, peak_fwhm, transition_probability
+from qrotor.raman import (
+    RamanConfig,
+    _p0_terms,
+    effective_coupling,
+    peak_fwhm,
+    transition_probability,
+)
 from qrotor.units import LI6
 
 from oracles import evolve_rwa, rwa_hamiltonian
@@ -87,13 +93,82 @@ def test_probability_peak_and_tails():
 
 @pytest.mark.parametrize("om", [3.142, 1e-50, 1e50, 0.0, 1e-160])
 def test_probability_kernel_keeps_the_formula_bits(om):
-    # the in-place kernel takes the formula's operations in the formula's order
+    # the kernel takes the tan form's operations in this order
     delta = np.random.default_rng(5).normal(0.0, 5.0 * max(om, 1.0), (40, 30))
     for tau in (np.pi / max(om, 1e-300), 0.3, 7.0):
-        g2 = om**2 + delta**2
+        g2 = delta * delta + om**2
+        t = np.tan(np.sqrt(g2) * (0.5 * tau))
         safe = np.where(g2 > 0.0, g2, 1.0)
-        formula = np.where(g2 > 0.0, (om**2 / safe) * np.sin(0.5 * tau * np.sqrt(g2)) ** 2, 0.0)
+        formula = np.where(g2 > 0.0, t * t * om**2 / ((t * t + 1.0) * safe), 0.0)
         assert np.array_equal(transition_probability(delta, om, tau), formula)
+
+
+def _sin_form(x, om, tau):
+    """P0, its two delta slopes and their rounding scales, in np.longdouble.
+
+    The sin form of `_p0_terms`' formulas.  A scale is the sum of the
+    magnitudes of the kernel's terms, which bounds what its rounding can
+    cost where the terms cancel.
+    """
+    x, om, tau = (np.asarray(v, dtype=np.longdouble) for v in (x, om, tau))
+    g2 = om * om + x * x
+    g = np.sqrt(g2)
+    u = tau * g / 2
+    sin2 = np.sin(u) ** 2
+    w = om * om / g2
+    t1 = tau / 2 * np.sin(2 * u) / g
+    t2 = 2 * sin2 / g2
+    r2 = x * x / g2
+    values = [w * sin2, w * x * (t1 - t2),
+              w * (t1 - t2 + r2 * (tau * tau * np.cos(2 * u) / 2 - 5 * t1 + 4 * t2))]
+    scales = [w * sin2, w * abs(x) * (abs(t1) + t2),
+              w * (abs(t1) + t2 + r2 * (tau * tau * (1 + 2 * sin2) / 2 + 5 * abs(t1) + 4 * t2))]
+    return values, scales
+
+
+def _exact_phase_points(phases):
+    """(x, Omega_R, tau) whose phase u = tau g / 2 the kernel computes exactly.
+
+    Pythagorean (Omega_R, x, g) make g^2 and g exact, and tau keeps 46
+    mantissa bits so that tau g / 2 is exact too; u lands within 1e-12 of the
+    phase asked for.
+    """
+    points = []
+    for a, b, c in ((3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29)):
+        for scale in (2.0**-60, 1.0, 2.0**40):
+            for om, x in ((a, b), (b, -a), (a, 0.0)):
+                g = c if x else a
+                mantissa, exponent = np.frexp(2.0 * np.asarray(phases) / (g * scale))
+                tau = np.ldexp(np.round(mantissa * 2.0**46) / 2.0**46, exponent)
+                points += [(x * scale, om * scale, t) for t in tau]
+    return np.array(points).T
+
+
+def test_kernel_matches_long_double_sin_form():
+    k = np.array([1, 2, 7, 300])
+    near = np.concatenate([np.pi * k, np.pi * (k - 0.5)])
+    phases = np.concatenate([near - 1e-9, near + 1e-9, [1e-9, 1e-4, 0.3],
+                             np.random.default_rng(8).uniform(0.0, 40.0, 60)])
+    x, om, tau = _exact_phase_points(phases)
+    values, scales = _sin_form(x, om, tau)
+    for i in range(len(x)):
+        terms = _p0_terms(np.float64(x[i]), om[i], tau[i], 2)
+        for got, want, scale in zip(terms, values, scales):
+            assert abs(np.longdouble(got) - want[i]) <= 2e-15 * scale[i], (x[i], om[i], tau[i])
+
+
+def test_probability_of_a_point_does_not_depend_on_its_array():
+    # numpy's SIMD tan takes whole vectors and a masked tail
+    om, tau = 3.142, np.pi / 3.142
+    rng = np.random.default_rng(6)
+    for d in rng.normal(0.0, 10.0, 12):
+        alone = transition_probability(d, om, tau)
+        assert np.ndim(alone) == 0
+        for offset in range(18):
+            for length in (offset + 1, offset + 9, 40):
+                arr = rng.normal(0.0, 10.0, length)
+                arr[offset] = d
+                assert transition_probability(arr, om, tau)[offset] == alone
 
 
 def test_fwhm_constant():
