@@ -19,6 +19,12 @@ fig4, 68 evaluations against 31 with the secant term).  A coordinate on a
 face of the box whose descent direction leaves the box is held there; the
 step of the others is clipped to the box, and a clipped step that is not
 downhill is damped further before it is tried.
+
+The sums over the sample points in the iteration (the cost, the gradient,
+the Gauss-Newton Hessian and the secant's change of the Jacobian) run in
+einsum, on the calling thread.  As BLAS products, OpenBLAS threads them from
+about 10,000 points, and a fit of a 31,000-sample trace then ran at CPU/wall
+1.87 and no faster than on one thread.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ def _project(basis, y, theta, coef_bounds):
     if np.array_equal(held, coef):
         jac -= ((jac @ phi.T) @ gram_inv) @ phi
     residual = held @ phi - y
-    return held, residual, 0.5 * float(residual @ residual), jac
+    return held, residual, 0.5 * float(np.einsum("m,m", residual, residual)), jac
 
 
 def _secant(second, step, dgrad, dgrad_jac):
@@ -91,22 +97,23 @@ def varpro(basis, y, theta0, lower, upper, scale, tol,
     coef, residual, cost, jac = _project(basis, y, u * scale, coef_bounds)
     nfev, mu, nu = 1, None, 2.0
     second = np.zeros((u.size, u.size))
-    floor = (4.0 * np.finfo(float).eps) ** 2 * float(y @ y)
+    floor = (4.0 * np.finfo(float).eps) ** 2 * float(np.einsum("m,m", y, y))
 
     def done(success):
         return Solution(u * scale, coef, residual, cost, nfev, success)
 
     while math.isfinite(cost) and np.isfinite(jac).all():
         jac_u = jac * scale[:, None]
-        grad = jac_u @ residual
+        grad = np.einsum("km,m->k", jac_u, residual)
         free = ~(((u <= lo) & (grad > 0)) | ((u >= hi) & (grad < 0)))
         if cost <= floor or not (np.abs(grad[free]) > tol).any():
             return done(True)
-        hessian = jac_u @ jac_u.T
+        hessian = np.einsum("km,jm->kj", jac_u, jac_u)
         if mu is None:
             mu = 1e-3 * hessian.diagonal().max()
         else:
-            second = _secant(second, step, grad - last_grad, (jac_u - last_jac_u) @ residual)
+            second = _secant(second, step, grad - last_grad,
+                             np.einsum("km,m->k", jac_u - last_jac_u, residual))
         hessian += second
         # held coordinates get a zero step: their rows and columns drop out
         reduced = hessian * np.outer(free, free)

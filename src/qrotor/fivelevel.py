@@ -28,6 +28,7 @@ Omega_R = 2 sqrt(2) V / hbar, which the time integration verifies.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -113,68 +114,139 @@ def raman_resonance(model: FiveLevelModel) -> float:
     return float(omega)
 
 
+# m n k of each real matrix product of the population contraction.
+_GEMM_CELLS = 2**18
+
+
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int of at least ``least``, or InvalidInputError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _time_ordered_product(steps: np.ndarray) -> np.ndarray:
+    """steps[-1] @ ... @ steps[0], multiplied pairwise in batches (later @ earlier)."""
+    while len(steps) > 1:
+        pairs = steps[1::2] @ steps[: len(steps) - 1 : 2]
+        steps = np.concatenate([pairs, steps[-1:]]) if len(steps) % 2 else pairs
+    return steps[0]
+
+
+def _period_propagator(model: FiveLevelModel, steps_per_period: int) -> np.ndarray:
+    """One drive period's propagator from ceil(N / 2) midpoint eigensolves.
+
+    With A = S_(N//2 - 1) ... S_0 the product of the first half's steps, the
+    period is U = A^T A for even N and A^T S_(N//2) A for odd N (see
+    `evolve_populations`).
+    """
+    n = _count("steps_per_period", steps_per_period, 8)
+    dt = 2.0 * np.pi / model.drive_frequency / n
+    midpoints = (np.arange((n + 1) // 2) + 0.5) * dt
+    energies, vecs = np.linalg.eigh(model.hamiltonian(midpoints))
+    phases = np.exp(-1j * energies * (dt / HBAR))
+    steps = (vecs * phases[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    half = _time_ordered_product(steps[: n // 2])
+    return half.T @ (steps[-1] @ half if n % 2 else half)
+
+
 def evolve_populations(
     model: FiveLevelModel, n_periods: int, steps_per_period: int = 512
 ):
     """Populations of all five states sampled once per drive period.
 
     The Hamiltonian is periodic at the drive frequency, so one period's
-    propagator is a product of midpoint steps exp(-i H(t_k) dt / hbar), which
-    is exact for the static part at any detuning scale; the step only has to
-    resolve the slow drive phase.  All midpoint Hamiltonians are
-    eigendecomposed in one batch, H = V diag(E) V^+, so each step is
-    V exp(-i E dt / hbar) V^+: exact and unitary to round-off however large
-    |H| dt / hbar is.  The steps are multiplied in time order, and the period
-    propagator is powered through its Floquet phases, exp(i k arg(lambda)).
-    Returns ``(times, populations)`` with populations of shape
-    (n_periods + 1, 5).
-    """
-    if n_periods < 1 or steps_per_period < 8:
-        raise InvalidInputError("need n_periods >= 1 and steps_per_period >= 8")
-    omega = model.drive_frequency
-    period = 2.0 * np.pi / omega
-    dt = period / steps_per_period
-    midpoints = (np.arange(steps_per_period) + 0.5) * dt
-    energies, vecs = np.linalg.eigh(model.hamiltonian(midpoints))
-    phases = np.exp(-1j * energies * (dt / HBAR))
-    steps = (vecs * phases[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-    u = np.eye(5, dtype=complex)
-    for step in steps:
-        u = step @ u
+    propagator is a product of N = ``steps_per_period`` midpoint steps
+    S_k = exp(-i H(t_k) dt / hbar), which is exact for the static part at any
+    detuning scale; the step only has to resolve the slow drive phase.  Each
+    step is V exp(-i E dt / hbar) V^+ from the eigendecomposition
+    H = V diag(E) V^+: exact and unitary to round-off however large
+    |H| dt / hbar is.
 
+    The static Hamiltonian is real and the Stokes tone is w_s exp(-i w t)
+    with w T = 2 pi, so H(T - t) = H(t)*: the step at midpoint N - 1 - k is
+    the transpose of the step at k.  With A = S_(N//2 - 1) ... S_0, the
+    period is U = A^T A, or A^T S_(N//2) A for odd N, and only the first
+    ceil(N / 2) midpoints are eigendecomposed, in one batch.  A is multiplied
+    pairwise in batched products that keep time order (later @ earlier),
+    about log2(N) numpy calls in place of one per step.  U is then powered
+    through its Floquet phases, exp(i k arg(lambda)).  Returns ``(times,
+    populations)`` with populations of shape (n_periods + 1, 5).
+    """
+    n_periods = _count("n_periods", n_periods, 1)
+    u = _period_propagator(model, steps_per_period)
     lam, w = np.linalg.eig(u)
-    c = np.linalg.solve(w, np.eye(5, dtype=complex)[:, 0])
+    amp = w * np.linalg.solve(w, np.eye(5, dtype=complex)[:, 0])   # (state, Floquet mode)
     theta = np.angle(lam)
     # lam^(b q + r) = lam^(b q) lam^r: two short tables of exponentials in
-    # place of one per period and state.  The contraction runs in einsum on
-    # this thread; a BLAS product would wake its worker threads for it.
+    # place of one per period and state.  Period b q + r of state s is
+    # sum_j coarse[q, j] fine[j, (r, s)], taken in real arithmetic as the
+    # (re, im) pairs of [Re, Im] coarse @ [[Re, Im], [-Im, Re]] fine, a block
+    # of periods at a time; each block is squared into the populations, so
+    # no complex (n_periods, 5) array is made.  A block's product has
+    # m n k <= _GEMM_CELLS, which OpenBLAS keeps on the calling thread (it
+    # threads a product only beyond m n k = 4 x 65536); one product of all
+    # periods would wake its worker threads.
     b = math.isqrt(n_periods) + 1
     coarse = np.exp(1j * np.outer(np.arange(0, n_periods + 1, b), theta))
-    fine = np.exp(1j * np.outer(np.arange(b), theta))[:, None, :] * (w * c)
-    amps = np.einsum("qj,rsj->qrs", coarse, fine).reshape(-1, 5)[: n_periods + 1]
-    return np.arange(n_periods + 1) * period, np.abs(amps) ** 2
+    fine = (np.exp(1j * np.outer(np.arange(b), theta))[:, None, :] * amp).reshape(-1, 5).T
+    lhs = np.hstack([coarse.real, coarse.imag])
+    rhs = np.stack([np.vstack([fine.real, -fine.imag]),
+                    np.vstack([fine.imag, fine.real])], axis=-1).reshape(10, -1)
+    pops = np.empty((len(lhs), fine.shape[1]))
+    rows = max(_GEMM_CELLS // rhs.size, 1)
+    buf = np.empty((rows, rhs.shape[1]))
+    for q in range(0, len(lhs), rows):
+        block = np.matmul(lhs[q : q + rows], rhs, out=buf[: len(pops[q : q + rows])])
+        np.square(block, out=block)
+        np.add(block[:, 0::2], block[:, 1::2], out=pops[q : q + rows])
+    times = np.arange(n_periods + 1) * (2.0 * np.pi / model.drive_frequency)
+    return times, pops.reshape(-1, 5)[: n_periods + 1]
+
+
+def _rabi_terms(half: np.ndarray, sin_sq: np.ndarray):
+    """sin^2 h into ``sin_sq`` and sin h cos h into ``half``, from one tan h.
+
+    With t = tan h, sin^2 h = t^2 / (1 + t^2) and sin h cos h = t / (1 + t^2),
+    the identities `raman._p0_terms` uses: one tan costs about a tenth of a
+    sin and a cos.  Near h = pi/2 + k pi, t is large but t^2 stays finite.
+    """
+    t = np.tan(half, out=half)
+    np.square(t, out=sin_sq)
+    cos_sq = np.reciprocal(sin_sq + 1.0)
+    sin_sq *= cos_sq
+    t *= cos_sq
+    return sin_sq, t
 
 
 def oscillation_frequency(times, population, guess: float) -> tuple[float, float]:
     """Fit A sin^2(Omega t / 2) + c to a population trace.
 
     A and c enter linearly, so variable projection (`_varpro`) leaves a 1-D
-    search in Omega from ``guess``.  Returns ``(Omega, A)``; feed roughly one
-    to two Rabi periods of data.
+    search in Omega from ``guess``.  The basis and its Omega-derivative,
+    (t / 2) sin(Omega t) = t sin cos, come from one tan(Omega t / 2) per
+    sample (`_rabi_terms`); the constant rows are filled once per fit.
+    Returns ``(Omega, A)``; feed roughly one to two Rabi periods of data.
     """
     from ._varpro import varpro
 
     if not guess:
         raise InvalidInputError("guess must be a nonzero frequency: Omega is searched in its units")
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(population, dtype=float)
-    ones, zeros = np.ones_like(t), np.zeros_like(t)
+    # a column of the populations is strided; a contiguous copy is read faster
+    t = np.ascontiguousarray(times, dtype=float)
+    y = np.ascontiguousarray(population, dtype=float)
+    if t.ndim != 1 or y.shape != t.shape:
+        raise InvalidInputError(f"times and population must be 1-D of one length, "
+                                f"got shapes {t.shape} and {y.shape}")
+    phi = np.ones((2, t.size))
+    dphi = np.zeros((1, 2, t.size))
 
     def basis(theta):
-        half = 0.5 * theta[0] * t
-        sin_h = np.sin(half)
-        return (np.stack([sin_h * sin_h, ones]),
-                np.stack([t * sin_h * np.cos(half), zeros])[None])
+        # varpro reads both arrays before it asks for the next theta
+        half = np.multiply(t, 0.5 * theta[0], out=dphi[0, 0])
+        _rabi_terms(half, phi[0])
+        half *= t
+        return phi, dphi
 
     sol = varpro(basis, y, [guess], [-np.inf], [np.inf], abs(guess), 1e-10)
     if not sol.success:

@@ -1,5 +1,9 @@
 """Independent oracles for package code, kept apart from the code they check.
 
+- `sequential_period_propagator` multiplies one drive period's N eigen-steps
+  of the five-level ladder one after another, each midpoint eigendecomposed
+  on its own; it checks the mirrored, pairwise product of
+  `qrotor.fivelevel._period_propagator`.
 - `evolve_rwa` propagates the 3-level rotating-wave Hamiltonian by
   eigendecomposition; it checks the closed form
   `qrotor.raman.transition_probability` (acceptance criterion 5).
@@ -65,6 +69,21 @@ def evolve_rwa(delta: float, omega_r: float, tau: float) -> float:
     energies, vecs = np.linalg.eigh(rwa_hamiltonian(delta, omega_r))
     u = (vecs * np.exp(-1j * energies * tau)) @ vecs.conj().T
     return float(np.abs(np.vdot(_STATE_F, u @ _STATE_0)) ** 2)
+
+
+def sequential_period_propagator(model: FiveLevelModel, steps_per_period: int) -> np.ndarray:
+    """exp(-i H(t_N-1) dt / hbar) ... exp(-i H(t_0) dt / hbar) over one drive period.
+
+    t_k = (k + 1/2) dt is the k-th midpoint.  Each step is V exp(-i E dt /
+    hbar) V^+ from that midpoint's own eigendecomposition, multiplied onto
+    the product in time order.
+    """
+    dt = 2.0 * np.pi / model.drive_frequency / steps_per_period
+    u = np.eye(5, dtype=complex)
+    for k in range(steps_per_period):
+        energies, vecs = np.linalg.eigh(model.hamiltonian((k + 0.5) * dt))
+        u = (vecs * np.exp(-1j * energies * (dt / HBAR))) @ vecs.conj().T @ u
+    return u
 
 
 def perturbative_ratios(model: FiveLevelModel) -> tuple[float, float]:

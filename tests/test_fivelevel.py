@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qrotor.exceptions import InvalidInputError
 from qrotor.fivelevel import (
     FiveLevelModel,
+    _period_propagator,
+    _rabi_terms,
     evolve_populations,
     kick_stark_scale,
     oscillation_frequency,
@@ -15,7 +18,12 @@ from qrotor.fivelevel import (
 from qrotor.raman import RamanConfig, effective_coupling
 from qrotor.units import HBAR, LI6, MU_B
 
-from oracles import DressingError, adiabatic_eliminate, perturbative_ratios
+from oracles import (
+    DressingError,
+    adiabatic_eliminate,
+    perturbative_ratios,
+    sequential_period_propagator,
+)
 
 
 def build_cfg(omega_2L0, dhf_ratio, de_ratio, vb, ve_over_w2l, L=2):
@@ -90,6 +98,75 @@ def test_evolution_matches_midpoint_expm_product(ladder_cfg):
     times, pops = evolve_populations(model, n_periods, steps)
     assert np.allclose(times, np.arange(n_periods + 1) * steps * dt, rtol=1e-12)
     assert np.max(np.abs(pops - np.array(expected))) < 1e-9
+
+
+@pytest.mark.parametrize("m_f", [0.5, -0.5, "dark"])
+def test_hamiltonian_mirrors_to_its_conjugate_over_a_period(ladder_cfg, m_f):
+    # the premise of the mirrored period product: H(T - t) = H(t)*
+    cfg = ladder_cfg
+    if m_f == "dark":
+        cfg, m_f = dataclasses.replace(ladder_cfg, B_p0=0.0, B_s0=0.0, kick_power_P_e=0.0), 0.5
+    model = tuned_model(FiveLevelModel(cfg, LI6, omega_2L0=1.0, m_F=m_f))
+    period = 2 * np.pi / model.drive_frequency
+    times = np.linspace(0.0, period, 97)
+    mirrored, conj = model.hamiltonian(period - times), model.hamiltonian(times).conj()
+    # only the Stokes tone depends on t; its phase w (T - t) rounds apart from -w t
+    w_s = abs(model.magnetic_couplings[1])
+    assert np.max(np.abs(mirrored - conj)) <= 1e-14 * w_s
+    tone = np.zeros((5, 5), dtype=bool)
+    tone[[0, 2, 1, 3], [2, 0, 3, 1]] = True
+    assert np.array_equal(mirrored[:, ~tone], conj[:, ~tone])
+
+
+@pytest.mark.parametrize("m_f", [0.5, -0.5])
+@pytest.mark.parametrize("steps", [8, 9, 63, 64, 512])
+def test_period_propagator_matches_the_sequential_product(m_f, steps):
+    # strong dressing (off-diagonal |U| ~ 0.3) at detunings of 10 and 100
+    # omega_2L0: at criterion 9's (Delta_e = 9e4 omega_2L0) a step's phase
+    # is up to 7e4 rad, and its rounding alone (~1e-11) separates any two
+    # computations of the same step
+    cfg = build_cfg(1.0, 10.0, 10.0, 0.1, 0.1)
+    model = tuned_model(FiveLevelModel(cfg, LI6, omega_2L0=1.0, m_F=m_f))
+    expected = sequential_period_propagator(model, steps)
+    assert np.max(np.abs(_period_propagator(model, steps) - expected)) <= 1e-12
+
+
+def test_tan_terms_match_the_sin_form():
+    # 1e5 points over eight half-turns, and points within 1e-9 of the poles
+    # of tan at pi/2 + k pi (on them too), where t^2 is ~1e32
+    poles = np.pi / 2 + np.pi * np.arange(-4, 5)
+    near = (poles[:, None] + np.array([-1e-9, -1e-12, 0.0, 1e-12, 1e-9])).ravel()
+    half = np.concatenate([np.linspace(-4 * np.pi, 4 * np.pi, 100_000), near])
+    sin_sq, sin_cos = _rabi_terms(half.copy(), np.empty_like(half))
+    assert np.max(np.abs(sin_sq - np.sin(half) ** 2)) <= 1e-15
+    assert np.max(np.abs(sin_cos - np.sin(half) * np.cos(half))) <= 1e-15
+
+
+@pytest.mark.parametrize("n_periods, steps, field", [
+    (2.5, 512, "n_periods"),
+    (0, 512, "n_periods"),
+    (True, 512, "n_periods"),
+    (10, 7, "steps_per_period"),
+    (10, 64.0, "steps_per_period"),
+])
+def test_evolve_populations_refuses_bad_counts_naming_them(ladder_cfg, n_periods, steps, field):
+    model = FiveLevelModel(ladder_cfg, LI6, omega_2L0=1.0)
+    with pytest.raises(InvalidInputError, match=field):
+        evolve_populations(model, n_periods, steps)
+
+
+@pytest.mark.parametrize("n_times, n_population", [(200, 199), (199, 200)])
+def test_oscillation_frequency_refuses_traces_of_unequal_length(n_times, n_population):
+    times = np.linspace(0.0, 2.0, n_times)
+    population = 0.9 * np.sin(1.5 * np.linspace(0.0, 2.0, n_population)) ** 2
+    with pytest.raises(InvalidInputError, match="times and population"):
+        oscillation_frequency(times, population, 3.0)
+
+
+def test_oscillation_frequency_refuses_a_2d_trace():
+    times = np.linspace(0.0, 2.0, 200).reshape(2, 100)
+    with pytest.raises(InvalidInputError, match="times and population"):
+        oscillation_frequency(times, 0.9 * np.sin(1.5 * times) ** 2, 3.0)
 
 
 def test_evolution_conserves_probability_over_criterion_9_run():
