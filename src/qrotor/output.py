@@ -57,18 +57,23 @@ def write_together(*writes) -> None:
         raise
 
 
+_DIRECT = {float: "%.8e", int: "%d"}   # the bytes of fmt_float and of str(int)
+
+
 @functools.lru_cache
 def _row_pattern(kinds: tuple) -> str:
     """``%`` pattern of a CSV row whose cells have these types."""
-    return ",".join("%.8e" if kind is float else "%s" for kind in kinds) + "\n"
+    return ",".join(_DIRECT.get(kind, "%s") for kind in kinds) + "\n"
 
 
 def write_csv(path, header, rows) -> None:
     """Header and rows, the body formatted by one ``%``.
 
-    A ``float`` cell goes through ``%.8e`` (the bytes of `fmt_float`), any
-    other through `_fmt_cell` and ``%s``.  When every row holds the first
-    row's types, as a curve's or a table's do, one row pattern serves them all.
+    A ``float`` cell goes through ``%.8e`` (the bytes of `fmt_float`), an
+    ``int`` cell through ``%d``, any other (``bool`` and numpy integers
+    among them) through `_fmt_cell` and ``%s``.  When every row holds the
+    first row's types, as a curve's or a table's do, one row pattern serves
+    them all.
     """
     rows = list(rows)
     cells = list(itertools.chain.from_iterable(rows))
@@ -78,7 +83,7 @@ def write_csv(path, header, rows) -> None:
         pattern = _row_pattern(tuple(kinds[:width])) * len(rows)
     else:
         pattern = "".join([_row_pattern(tuple(map(type, row))) for row in rows])
-    body = pattern % tuple([c if k is float else _fmt_cell(c) for c, k in zip(cells, kinds)])
+    body = pattern % tuple([c if k in _DIRECT else _fmt_cell(c) for c, k in zip(cells, kinds)])
     Path(path).write_text(",".join(header) + "\n" + body, encoding="utf-8")
 
 

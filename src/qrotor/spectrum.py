@@ -20,6 +20,14 @@ repeated in a basis of 3n/2 points, and the largest difference of the two in
 units of the ring's rotor constant C(r_l) is the convergence diagnostic: the
 levels are that deep, so a drift relative to the level energy would hide
 errors of a whole rotor gap.  Both bases are solved for eigenvalues only.
+
+The radial Hamiltonians of different m_ell differ only in the centrifugal
+diagonal, so a spectrum solves its whole m_ell tower at once: per basis it
+samples the ring profile once, builds one kinetic matrix, adds each m_ell's
+diagonal to a copy, and hands the stack to one eigvalsh call (one LAPACK
+solve per matrix, looped in C).  The m_ell go in blocks of `_M_BLOCK`, each
+checked before the next, so memory stays bounded and an m_ell_max far
+beyond what the box holds stops at its first unconverged block.
 """
 
 from __future__ import annotations
@@ -43,8 +51,15 @@ _CONVERGENCE_LIMIT = 1e-3
 # axial wavefunction samples.  Its 3n/2 = 63-point check stays below the 72
 # points at which OpenBLAS (0.3.31) hands eigvalsh's tridiagonal reduction to
 # a second thread (2-core machine: 0.15 ms per 72-point solve on two cores,
-# and in one run 2.8 ms, against 0.12 ms on one core at 63 points).
+# and in one run 2.8 ms, against 0.12 ms on one core at 63 points).  A stack
+# of m_ell is still one LAPACK solve per matrix, so it threads the same way:
+# an m_ell_max = 30 spectrum runs at CPU/wall 1.00.
 _BASIS_POINTS = 42
+# m_ell per eigenvalue stack of a radial solve: a 16 x 63 x 63 stack is
+# 0.5 MB at the default basis.  Stacks of 32 raised a process's peak RSS by
+# ~0.6 MB over one solve per m_ell (this size: none), and saved under 2% of
+# an m_ell_max = 30 spectrum's time.
+_M_BLOCK = 16
 # Highest axial level a spectrum lists: the +/- 7 b_z sampling box of the axial
 # wavefunctions holds the turning point sqrt(2 n + 1) b_z of every n <= 23.
 _N_Z_MAX = 23
@@ -78,8 +93,9 @@ class RotorSpectrum:
 class BoundStates:
     """Eigenvalues and eigenfunctions of one 1-D solve.
 
-    ``wavefunctions[:, n]`` is state n sampled on ``grid``, normalised so that
-    the trapezoid integral of |psi|^2 against ``measure`` equals one
+    ``wavefunctions[..., :, n]`` is state n sampled on ``grid`` (a leading
+    axis runs over the m_ell of a radial solve given several), normalised so
+    that the trapezoid integral of |psi|^2 against ``measure`` equals one
     (measure = 1 for axial dz, measure = r for the radial r dr weight).
     The spectrum needs only the energies, so the wavefunctions are computed
     on first access: the axial ones are Hermite functions, the radial ones
@@ -122,47 +138,82 @@ def rotational_constant(r, species: AtomSpecies):
     return HBAR**2 / (2.0 * species.mass * r**2)
 
 
-def _dvr_hamiltonian(potential, lo: float, hi: float, n: int, mass: float):
-    """Colbert-Miller sinc-DVR Hamiltonian on n points strictly inside (lo, hi).
+def _dvr_kinetic(lo: float, hi: float, n: int, mass: float):
+    """Colbert-Miller sinc-DVR kinetic matrix on n points strictly inside (lo, hi).
 
     T_ii = t pi^2 / 3 and T_ij = t 2 (-1)^(i-j) / (i-j)^2 with
-    t = hbar^2 / (2 m h^2); the potential is diagonal.  Returns the grid, its
-    spacing and the dense matrix.
+    t = hbar^2 / (2 m h^2).  Returns the grid, its spacing and the matrix.
     """
     x = np.linspace(lo, hi, n + 2)[1:-1]
     h = x[1] - x[0]
     k = np.arange(1, n)
     row = np.concatenate(([np.pi**2 / 3.0], 2.0 * (-1.0) ** k / k**2))
     idx = np.arange(n)
-    ham = HBAR**2 / (2.0 * mass * h**2) * row[np.abs(idx[:, None] - idx[None, :])]
-    ham[idx, idx] += potential(x)
-    return x, h, ham
+    return x, h, HBAR**2 / (2.0 * mass * h**2) * row[np.abs(idx[:, None] - idx[None, :])]
 
 
-def _solve_dvr(potential, lo, hi, n, mass, k, scale):
-    """Lowest k eigenvalues of a sinc-DVR basis of n points, checked against 3n/2.
+def _hamiltonians(kinetic, rows):
+    """Stack of the kinetic matrix plus each row of the 2-D ``rows`` on its diagonal."""
+    ham = np.repeat(kinetic[None], len(rows), axis=0)
+    idx = np.arange(len(kinetic))
+    ham[:, idx, idx] += rows
+    return ham
 
-    Returns ``(energies, grid, vectors, drift)``: the n-point energies, the
-    3n/2-point grid, a ``vectors()`` that computes the 3n/2-point
-    eigenvectors normalised against dx only when called, and the largest
-    difference between the two bases' energies in units of ``scale``.
+
+def _solve_dvr(potential, lo, hi, n, mass, k, scale, label=None):
+    """Lowest k eigenvalues of sinc-DVR Hamiltonians of n points, checked against 3n/2.
+
+    ``potential(x)`` gives the diagonal on the grid x: a 1-D row for a single
+    Hamiltonian, or an iterator of blocks of rows, shape (B, len(x)), one row
+    per Hamiltonian.  Each block is solved as one stack in both bases, and
+    its drift is checked before the next block is drawn: memory stays
+    bounded by a block, and the first unconverged block stops the solve.
+
+    Returns ``(energies, grid, vectors, drift)``: the n-point energies, shape
+    (k,) for a 1-D row and (M, k) for M rows; the 3n/2-point grid; a
+    ``vectors()`` that computes the 3n/2-point eigenvectors normalised
+    against dx only when called, shape energies.shape[:-1] + (len(grid), k);
+    and the largest difference between the two bases' energies in units of
+    ``scale``.  ``label``, a ``(name, values)`` pair giving each row an
+    integer, names the first unconverged Hamiltonian in the error.
     """
     if n < k + 4:
         raise InvalidInputError(f"basis of {n} points cannot resolve {k} eigenstates")
-    energies = np.linalg.eigvalsh(_dvr_hamiltonian(potential, lo, hi, n, mass)[2])[:k]
-    grid, h, ham = _dvr_hamiltonian(potential, lo, hi, 3 * n // 2, mass)
-    fine = np.linalg.eigvalsh(ham)[:k]
-    drift = float(np.max(np.abs(energies - fine)) / scale)
-    if not drift <= _CONVERGENCE_LIMIT:
-        raise ConvergenceError(
-            "sinc-DVR eigensolve did not converge",
-            diagnostics={"grid_points": n, "drift_over_C": drift, "lo": lo, "hi": hi},
-        )
+    x, _, kinetic = _dvr_kinetic(lo, hi, n, mass)
+    grid, h, kinetic_fine = _dvr_kinetic(lo, hi, 3 * n // 2, mass)
+    rows_coarse = potential(x)
+    single = isinstance(rows_coarse, np.ndarray)
+
+    def blocks(rows):
+        return [rows[None]] if single else rows
+
+    energies, drift = [], 0.0
+    for rows, rows_fine in zip(blocks(rows_coarse), blocks(potential(grid))):
+        coarse = np.linalg.eigvalsh(_hamiltonians(kinetic, rows))[:, :k]
+        fine = np.linalg.eigvalsh(_hamiltonians(kinetic_fine, rows_fine))[:, :k]
+        drifts = np.max(np.abs(coarse - fine), axis=1) / scale
+        failed = np.flatnonzero(~(drifts <= _CONVERGENCE_LIMIT))
+        if failed.size:
+            worst = float(drifts[failed[0]])
+            where = {} if label is None else {
+                label[0]: int(label[1][sum(map(len, energies)) + failed[0]])}
+            raise ConvergenceError(
+                "sinc-DVR eigensolve did not converge"
+                + "".join(f" at {name} = {value}" for name, value in where.items())
+                + f": drift_over_C {worst:.3e} exceeds the limit {_CONVERGENCE_LIMIT:.0e}",
+                diagnostics={"grid_points": n, "drift_over_C": worst, "lo": lo, "hi": hi,
+                             **where},
+            )
+        energies.append(coarse)
+        drift = max(drift, float(np.max(drifts)))
+    energies = np.concatenate(energies)
 
     def vectors():
-        return np.linalg.eigh(ham)[1][:, :k] / np.sqrt(h)
+        psi = np.concatenate([np.linalg.eigh(_hamiltonians(kinetic_fine, rows))[1][:, :, :k]
+                              for rows in blocks(potential(grid))]) / np.sqrt(h)
+        return psi[0] if single else psi
 
-    return energies, grid, vectors, drift
+    return (energies[0] if single else energies), grid, vectors, drift
 
 
 def solve_axial(
@@ -201,33 +252,46 @@ def solve_radial(
     beam: BeamConfig,
     species: AtomSpecies,
     j: int,
-    m_ell: int,
+    m_ell,
     n_r_max: int,
     grid_points: int = _BASIS_POINTS,
 ) -> BoundStates:
     """Radial levels eps_r(n_r, m_ell) of the ring profile plus centrifugal term.
 
-    The box spans +/- 8 b_r around r_l in a DVR basis of ``grid_points``
-    points.  Eigenfunctions are returned as psi(r) = chi(r)/sqrt(r),
-    orthonormal under the cylindrical measure r dr, and computed only when
-    ``wavefunctions`` is first read.
+    ``m_ell`` is an int or a 1-D sequence of ints.  The box spans +/- 8 b_r
+    around r_l in a DVR basis of ``grid_points`` points.  The Hamiltonians of
+    different m_ell differ only in the centrifugal diagonal, so each basis
+    samples the ring profile once and shares one kinetic matrix, and the
+    m_ell are solved in stacks of `_M_BLOCK`.  ``energies`` has shape
+    np.shape(m_ell) + (n_r_max + 1,) and ``drift`` is the largest over m_ell.
+    Eigenfunctions are returned as psi(r) = chi(r)/sqrt(r), orthonormal under
+    the cylindrical measure r dr, shape np.shape(m_ell) + (len(grid),
+    n_r_max + 1), and computed only when ``wavefunctions`` is first read.
     """
     if n_r_max < 0:
         raise InvalidInputError("n_r_max must be non-negative")
+    single = np.isscalar(m_ell)
+    ms = [m_ell] if single else m_ell
+    if not len(ms):
+        raise InvalidInputError("m_ell must not be empty")
     geo = ring_minima(beam, species, [j])[0]
-    coeff = (m_ell**2 - 0.25) * HBAR**2 / (2.0 * species.mass)
 
     def v_eff(r):
-        return optical_potential(beam, r, geo.z_j) + coeff / r**2
+        well = optical_potential(beam, r, geo.z_j)
+        for start in range(0, len(ms), _M_BLOCK):
+            m = np.asarray(ms[start:start + _M_BLOCK], dtype=float)[:, None]
+            yield well + (m**2 - 0.25) * HBAR**2 / (2.0 * species.mass) / r**2
 
     lo = max(geo.r_l - 8.0 * geo.b_r, 1e-4 * geo.r_l)
     hi = geo.r_l + 8.0 * geo.b_r
     energies, grid, vectors, drift = _solve_dvr(
         v_eff, lo, hi, grid_points, species.mass, n_r_max + 1,
-        rotational_constant(geo.r_l, species),
+        rotational_constant(geo.r_l, species), label=("m_ell", ms),
     )
+    shape = () if single else (len(ms),)
     return BoundStates(
-        energies, grid, grid.copy(), drift, lambda: vectors() / np.sqrt(grid)[:, None]
+        energies.reshape(shape + (n_r_max + 1,)), grid, grid.copy(), drift,
+        lambda: (vectors() / np.sqrt(grid)[:, None]).reshape(shape + (len(grid), n_r_max + 1)),
     )
 
 
@@ -238,25 +302,23 @@ def assemble_spectrum(
 
     Energies are reported relative to the (0, 0, 0) ground level.  States with
     m_ell = 0 carry the hyperfine multiplicity 2F + 1; states with m_ell != 0
-    are doubled by the +/- m_ell orbital degeneracy.  The radial solves run
-    one after another: each is a pair of dense eigenvalue solves of at most
-    63 x 63, far too small to share across threads.  Each solve keeps at least
-    two levels and m_ell runs to at least 1, so the three gaps come from the
-    same solves as the listed levels (eigvalsh computes every level anyway).
+    are doubled by the +/- m_ell orbital degeneracy.  Every m_ell comes from
+    one radial solve, which stacks the m_ell into batched eigenvalue solves
+    (see `solve_radial`).  It keeps at least two levels and m_ell runs to at
+    least 1, so the three gaps come from the same solve as the listed levels
+    (eigvalsh computes every level anyway).
     """
     axial = solve_axial(beam, species, limits.j, max(limits.n_z_max, 1))
-    radial_by_m = {
-        m: solve_radial(beam, species, limits.j, m, max(limits.n_r_max, 1))
-        for m in range(max(limits.m_ell_max, 1) + 1)
-    }
+    radial = solve_radial(beam, species, limits.j, range(max(limits.m_ell_max, 1) + 1),
+                          max(limits.n_r_max, 1)).energies
 
-    ground = axial.energies[0] + radial_by_m[0].energies[0]
+    ground = axial.energies[0] + radial[0, 0]
     deg0 = int(round(2 * species.F_ground + 1))
     levels = []
     for n_z in range(limits.n_z_max + 1):
         for n_r in range(limits.n_r_max + 1):
             for m in range(limits.m_ell_max + 1):
-                energy = axial.energies[n_z] + radial_by_m[m].energies[n_r] - ground
+                energy = axial.energies[n_z] + radial[m, n_r] - ground
                 levels.append(
                     EnergyLevel(
                         qn=QuantumNumbers(n_z=n_z, n_r=n_r, m_ell=m),
@@ -267,8 +329,8 @@ def assemble_spectrum(
     levels.sort(key=lambda lv: (lv.energy, lv.qn.n_z, lv.qn.n_r, lv.qn.m_ell))
 
     eps_z = float(axial.energies[1] - axial.energies[0])
-    eps_r = float(radial_by_m[0].energies[1] - radial_by_m[0].energies[0])
-    eps_ell = float(radial_by_m[1].energies[0] - radial_by_m[0].energies[0])
+    eps_r = float(radial[0, 1] - radial[0, 0])
+    eps_ell = float(radial[1, 0] - radial[0, 0])
 
     thr = limits.ratio_threshold
     ok = eps_z >= thr * eps_r and eps_r >= thr * eps_ell and eps_ell > 0

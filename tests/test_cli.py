@@ -469,6 +469,34 @@ def test_lineshape_fit_failure_exits_3(runner, tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_runaway_m_ell_max_exits_3_naming_m_ell_in_bounded_memory(runner, tmp_path,
+                                                                   config_dir):
+    # the radial solve stacks m_ell in fixed blocks and checks each block
+    # before the next: one stack of all 10**6 + 1 m_ell would ask for ~46 GB
+    import time
+    import tracemalloc
+
+    cfg = json.loads((config_dir / "fig2_spectrum.json").read_text())
+    cfg["spectrum"]["m_ell_max"] = 10**6
+    p = write_config(tmp_path, "runaway.json", cfg)
+    out = tmp_path / "s.csv"
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        res = runner.invoke(cli, ["spectrum", "--config", str(p), "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 3, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "sinc-DVR eigensolve did not converge at m_ell = " in res.output
+    assert "drift_over_C" in res.output and "limit 1e-03" in res.output
+    assert elapsed < 10.0
+    assert peak < 4 * 2**20
+    assert not out.exists()
+
+
 def _fig4_fit_in_units(runner, tmp_path, config_dir, omega_r):
     cfg = json.loads((config_dir / "fig4_lineshape.json").read_text())
     cfg["lineshape"].update(Omega_R=omega_r, j_max=12)

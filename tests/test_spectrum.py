@@ -220,12 +220,52 @@ def test_spectrum_never_requests_eigenvectors(fig_beam, li6, monkeypatch):
     calls = []
     linalg = qrotor.spectrum.np.linalg
     for name in ("eigvalsh", "eigh"):
-        def recording(*args, _name=name, _original=getattr(linalg, name), **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
+        def recording(a, *args, _name=name, _original=getattr(linalg, name), **kwargs):
+            calls.append((_name, a.shape))
+            return _original(a, *args, **kwargs)
         monkeypatch.setattr(linalg, name, recording)
     solve_axial(fig_beam, li6, 0, 3)
     assert calls == []   # the axial levels are closed-form
     assemble_spectrum(fig_beam, li6, SpectrumLimits(n_z_max=1, n_r_max=1, m_ell_max=3))
-    # two eigenvalue solves (n and 3n/2 points) per radial solve, m_ell = 0..3
-    assert calls == ["eigvalsh"] * 2 * (3 + 1)
+    # one eigenvalue solve per basis (n and 3n/2 points), each on the stack of
+    # m_ell = 0..3
+    assert calls == [("eigvalsh", (4, 42, 42)), ("eigvalsh", (4, 63, 63))]
+
+
+def test_array_m_ell_matches_scalar_solves_bit_for_bit(fig_beam, li6):
+    # two full stacks and a partial third
+    ms = range(2 * qrotor.spectrum._M_BLOCK + 4)
+    batch = solve_radial(fig_beam, li6, 3, ms, 2)
+    single = [solve_radial(fig_beam, li6, 3, m, 2) for m in ms]
+    assert batch.energies.shape == (len(ms), 3)
+    assert np.array_equal(batch.energies, np.array([s.energies for s in single]))
+    assert batch.drift == max(s.drift for s in single)
+    assert all(np.array_equal(batch.grid, s.grid) for s in single)
+
+    psi = batch.wavefunctions
+    assert psi.shape == (len(ms), len(batch.grid), 3)
+    overlaps = np.trapezoid(
+        psi[:, :, :, None] * psi[:, :, None, :] * batch.measure[:, None, None],
+        batch.grid, axis=1,
+    )
+    assert np.allclose(overlaps, np.eye(3), atol=1e-8)
+    assert np.array_equal(psi[5], single[5].wavefunctions)
+
+
+def test_unconverged_radial_solve_names_the_first_failing_m_ell(fig_beam, li6):
+    # the levels of m_ell beyond ~450 outgrow the fig2 box: the solve stops at
+    # the first unconverged stack and names its first failing m_ell
+    with pytest.raises(ConvergenceError) as err:
+        solve_radial(fig_beam, li6, 0, range(10**6), 1)
+    m = err.value.diagnostics["m_ell"]
+    drift = err.value.diagnostics["drift_over_C"]
+    assert drift > 1e-3
+    assert f"m_ell = {m}: drift_over_C {drift:.3e} exceeds the limit 1e-03" in str(err.value)
+    assert solve_radial(fig_beam, li6, 0, range(m), 1).drift <= 1e-3
+    with pytest.raises(ConvergenceError):
+        solve_radial(fig_beam, li6, 0, m, 1)
+
+
+def test_empty_m_ell_is_refused(fig_beam, li6):
+    with pytest.raises(InvalidInputError, match="m_ell"):
+        solve_radial(fig_beam, li6, 0, [], 1)
