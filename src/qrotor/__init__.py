@@ -27,8 +27,6 @@ from .raman import (
 )
 from .sensor import SensorBudget, SensorConfig, TiltGeometry, sensor_budget, tilt_compensation
 from .spectrum import (
-    EnergyLevel,
-    QuantumNumbers,
     RotorSpectrum,
     SpectrumLimits,
     assemble_spectrum,

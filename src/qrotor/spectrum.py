@@ -28,6 +28,10 @@ diagonal to a copy, and hands the stack to one eigvalsh call (one LAPACK
 solve per matrix, looped in C).  The m_ell go in blocks of `_M_BLOCK`, each
 checked before the next, so memory stays bounded and an m_ell_max far
 beyond what the box holds stops at its first unconverged block.
+
+The level table (`RotorSpectrum`) is one sorted 1-D array per column: index
+arrays over every (n_z, n_r, m_ell), each energy the axial level plus the
+radial one, and one lexsort by (energy, n_z, n_r, m_ell).
 """
 
 from __future__ import annotations
@@ -66,27 +70,17 @@ _N_Z_MAX = 23
 
 
 @dataclass(frozen=True)
-class QuantumNumbers:
-    """Separable quantum numbers of a trapped rotor state."""
-
-    n_z: int
-    n_r: int
-    m_ell: int
-
-
-@dataclass(frozen=True)
-class EnergyLevel:
-    qn: QuantumNumbers
-    energy: float          # J, relative to the (0,0,0) ground level
-    degeneracy: int
-
-
-@dataclass(frozen=True)
 class RotorSpectrum:
-    levels: tuple[EnergyLevel, ...]
+    """Level table, one 1-D array per column, sorted by (energy, n_z, n_r, m_ell)."""
+
+    n_z: np.ndarray
+    n_r: np.ndarray
+    m_ell: np.ndarray
+    energy: np.ndarray                 # J, relative to the (0,0,0) ground level
+    degeneracy: np.ndarray
     gaps: tuple[float, float, float]   # (eps_z, eps_r, eps_ell) in J
     inequalities_ok: bool
-    ratio_threshold: float = 10.0
+    ratio_threshold: float
 
 
 @dataclass(frozen=True)
@@ -127,7 +121,10 @@ class SpectrumLimits:
                 raise InvalidInputError(f"{name} must be non-negative")
         if self.n_z_max > _N_Z_MAX:
             raise InvalidInputError(f"n_z_max must be at most {_N_Z_MAX}")
-        if self.ratio_threshold <= 0:
+        # a basis of n points resolves n - 4 states (see `_solve_dvr`)
+        if self.n_r_max > _BASIS_POINTS - 5:
+            raise InvalidInputError(f"n_r_max must be at most {_BASIS_POINTS - 5}")
+        if not self.ratio_threshold > 0:
             raise InvalidInputError("ratio_threshold must be positive")
 
 
@@ -306,36 +303,31 @@ def assemble_spectrum(
     one radial solve, which stacks the m_ell into batched eigenvalue solves
     (see `solve_radial`).  It keeps at least two levels and m_ell runs to at
     least 1, so the three gaps come from the same solve as the listed levels
-    (eigvalsh computes every level anyway).
+    (eigvalsh computes every level anyway).  The table is built as index
+    arrays over every (n_z, n_r, m_ell) and sorted with one lexsort.
     """
-    axial = solve_axial(beam, species, limits.j, max(limits.n_z_max, 1))
+    axial = solve_axial(beam, species, limits.j, max(limits.n_z_max, 1)).energies
     radial = solve_radial(beam, species, limits.j, range(max(limits.m_ell_max, 1) + 1),
                           max(limits.n_r_max, 1)).energies
 
-    ground = axial.energies[0] + radial[0, 0]
+    ground = axial[0] + radial[0, 0]
     deg0 = int(round(2 * species.F_ground + 1))
-    levels = []
-    for n_z in range(limits.n_z_max + 1):
-        for n_r in range(limits.n_r_max + 1):
-            for m in range(limits.m_ell_max + 1):
-                energy = axial.energies[n_z] + radial[m, n_r] - ground
-                levels.append(
-                    EnergyLevel(
-                        qn=QuantumNumbers(n_z=n_z, n_r=n_r, m_ell=m),
-                        energy=float(energy),
-                        degeneracy=deg0 if m == 0 else 2 * deg0,
-                    )
-                )
-    levels.sort(key=lambda lv: (lv.energy, lv.qn.n_z, lv.qn.n_r, lv.qn.m_ell))
+    n_z, n_r, m = (a.ravel() for a in np.meshgrid(
+        np.arange(limits.n_z_max + 1), np.arange(limits.n_r_max + 1),
+        np.arange(limits.m_ell_max + 1), indexing="ij"))
+    energy = axial[n_z] + radial[m, n_r] - ground
+    order = np.lexsort((m, n_r, n_z, energy))
+    n_z, n_r, m, energy = n_z[order], n_r[order], m[order], energy[order]
 
-    eps_z = float(axial.energies[1] - axial.energies[0])
+    eps_z = float(axial[1] - axial[0])
     eps_r = float(radial[0, 1] - radial[0, 0])
     eps_ell = float(radial[1, 0] - radial[0, 0])
 
     thr = limits.ratio_threshold
     ok = eps_z >= thr * eps_r and eps_r >= thr * eps_ell and eps_ell > 0
     return RotorSpectrum(
-        levels=tuple(levels),
+        n_z=n_z, n_r=n_r, m_ell=m, energy=energy,
+        degeneracy=np.where(m == 0, deg0, 2 * deg0),
         gaps=(eps_z, eps_r, eps_ell),
         inequalities_ok=bool(ok),
         ratio_threshold=thr,
@@ -344,14 +336,6 @@ def assemble_spectrum(
 
 def spectrum_rows(spectrum: RotorSpectrum):
     """Rows (n_z, n_r, m_ell, energy_J, energy_kB_nK, degeneracy) for export."""
-    return [
-        (
-            lv.qn.n_z,
-            lv.qn.n_r,
-            lv.qn.m_ell,
-            lv.energy,
-            lv.energy / K_B * 1e9,
-            lv.degeneracy,
-        )
-        for lv in spectrum.levels
-    ]
+    s = spectrum
+    return list(zip(s.n_z.tolist(), s.n_r.tolist(), s.m_ell.tolist(), s.energy.tolist(),
+                    (s.energy / K_B * 1e9).tolist(), s.degeneracy.tolist()))

@@ -17,6 +17,9 @@
 - `harmonic_ring_profile` stands in for `qrotor.optics.optical_potential`
   with the ring's harmonic expansion, so that `solve_radial` can be run on a
   profile whose gaps are known (acceptance criterion 2).
+- `level_rows` builds a spectrum's rows one level at a time and sorts them
+  with a Python key, from the same solves; it checks the index arrays and
+  lexsort of `qrotor.spectrum.assemble_spectrum` and `spectrum_rows`.
 - `axial_frequency` takes the axial frequency from a finite difference of
   `qrotor.optics.optical_potential`, not from the closed-form curvature that
   `qrotor.spectrum.solve_axial` reads; it checks the axial gaps (acceptance
@@ -30,8 +33,8 @@ import numpy as np
 
 from qrotor.fivelevel import FiveLevelModel
 from qrotor.optics import optical_potential, ring_minima
-from qrotor.spectrum import _solve_dvr, rotational_constant
-from qrotor.units import HBAR, LI6, MU_B
+from qrotor.spectrum import _solve_dvr, rotational_constant, solve_axial, solve_radial
+from qrotor.units import HBAR, K_B, LI6, MU_B
 
 # |v_b|, |v_e| beyond this make the perturbative elimination meaningless.
 PERTURBATIVE_LIMIT = 0.3
@@ -200,3 +203,25 @@ def axial_frequency(beam, species, j: int) -> float:
     step = 1e-3 * geo.b_z
     v = optical_potential(beam, geo.r_l, geo.z_j + step * np.array([-1.0, 0.0, 1.0]))
     return math.sqrt((v[0] - 2.0 * v[1] + v[2]) / step**2 / species.mass)
+
+
+def level_rows(beam, species, limits):
+    """Spectrum rows (n_z, n_r, m_ell, energy_J, energy_kB_nK, degeneracy), level by level.
+
+    The solves are padded as `qrotor.spectrum.assemble_spectrum` pads them;
+    each level's energy takes the same float operations, and the rows are
+    sorted by (energy, n_z, n_r, m_ell).
+    """
+    axial = solve_axial(beam, species, limits.j, max(limits.n_z_max, 1)).energies
+    radial = solve_radial(beam, species, limits.j, range(max(limits.m_ell_max, 1) + 1),
+                          max(limits.n_r_max, 1)).energies
+    ground = axial[0] + radial[0, 0]
+    deg0 = int(round(2 * species.F_ground + 1))
+    levels = []
+    for n_z in range(limits.n_z_max + 1):
+        for n_r in range(limits.n_r_max + 1):
+            for m in range(limits.m_ell_max + 1):
+                energy = float(axial[n_z] + radial[m, n_r] - ground)
+                levels.append((energy, n_z, n_r, m, deg0 if m == 0 else 2 * deg0))
+    levels.sort(key=lambda level: level[:4])
+    return [(n_z, n_r, m, e, e / K_B * 1e9, deg) for e, n_z, n_r, m, deg in levels]

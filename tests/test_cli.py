@@ -349,6 +349,10 @@ _UNREAD_IDS = ["-".join([shift["model"], *(k for k in shift if k != "model")])
     # build its level table until memory ran out
     pytest.param("spectrum", "spectrum", "n_z_max", 24, id="spectrum-n_z_max-24"),
     pytest.param("spectrum", "spectrum", "n_z_max", 10**9, id="spectrum-n_z_max-1e9"),
+    # the 42-point radial basis resolves 38 states; these exited 2 with a
+    # message about the basis that did not name the field
+    pytest.param("spectrum", "spectrum", "n_r_max", 38, id="spectrum-n_r_max-38"),
+    pytest.param("spectrum", "spectrum", "n_r_max", 10**9, id="spectrum-n_r_max-1e9"),
 ])
 def test_bad_field_exits_2_naming_it(runner, tmp_path, command, section, key, value):
     cfg = copy.deepcopy(MINIMAL)

@@ -14,7 +14,7 @@ from qrotor.spectrum import (
 )
 from qrotor.units import HBAR, K_B
 
-from oracles import axial_dvr, axial_frequency, harmonic_ring_profile
+from oracles import axial_dvr, axial_frequency, harmonic_ring_profile, level_rows
 
 
 R_L = 15.811388300841896e-6  # w0 sqrt(l/2) for w0 = 10 um, l = 5
@@ -168,23 +168,24 @@ def test_spectrum_scale_hierarchy(small_spectrum):
 
 
 def test_spectrum_ground_level_first(small_spectrum):
-    ground = small_spectrum.levels[0]
-    assert (ground.qn.n_z, ground.qn.n_r, ground.qn.m_ell) == (0, 0, 0)
-    assert ground.energy == 0.0
-    assert all(lv.energy >= 0.0 for lv in small_spectrum.levels)
-    energies = [lv.energy for lv in small_spectrum.levels]
+    s = small_spectrum
+    assert (s.n_z[0], s.n_r[0], s.m_ell[0]) == (0, 0, 0)
+    assert s.energy[0] == 0.0
+    assert all(e >= 0.0 for e in s.energy)
+    energies = s.energy.tolist()
     assert energies == sorted(energies)
 
 
 def test_spectrum_degeneracies(small_spectrum, li6):
     base = int(round(2 * li6.F_ground + 1))
-    for lv in small_spectrum.levels:
-        expected = base if lv.qn.m_ell == 0 else 2 * base
-        assert lv.degeneracy == expected
+    for m, degeneracy in zip(small_spectrum.m_ell, small_spectrum.degeneracy):
+        expected = base if m == 0 else 2 * base
+        assert degeneracy == expected
 
 
 @pytest.mark.parametrize("bad", [{"n_z_max": -1}, {"n_r_max": -1}, {"m_ell_max": -1},
-                                 {"ratio_threshold": 0.0}])
+                                 {"ratio_threshold": 0.0}, {"n_r_max": 38},
+                                 {"ratio_threshold": float("nan")}])
 def test_spectrum_limits_reject_out_of_range(bad):
     fields = {"n_z_max": 1, "n_r_max": 1, "m_ell_max": 1, **bad}
     with pytest.raises(InvalidInputError, match=next(iter(bad))):
@@ -193,7 +194,7 @@ def test_spectrum_limits_reject_out_of_range(bad):
 
 def test_spectrum_rows_columns(small_spectrum):
     rows = spectrum_rows(small_spectrum)
-    assert len(rows) == len(small_spectrum.levels)
+    assert len(rows) == len(small_spectrum.energy)
     n_z, n_r, m, e_j, e_nk, deg = rows[0]
     assert (n_z, n_r, m, deg) == (0, 0, 0, 2)
     assert e_nk == pytest.approx(e_j / K_B * 1e9, rel=1e-12)
@@ -211,9 +212,21 @@ def test_spectrum_energies_are_the_solver_energies(fig_beam, li6, small_spectrum
     axial = solve_axial(fig_beam, li6, 0, 1)
     radial = {m: solve_radial(fig_beam, li6, 0, m, 1) for m in range(4)}
     ground = axial.energies[0] + radial[0].energies[0]
-    for lv in small_spectrum.levels:
-        q = lv.qn
-        assert lv.energy == float(axial.energies[q.n_z] + radial[q.m_ell].energies[q.n_r] - ground)
+    s = small_spectrum
+    for n_z, n_r, m, energy in zip(s.n_z.tolist(), s.n_r.tolist(), s.m_ell.tolist(),
+                                   s.energy.tolist()):
+        assert energy == float(axial.energies[n_z] + radial[m].energies[n_r] - ground)
+
+
+# fig2's limits, the largest spectrum of the benchmark, and limits below the
+# two levels and m_ell = 1 that the solves are padded to
+@pytest.mark.parametrize("limits", [(1, 2, 10), (3, 4, 30), (0, 0, 0), (23, 0, 0), (0, 4, 0)])
+def test_spectrum_rows_match_the_per_level_table(fig_beam, li6, limits):
+    limits = SpectrumLimits(*limits)
+    rows = spectrum_rows(assemble_spectrum(fig_beam, li6, limits))
+    expected = level_rows(fig_beam, li6, limits)
+    assert rows == expected
+    assert {tuple(map(type, row)) for row in rows} == {(int, int, int, float, float, int)}
 
 
 def test_spectrum_never_requests_eigenvectors(fig_beam, li6, monkeypatch):
