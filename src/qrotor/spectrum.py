@@ -19,15 +19,29 @@ value, which is the rounding floor of energies ~1e5 gaps deep.  Each solve is
 repeated in a basis of 3n/2 points, and the largest difference of the two in
 units of the ring's rotor constant C(r_l) is the convergence diagnostic: the
 levels are that deep, so a drift relative to the level energy would hide
-errors of a whole rotor gap.  Both bases are solved for eigenvalues only.
+errors of a whole rotor gap.
 
 The radial Hamiltonians of different m_ell differ only in the centrifugal
-diagonal, so a spectrum solves its whole m_ell tower at once: per basis it
-samples the ring profile once, builds one kinetic matrix, adds each m_ell's
-diagonal to a copy, and hands the stack to one eigvalsh call (one LAPACK
-solve per matrix, looped in C).  The m_ell go in blocks of `_M_BLOCK`, each
-checked before the next, so memory stays bounded and an m_ell_max far
-beyond what the box holds stops at its first unconverged block.
+diagonal: H(m) = H(m0) + (m^2 - m0^2) D, with D = hbar^2 / (2 M r^2) on the
+grid.  So per basis a solve samples the ring profile once, and each stretch
+of `_M_BLOCK` m_ell shares one eigendecomposition H(m0) = V diag(E0) V^T at
+its reference m0.  The levels of each m are then its Rayleigh-Ritz values on
+the lowest K columns of V: the eigenvalues theta_i, eigenvectors y_i of the
+K x K matrix diag(E0) + (m^2 - m0^2) W, with W = V^T D V shared.  The i-th
+Ritz value is never below the i-th eigenvalue (Cauchy interlacing), and its
+residual norm is rho_i = |m^2 - m0^2| ||(D V - V W) y_i||.  The rest of the
+basis is bounded below by E0[K] + (m^2 - m0^2) D, which proves a lower bound
+on the next eigenvalue, and with it the Kato-Temple bound rho_i^2 / gap on
+theta_i minus the eigenvalue (B. N. Parlett, The Symmetric Eigenvalue
+Problem, ch. 10-11; T. Kato, J. Phys. Soc. Jpn. 4, 334 (1949); see `_ritz`).
+Where that bound exceeds `_RITZ_LIMIT` C(r_l), the m is solved again with
+twice as many columns, up to the whole basis, where Ritz is exact.  On the
+fig2 trap the Ritz levels of m_ell 0..30 lie within 3e-14 C(r_l) of the
+eigenvalues by that bound, and agree with a full eigvalsh of each
+Hamiltonian to 8e-10 C(r_l), that solve's own rounding.  The m_ell go in
+blocks of `_M_BLOCK`, each checked before the next, so memory stays bounded
+and an m_ell_max far beyond what the box holds stops at its first
+unconverged block.
 
 The level table (`RotorSpectrum`) is one sorted 1-D array per column: index
 arrays over every (n_z, n_r, m_ell), each energy the axial level plus the
@@ -52,18 +66,27 @@ from .units import HBAR, K_B, AtomSpecies
 # unconverged.
 _CONVERGENCE_LIMIT = 1e-3
 # Default sinc-DVR basis size of the radial solve, and the default number of
-# axial wavefunction samples.  Its 3n/2 = 63-point check stays below the 72
-# points at which OpenBLAS (0.3.31) hands eigvalsh's tridiagonal reduction to
-# a second thread (2-core machine: 0.15 ms per 72-point solve on two cores,
-# and in one run 2.8 ms, against 0.12 ms on one core at 63 points).  A stack
-# of m_ell is still one LAPACK solve per matrix, so it threads the same way:
-# an m_ell_max = 30 spectrum runs at CPU/wall 1.00.
+# axial wavefunction samples.  The reference eigendecompositions (eigh,
+# LAPACK syevd) of more than 25 points take the divide-and-conquer path, on
+# which OpenBLAS (0.3.31) wakes a second thread, although one is faster
+# (2-core machine: 0.32 ms per 42-point eigh on two cores against 0.24 ms on
+# one, 0.62 against 0.49 ms at 63 points); numpy has no eigenvector solver
+# that stays on the calling thread at these sizes.  So a radial solve of
+# m_ell 0..30, two such eigh calls, runs at CPU/wall 1.9-2.0 (min of 60 runs:
+# 2.0-3.8 ms, against 8.7-14 ms for a full eigvalsh of every Hamiltonian).
 _BASIS_POINTS = 42
-# m_ell per eigenvalue stack of a radial solve: a 16 x 63 x 63 stack is
-# 0.5 MB at the default basis.  Stacks of 32 raised a process's peak RSS by
-# ~0.6 MB over one solve per m_ell (this size: none), and saved under 2% of
-# an m_ell_max = 30 spectrum's time.
-_M_BLOCK = 16
+# m_ell per block of a radial solve, and per stretch that shares one
+# reference eigendecomposition: an m_ell_max <= 31 spectrum makes one per
+# basis.  A block holds 32 K x K Ritz matrices and Ritz vectors of 32 x 63 x k
+# floats at the default basis.
+_M_BLOCK = 32
+# Ritz pairs a radial solve first takes beyond the k levels it reports: with
+# 6, no m_ell in 0..127 on the fig2 trap (n_r_max <= 4) needs more.
+_RITZ_SPARE = 6
+# Largest Kato-Temple bound a Ritz value may keep, in units of C(r_l): a
+# third of the rounding floor of the levels (see the module docstring), so
+# Rayleigh-Ritz moves no level by more than a full eigensolve's rounding.
+_RITZ_LIMIT = 1e-10
 # Highest axial level a spectrum lists: the +/- 7 b_z sampling box of the axial
 # wavefunctions holds the turning point sqrt(2 n + 1) b_z of every n <= 23.
 _N_Z_MAX = 23
@@ -93,13 +116,19 @@ class BoundStates:
     (measure = 1 for axial dz, measure = r for the radial r dr weight).
     The spectrum needs only the energies, so the wavefunctions are computed
     on first access: the axial ones are Hermite functions, the radial ones
-    the eigenvectors of the 3n/2-point DVR Hamiltonian whose grid is ``grid``.
+    the Ritz vectors V y of the 3n/2-point DVR basis whose grid is ``grid``,
+    which repeats that basis's reference eigendecompositions (one per stretch
+    of `_M_BLOCK` m_ell, see `_ritz`).  ``drift`` is the largest difference
+    between the n- and 3n/2-point levels, and ``ritz_bound`` the largest
+    residual bound of a Ritz value in either basis, both in units of C(r_l)
+    (both 0 for the closed-form axial levels).
     """
 
     energies: np.ndarray
     grid: np.ndarray
     measure: np.ndarray
     drift: float
+    ritz_bound: float
     _vectors: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
     @cached_property
@@ -149,68 +178,123 @@ def _dvr_kinetic(lo: float, hi: float, n: int, mass: float):
     return x, h, HBAR**2 / (2.0 * mass * h**2) * row[np.abs(idx[:, None] - idx[None, :])]
 
 
-def _hamiltonians(kinetic, rows):
-    """Stack of the kinetic matrix plus each row of the 2-D ``rows`` on its diagonal."""
-    ham = np.repeat(kinetic[None], len(rows), axis=0)
-    idx = np.arange(len(kinetic))
-    ham[:, idx, idx] += rows
-    return ham
+def _ritz(hamiltonian, d, m_ell, k, limit):
+    """Lowest k eigenpairs of hamiltonian + m^2 diag(d) for each m in ``m_ell``, by Rayleigh-Ritz.
+
+    |m| falls in a stretch of `_M_BLOCK` m_ell, whose reference m0^2 is the
+    mean of its end points' m^2: one eigendecomposition H0 = V diag(E0) V^T
+    per stretch serves all its m.  With delta = m^2 - m0^2, the levels of m
+    are the eigenvalues theta (eigenvectors y) of A = diag(E0) + delta W
+    over V's lowest K columns, W = V^T D V and K = k + `_RITZ_SPARE` at
+    first.  In the basis (V_K, V_rest), H = [[A, B^T], [B, C]] with
+    ||B|| = |delta| ||R|| <= |delta| ||R||_F, R = D V_K - V_K W, and
+    C >= c = E0[K] + min(delta D).  For x < c the inertia of H - x is that
+    of C - x plus that of A - x - B^T (C - x)^-1 B, so fewer than i + 1
+    eigenvalues lie below theta_{i+1} - g, g = 2 ||B||^2 / (c - theta_{i+1}
+    + sqrt((c - theta_{i+1})^2 + 4 ||B||^2)): a proven lower bound on the
+    (i+1)-th eigenvalue.  Kato-Temple then bounds theta_i minus the i-th
+    eigenvalue by rho_i^2 / (theta_{i+1} - g - theta_i), with the residual
+    norm rho_i = |delta| ||R y_i||.  A row whose largest bound exceeds
+    ``limit`` (or whose gap is not proven) is solved again on its own with
+    twice as many columns; at K = n Ritz is exact and the bound is 0.  What
+    a row's levels take depends on its m alone, so they come out the same
+    in any batch.  All of this holds to the rounding of the reference
+    eigendecomposition.
+
+    Returns ``(energies, bound, vectors)``: shape (len(m_ell), k), the
+    largest accepted bound, and the Ritz vectors V y, shape
+    (len(m_ell), n, k).
+    """
+    n = len(d)
+    energies, vectors, bound = np.empty((len(m_ell), k)), np.empty((len(m_ell), n, k)), 0.0
+    stretch = np.abs(m_ell) // _M_BLOCK
+    m2 = np.asarray(m_ell, dtype=float) ** 2
+    for s in np.unique(stretch).tolist():
+        m0sq = ((s * _M_BLOCK) ** 2 + (s * _M_BLOCK + _M_BLOCK - 1) ** 2) / 2.0
+        e0, v = np.linalg.eigh(hamiltonian + np.diag(m0sq * d))
+        todo = [(np.flatnonzero(stretch == s), k + _RITZ_SPARE)]
+        while todo:
+            rows, size = todo.pop()
+            size = min(size, n)
+            shift = m2[rows] - m0sq
+            basis = v[:, :size]
+            w = basis.T @ (d[:, None] * basis)
+            a = shift[:, None, None] * w
+            a[:, np.arange(size), np.arange(size)] += e0[:size]
+            theta, y = np.linalg.eigh(a)
+            y = y[..., :k]
+            if size < n:
+                r = d[:, None] * basis - basis @ w
+                delta = np.abs(shift)[:, None]
+                rho = delta * np.sqrt(np.sum(y * (r.T @ r @ y), axis=1))
+                coupling = delta * np.sqrt(np.sum(r * r))
+                c = e0[size] + np.minimum(shift * d.min(), shift * d.max())
+                eta = c[:, None] - theta[:, 1:k + 1]
+                g = 2.0 * coupling**2 / (eta + np.sqrt(eta**2 + 4.0 * coupling**2))
+                gap = theta[:, 1:k + 1] - g - theta[:, :k]
+                error = np.max(np.where(gap > 0.0, rho**2 / gap, np.inf), axis=1)
+                done = error <= limit
+                bound = max(bound, float(np.max(error[done], initial=0.0)))
+            else:
+                done = np.ones(rows.size, dtype=bool)
+            energies[rows[done]] = theta[done, :k]
+            vectors[rows[done]] = basis @ y[done]
+            todo += [(rows[[i]], 2 * size) for i in np.flatnonzero(~done)]
+    return energies, bound, vectors
 
 
-def _solve_dvr(potential, lo, hi, n, mass, k, scale, label=None):
-    """Lowest k eigenvalues of sinc-DVR Hamiltonians of n points, checked against 3n/2.
+def _solve_dvr(profile, lo, hi, n, mass, m_ell, k, scale):
+    """Lowest k radial levels of each m_ell in a sinc-DVR basis of n points, checked against 3n/2.
 
-    ``potential(x)`` gives the diagonal on the grid x: a 1-D row for a single
-    Hamiltonian, or an iterator of blocks of rows, shape (B, len(x)), one row
-    per Hamiltonian.  Each block is solved as one stack in both bases, and
-    its drift is checked before the next block is drawn: memory stays
-    bounded by a block, and the first unconverged block stops the solve.
+    The Hamiltonian of m is T + diag(profile(r) + (m^2 - 1/4) D), with
+    D = hbar^2 / (2 M r^2): per basis ``profile`` is sampled once and the
+    levels come from `_ritz`.  The m_ell go in blocks of `_M_BLOCK`, each
+    solved in both bases and its drift checked before the next: memory
+    stays bounded by a block, and the first unconverged block stops the
+    solve.
 
-    Returns ``(energies, grid, vectors, drift)``: the n-point energies, shape
-    (k,) for a 1-D row and (M, k) for M rows; the 3n/2-point grid; a
-    ``vectors()`` that computes the 3n/2-point eigenvectors normalised
-    against dx only when called, shape energies.shape[:-1] + (len(grid), k);
-    and the largest difference between the two bases' energies in units of
-    ``scale``.  ``label``, a ``(name, values)`` pair giving each row an
-    integer, names the first unconverged Hamiltonian in the error.
+    Returns ``(energies, grid, vectors, drift, bound)``: the n-point
+    energies, shape (len(m_ell), k); the 3n/2-point grid; a ``vectors()``
+    that computes the 3n/2-point Ritz vectors normalised against dr only
+    when called, shape (len(m_ell), len(grid), k); the largest difference
+    between the two bases' energies and the largest Ritz bound, both in
+    units of ``scale``.
     """
     if n < k + 4:
         raise InvalidInputError(f"basis of {n} points cannot resolve {k} eigenstates")
-    x, _, kinetic = _dvr_kinetic(lo, hi, n, mass)
-    grid, h, kinetic_fine = _dvr_kinetic(lo, hi, 3 * n // 2, mass)
-    rows_coarse = potential(x)
-    single = isinstance(rows_coarse, np.ndarray)
+    bases = []
+    for size in (n, 3 * n // 2):   # grid and h stay the 3n/2-point basis's
+        grid, h, hamiltonian = _dvr_kinetic(lo, hi, size, mass)
+        d = HBAR**2 / (2.0 * mass) / grid**2
+        hamiltonian[np.diag_indices(size)] += profile(grid) - 0.25 * d
+        bases.append((hamiltonian, d))
+    limit = _RITZ_LIMIT * scale
 
-    def blocks(rows):
-        return [rows[None]] if single else rows
+    def blocks():
+        return (m_ell[start:start + _M_BLOCK] for start in range(0, len(m_ell), _M_BLOCK))
 
-    energies, drift = [], 0.0
-    for rows, rows_fine in zip(blocks(rows_coarse), blocks(potential(grid))):
-        coarse = np.linalg.eigvalsh(_hamiltonians(kinetic, rows))[:, :k]
-        fine = np.linalg.eigvalsh(_hamiltonians(kinetic_fine, rows_fine))[:, :k]
+    energies, drift, bound = [], 0.0, 0.0
+    for ms in blocks():
+        (coarse, coarse_bound, _), (fine, fine_bound, _) = (
+            _ritz(*basis, ms, k, limit) for basis in bases)
         drifts = np.max(np.abs(coarse - fine), axis=1) / scale
         failed = np.flatnonzero(~(drifts <= _CONVERGENCE_LIMIT))
         if failed.size:
-            worst = float(drifts[failed[0]])
-            where = {} if label is None else {
-                label[0]: int(label[1][sum(map(len, energies)) + failed[0]])}
+            worst, m = float(drifts[failed[0]]), int(ms[failed[0]])
             raise ConvergenceError(
-                "sinc-DVR eigensolve did not converge"
-                + "".join(f" at {name} = {value}" for name, value in where.items())
-                + f": drift_over_C {worst:.3e} exceeds the limit {_CONVERGENCE_LIMIT:.0e}",
+                f"sinc-DVR eigensolve did not converge at m_ell = {m}: drift_over_C "
+                f"{worst:.3e} exceeds the limit {_CONVERGENCE_LIMIT:.0e}",
                 diagnostics={"grid_points": n, "drift_over_C": worst, "lo": lo, "hi": hi,
-                             **where},
+                             "m_ell": m},
             )
         energies.append(coarse)
         drift = max(drift, float(np.max(drifts)))
-    energies = np.concatenate(energies)
+        bound = max(bound, coarse_bound, fine_bound)
 
     def vectors():
-        psi = np.concatenate([np.linalg.eigh(_hamiltonians(kinetic_fine, rows))[1][:, :, :k]
-                              for rows in blocks(potential(grid))]) / np.sqrt(h)
-        return psi[0] if single else psi
+        return np.concatenate([_ritz(*bases[1], ms, k, limit)[2] for ms in blocks()]) / np.sqrt(h)
 
-    return (energies[0] if single else energies), grid, vectors, drift
+    return np.concatenate(energies), grid, vectors, drift, bound / scale
 
 
 def solve_axial(
@@ -222,7 +306,8 @@ def solve_axial(
 ) -> BoundStates:
     """Axial levels hbar omega_z (n + 1/2), n = 0..n_z_max, of the well at ring j.
 
-    The well kappa_z (z - z_j)^2 / 2 is exactly harmonic, so ``drift`` is 0.
+    The well kappa_z (z - z_j)^2 / 2 is exactly harmonic, so ``drift`` and
+    ``ritz_bound`` are 0.
     The wavefunctions are the Hermite functions H_n(x) exp(-x^2/2) /
     sqrt(2^n n! sqrt(pi) b_z), x = (z - z_j) / b_z, on ``grid_points``
     uniform points over z_j +/- 7 b_z (see `_N_Z_MAX`).
@@ -242,7 +327,7 @@ def solve_axial(
         psi = hermval(x, np.diag(norm)) * np.exp(-0.5 * x**2)
         return psi.T / np.sqrt(np.sqrt(np.pi) * geo.b_z)
 
-    return BoundStates(energies, grid, np.ones_like(grid), 0.0, vectors)
+    return BoundStates(energies, grid, np.ones_like(grid), 0.0, 0.0, vectors)
 
 
 def solve_radial(
@@ -255,12 +340,14 @@ def solve_radial(
 ) -> BoundStates:
     """Radial levels eps_r(n_r, m_ell) of the ring profile plus centrifugal term.
 
-    ``m_ell`` is an int or a 1-D sequence of ints.  The box spans +/- 8 b_r
-    around r_l in a DVR basis of ``grid_points`` points.  The Hamiltonians of
-    different m_ell differ only in the centrifugal diagonal, so each basis
-    samples the ring profile once and shares one kinetic matrix, and the
-    m_ell are solved in stacks of `_M_BLOCK`.  ``energies`` has shape
-    np.shape(m_ell) + (n_r_max + 1,) and ``drift`` is the largest over m_ell.
+    ``m_ell`` is an int or a 1-D sequence of ints; anything else raises
+    `InvalidInputError`.  The box spans +/- 8 b_r around r_l in a DVR basis
+    of ``grid_points`` points.  The Hamiltonians of different m_ell differ
+    only in the centrifugal diagonal, so each basis samples the ring profile
+    once, and each stretch of `_M_BLOCK` m_ell shares one reference
+    eigendecomposition, from which every m takes its levels by Rayleigh-Ritz
+    (see the module docstring).  ``energies`` has shape np.shape(m_ell) +
+    (n_r_max + 1,); ``drift`` and ``ritz_bound`` are the largest over m_ell.
     Eigenfunctions are returned as psi(r) = chi(r)/sqrt(r), orthonormal under
     the cylindrical measure r dr, shape np.shape(m_ell) + (len(grid),
     n_r_max + 1), and computed only when ``wavefunctions`` is first read.
@@ -268,26 +355,22 @@ def solve_radial(
     if n_r_max < 0:
         raise InvalidInputError("n_r_max must be non-negative")
     single = np.isscalar(m_ell)
-    ms = [m_ell] if single else m_ell
+    # a range stays lazy: an m_ell_max of 10**6 must not become an array
+    ms = m_ell if isinstance(m_ell, range) else np.asarray([m_ell] if single else m_ell)
+    if not isinstance(ms, range) and (ms.ndim != 1 or not np.issubdtype(ms.dtype, np.integer)):
+        raise InvalidInputError("m_ell must be an int or a 1-D sequence of ints")
     if not len(ms):
         raise InvalidInputError("m_ell must not be empty")
     geo = ring_minima(beam, species, [j])[0]
-
-    def v_eff(r):
-        well = optical_potential(beam, r, geo.z_j)
-        for start in range(0, len(ms), _M_BLOCK):
-            m = np.asarray(ms[start:start + _M_BLOCK], dtype=float)[:, None]
-            yield well + (m**2 - 0.25) * HBAR**2 / (2.0 * species.mass) / r**2
-
     lo = max(geo.r_l - 8.0 * geo.b_r, 1e-4 * geo.r_l)
     hi = geo.r_l + 8.0 * geo.b_r
-    energies, grid, vectors, drift = _solve_dvr(
-        v_eff, lo, hi, grid_points, species.mass, n_r_max + 1,
-        rotational_constant(geo.r_l, species), label=("m_ell", ms),
+    energies, grid, vectors, drift, bound = _solve_dvr(
+        lambda r: optical_potential(beam, r, geo.z_j), lo, hi, grid_points, species.mass,
+        ms, n_r_max + 1, rotational_constant(geo.r_l, species),
     )
     shape = () if single else (len(ms),)
     return BoundStates(
-        energies.reshape(shape + (n_r_max + 1,)), grid, grid.copy(), drift,
+        energies.reshape(shape + (n_r_max + 1,)), grid, grid.copy(), drift, bound,
         lambda: (vectors() / np.sqrt(grid)[:, None]).reshape(shape + (len(grid), n_r_max + 1)),
     )
 
@@ -300,10 +383,10 @@ def assemble_spectrum(
     Energies are reported relative to the (0, 0, 0) ground level.  States with
     m_ell = 0 carry the hyperfine multiplicity 2F + 1; states with m_ell != 0
     are doubled by the +/- m_ell orbital degeneracy.  Every m_ell comes from
-    one radial solve, which stacks the m_ell into batched eigenvalue solves
-    (see `solve_radial`).  It keeps at least two levels and m_ell runs to at
-    least 1, so the three gaps come from the same solve as the listed levels
-    (eigvalsh computes every level anyway).  The table is built as index
+    one radial solve, which takes each stretch of m_ell from one reference
+    eigendecomposition per basis (see `solve_radial`).  It keeps at least two
+    levels and m_ell runs to at least 1, so the three gaps come from the same
+    solve as the listed levels.  The table is built as index
     arrays over every (n_z, n_r, m_ell) and sorted with one lexsort.
     """
     axial = solve_axial(beam, species, limits.j, max(limits.n_z_max, 1)).energies

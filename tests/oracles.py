@@ -10,8 +10,13 @@
 - `adiabatic_eliminate` reduces the five-level ladder in two perturbative
   steps; its cos(w_ps t) amplitude checks the coupling chain of
   `qrotor.raman.effective_coupling` (cos amplitude = 2 V).
-- `axial_dvr` runs the package's sinc-DVR kernel on the exactly harmonic
-  axial well; it checks that kernel, and the closed-form
+- `stacked_dvr` diagonalises every sinc-DVR Hamiltonian in full, one
+  eigvalsh call per stack of rows, on the package's kinetic matrix.
+  `radial_dvr` runs it on the radial Hamiltonian of each m_ell; it checks
+  the Rayleigh-Ritz levels, drift and Ritz vectors of
+  `qrotor.spectrum.solve_radial`.
+- `axial_dvr` runs `stacked_dvr` on the exactly harmonic axial well; it
+  checks the sinc-DVR kinetic matrix, and the closed-form
   `qrotor.spectrum.solve_axial` levels and Hermite functions, against each
   other (acceptance criterion 2).
 - `harmonic_ring_profile` stands in for `qrotor.optics.optical_potential`
@@ -33,7 +38,15 @@ import numpy as np
 
 from qrotor.fivelevel import FiveLevelModel
 from qrotor.optics import optical_potential, ring_minima
-from qrotor.spectrum import _solve_dvr, rotational_constant, solve_axial, solve_radial
+from qrotor.exceptions import ConvergenceError, InvalidInputError
+from qrotor.spectrum import (
+    _CONVERGENCE_LIMIT,
+    _M_BLOCK,
+    _dvr_kinetic,
+    rotational_constant,
+    solve_axial,
+    solve_radial,
+)
 from qrotor.units import HBAR, K_B, LI6, MU_B
 
 # |v_b|, |v_e| beyond this make the perturbative elimination meaningless.
@@ -164,18 +177,104 @@ def adiabatic_eliminate(cfg, species, omega_2L0: float) -> EliminationResult:
     )
 
 
+def stacked_dvr(potential, lo, hi, n, mass, k, scale, label=None):
+    """Lowest k eigenvalues of sinc-DVR Hamiltonians of n points, checked against 3n/2.
+
+    Every Hamiltonian is diagonalised in full, with one eigvalsh call per
+    stack of rows.  ``potential(x)`` gives the diagonal on the grid x: a 1-D
+    row for a single Hamiltonian, or an iterator of blocks of rows, shape
+    (B, len(x)), one row per Hamiltonian.  Each block is solved as one stack
+    in both bases, and its drift is checked before the next block is drawn.
+
+    Returns ``(energies, grid, vectors, drift)``: the n-point energies, shape
+    (k,) for a 1-D row and (M, k) for M rows; the 3n/2-point grid; a
+    ``vectors()`` that computes the 3n/2-point eigenvectors normalised
+    against dx, shape energies.shape[:-1] + (len(grid), k); and the largest
+    difference between the two bases' energies in units of ``scale``.
+    ``label``, a ``(name, values)`` pair giving each row an integer, names
+    the first unconverged Hamiltonian in the error.
+    """
+    if n < k + 4:
+        raise InvalidInputError(f"basis of {n} points cannot resolve {k} eigenstates")
+    x, _, kinetic = _dvr_kinetic(lo, hi, n, mass)
+    grid, h, kinetic_fine = _dvr_kinetic(lo, hi, 3 * n // 2, mass)
+    rows_coarse = potential(x)
+    single = isinstance(rows_coarse, np.ndarray)
+
+    def blocks(rows):
+        return [rows[None]] if single else rows
+
+    def hamiltonians(kinetic, rows):
+        ham = np.repeat(kinetic[None], len(rows), axis=0)
+        idx = np.arange(len(kinetic))
+        ham[:, idx, idx] += rows
+        return ham
+
+    energies, drift = [], 0.0
+    for rows, rows_fine in zip(blocks(rows_coarse), blocks(potential(grid))):
+        coarse = np.linalg.eigvalsh(hamiltonians(kinetic, rows))[:, :k]
+        fine = np.linalg.eigvalsh(hamiltonians(kinetic_fine, rows_fine))[:, :k]
+        drifts = np.max(np.abs(coarse - fine), axis=1) / scale
+        failed = np.flatnonzero(~(drifts <= _CONVERGENCE_LIMIT))
+        if failed.size:
+            worst = float(drifts[failed[0]])
+            where = {} if label is None else {
+                label[0]: int(label[1][sum(map(len, energies)) + failed[0]])}
+            raise ConvergenceError(
+                "sinc-DVR eigensolve did not converge"
+                + "".join(f" at {name} = {value}" for name, value in where.items())
+                + f": drift_over_C {worst:.3e} exceeds the limit {_CONVERGENCE_LIMIT:.0e}",
+                diagnostics={"grid_points": n, "drift_over_C": worst, "lo": lo, "hi": hi,
+                             **where},
+            )
+        energies.append(coarse)
+        drift = max(drift, float(np.max(drifts)))
+    energies = np.concatenate(energies)
+
+    def vectors():
+        psi = np.concatenate([np.linalg.eigh(hamiltonians(kinetic_fine, rows))[1][:, :, :k]
+                              for rows in blocks(potential(grid))]) / np.sqrt(h)
+        return psi[0] if single else psi
+
+    return (energies[0] if single else energies), grid, vectors, drift
+
+
+def radial_dvr(beam, species, j: int, m_ell, n_r_max: int, grid_points: int = 42):
+    """`stacked_dvr` on the radial Hamiltonian of each m_ell in the sequence ``m_ell``.
+
+    The box and the effective potential V_l(r) + (m^2 - 1/4) hbar^2 / (2 M r^2)
+    are those of `qrotor.spectrum.solve_radial`; the m_ell go in stacks of
+    `_M_BLOCK`.  Returns `stacked_dvr`'s ``(energies, grid, vectors, drift)``,
+    energies of shape (len(m_ell), n_r_max + 1).
+    """
+    geo = ring_minima(beam, species, [j])[0]
+
+    def v_eff(r):
+        well = optical_potential(beam, r, geo.z_j)
+        for start in range(0, len(m_ell), _M_BLOCK):
+            m = np.asarray(m_ell[start:start + _M_BLOCK], dtype=float)[:, None]
+            yield well + (m**2 - 0.25) * HBAR**2 / (2.0 * species.mass) / r**2
+
+    lo = max(geo.r_l - 8.0 * geo.b_r, 1e-4 * geo.r_l)
+    hi = geo.r_l + 8.0 * geo.b_r
+    return stacked_dvr(
+        v_eff, lo, hi, grid_points, species.mass, n_r_max + 1,
+        rotational_constant(geo.r_l, species), label=("m_ell", m_ell),
+    )
+
+
 def axial_dvr(beam, species, j: int, n_z_max: int, grid_points: int = 42):
     """Sinc-DVR solve of the axial well kappa_z (z - z_j)^2 / 2 at ring j.
 
-    Runs `qrotor.spectrum._solve_dvr` on z_j +/- 7 b_z in a basis of
-    ``grid_points`` points checked against 3n/2, and returns its
-    ``(energies, grid, vectors, drift)``: the lowest n_z_max + 1 levels, the
-    3n/2-point grid, the eigenvectors on it (normalised against dz) and the
-    drift between the two bases in units of C(r_l).
+    Runs `stacked_dvr` on z_j +/- 7 b_z in a basis of ``grid_points`` points
+    checked against 3n/2, and returns its ``(energies, grid, vectors,
+    drift)``: the lowest n_z_max + 1 levels, the 3n/2-point grid, the
+    eigenvectors on it (normalised against dz) and the drift between the two
+    bases in units of C(r_l).
     """
     geo = ring_minima(beam, species, [j])[0]
     half = 7.0 * geo.b_z
-    return _solve_dvr(
+    return stacked_dvr(
         lambda z: 0.5 * geo.kappa_z * (z - geo.z_j) ** 2,
         geo.z_j - half, geo.z_j + half, grid_points, species.mass, n_z_max + 1,
         rotational_constant(geo.r_l, species),

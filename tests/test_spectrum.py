@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from qrotor.spectrum import (
 )
 from qrotor.units import HBAR, K_B
 
-from oracles import axial_dvr, axial_frequency, harmonic_ring_profile, level_rows
+from oracles import axial_dvr, axial_frequency, harmonic_ring_profile, level_rows, radial_dvr
 
 
 R_L = 15.811388300841896e-6  # w0 sqrt(l/2) for w0 = 10 um, l = 5
@@ -229,7 +231,7 @@ def test_spectrum_rows_match_the_per_level_table(fig_beam, li6, limits):
     assert {tuple(map(type, row)) for row in rows} == {(int, int, int, float, float, int)}
 
 
-def test_spectrum_never_requests_eigenvectors(fig_beam, li6, monkeypatch):
+def test_spectrum_eigensolves_one_reference_per_basis_and_stretch(fig_beam, li6, monkeypatch):
     calls = []
     linalg = qrotor.spectrum.np.linalg
     for name in ("eigvalsh", "eigh"):
@@ -239,10 +241,62 @@ def test_spectrum_never_requests_eigenvectors(fig_beam, li6, monkeypatch):
         monkeypatch.setattr(linalg, name, recording)
     solve_axial(fig_beam, li6, 0, 3)
     assert calls == []   # the axial levels are closed-form
-    assemble_spectrum(fig_beam, li6, SpectrumLimits(n_z_max=1, n_r_max=1, m_ell_max=3))
-    # one eigenvalue solve per basis (n and 3n/2 points), each on the stack of
-    # m_ell = 0..3
-    assert calls == [("eigvalsh", (4, 42, 42)), ("eigvalsh", (4, 63, 63))]
+    block = qrotor.spectrum._M_BLOCK
+    assemble_spectrum(fig_beam, li6, SpectrumLimits(n_z_max=1, n_r_max=1, m_ell_max=block + 3))
+    # m_ell 0..block-1 and block..block+3 are two stretches.  Per stretch and
+    # basis (n and 3n/2 points): one n x n reference eigh, then one stack of
+    # K x K Ritz problems, K = 2 levels + the spare pairs; no n x n solve per m_ell
+    size = 2 + qrotor.spectrum._RITZ_SPARE
+    assert calls == [
+        ("eigh", (42, 42)), ("eigh", (block, size, size)),
+        ("eigh", (63, 63)), ("eigh", (block, size, size)),
+        ("eigh", (42, 42)), ("eigh", (4, size, size)),
+        ("eigh", (63, 63)), ("eigh", (4, size, size)),
+    ]
+
+
+def _ritz_matches_the_full_eigensolve(beam, li6, j, ms, n_r_max, grid_points):
+    states = solve_radial(beam, li6, j, ms, n_r_max, grid_points=grid_points)
+    energies, grid, vectors, drift = radial_dvr(beam, li6, j, ms, n_r_max, grid_points)
+    c_rl = rotational_constant(ring_minima(beam, li6, [j])[0].r_l, li6)
+    assert np.max(np.abs(states.energies - energies)) <= 1e-9 * c_rl
+    assert abs(states.drift - drift) <= 2e-9
+    assert 0.0 < states.ritz_bound <= qrotor.spectrum._RITZ_LIMIT
+    # the Ritz vectors are the eigenvectors, up to sign
+    assert np.array_equal(states.grid, grid)
+    psi = vectors() / np.sqrt(grid)[:, None]
+    psi *= np.sign(np.sum(psi * states.wavefunctions, axis=1))[:, None, :]
+    assert np.max(np.abs(psi - states.wavefunctions)) <= 1e-6 * np.max(np.abs(psi))
+
+
+@pytest.mark.parametrize("grid_points", [42, 63])
+@pytest.mark.parametrize("collimated", [False, True])
+@pytest.mark.parametrize("j", [0, 150, -150])
+def test_ritz_levels_match_the_full_eigensolve(fig_beam, li6, j, collimated, grid_points):
+    # every level of m_ell 0..30 within 1e-9 C(r_l) of eigvalsh on each
+    # Hamiltonian, in a 42- and a 63-point basis
+    beam = replace(fig_beam, collimated=collimated)
+    _ritz_matches_the_full_eigensolve(beam, li6, j, range(31), 4, grid_points)
+
+
+@pytest.mark.parametrize("grid_points", [42, 63])
+def test_ritz_grows_its_subspace_near_the_box_edge(fig_beam, li6, grid_points, monkeypatch):
+    # just inside the box edge (m_ell 451 is fig2's first unconverged level)
+    # the first K = k + spare Ritz pairs leave bounds above the limit, so
+    # those m_ell are solved again on more pairs, and still match eigvalsh
+    ritz_sizes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        if a.ndim == 3:   # a stack of Ritz problems, not a reference
+            ritz_sizes.append(a.shape[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(qrotor.spectrum.np.linalg, "eigh", recording)
+    solve_radial(fig_beam, li6, 0, range(432, 451), 2, grid_points=grid_points)
+    assert min(ritz_sizes) == 3 + qrotor.spectrum._RITZ_SPARE < max(ritz_sizes)
+    monkeypatch.undo()
+    _ritz_matches_the_full_eigensolve(fig_beam, li6, 0, range(432, 451), 2, grid_points)
 
 
 def test_array_m_ell_matches_scalar_solves_bit_for_bit(fig_beam, li6):
@@ -282,3 +336,10 @@ def test_unconverged_radial_solve_names_the_first_failing_m_ell(fig_beam, li6):
 def test_empty_m_ell_is_refused(fig_beam, li6):
     with pytest.raises(InvalidInputError, match="m_ell"):
         solve_radial(fig_beam, li6, 0, [], 1)
+
+
+@pytest.mark.parametrize("m_ell", [np.array(3), np.array([[0, 1], [2, 3]]), [1.5]],
+                         ids=["0-d-array", "2-d-array", "non-integer"])
+def test_m_ell_that_is_not_an_int_or_a_1d_sequence_of_ints_is_refused(fig_beam, li6, m_ell):
+    with pytest.raises(InvalidInputError, match="m_ell"):
+        solve_radial(fig_beam, li6, 0, m_ell, 1)
