@@ -207,45 +207,61 @@ def evolve_populations(
 def _rabi_terms(half: np.ndarray, sin_sq: np.ndarray):
     """sin^2 h into ``sin_sq`` and sin h cos h into ``half``, from one tan h.
 
-    With t = tan h, sin^2 h = t^2 / (1 + t^2) and sin h cos h = t / (1 + t^2),
-    the identities `raman._p0_terms` uses: one tan costs about a tenth of a
-    sin and a cos.  Near h = pi/2 + k pi, t is large but t^2 stays finite.
+    With t = tan h, cos^2 h = 1 / (1 + t^2), sin h cos h = t cos^2 h and
+    sin^2 h = 1 - cos^2 h, the tan identities of `raman._p0_terms`: one tan
+    costs about a tenth of a sin and a cos.  Near h = pi/2 + k pi, t is large
+    but t^2 stays finite.  cos^2 h passes through ``sin_sq``, so no temporary
+    is made; sin^2 h is then accurate to rounding in absolute, not relative,
+    terms, which is all the fit resolves once it centres the row.
     """
     t = np.tan(half, out=half)
-    np.square(t, out=sin_sq)
-    cos_sq = np.reciprocal(sin_sq + 1.0)
-    sin_sq *= cos_sq
+    cos_sq = np.square(t, out=sin_sq)
+    cos_sq += 1.0
+    np.reciprocal(cos_sq, out=cos_sq)
     t *= cos_sq
+    np.subtract(1.0, cos_sq, out=sin_sq)
     return sin_sq, t
 
 
 def oscillation_frequency(times, population, guess: float) -> tuple[float, float]:
     """Fit A sin^2(Omega t / 2) + c to a population trace.
 
-    A and c enter linearly, so variable projection (`_varpro`) leaves a 1-D
-    search in Omega from ``guess``.  The basis and its Omega-derivative,
-    (t / 2) sin(Omega t) = t sin cos, come from one tan(Omega t / 2) per
-    sample (`_rabi_terms`); the constant rows are filled once per fit.
-    Returns ``(Omega, A)``; feed roughly one to two Rabi periods of data.
+    A and c enter linearly.  c is eliminated in closed form by centring: A
+    (s - mean s), s = sin^2(Omega t / 2), fitted to y - mean y is the same
+    least-squares problem, so variable projection (`_varpro`) sees one basis
+    row and leaves a 1-D search in Omega from ``guess``.  The row and its
+    Omega-derivative, t sin cos less its mean (the derivative of the centred
+    row), come from one tan(Omega t / 2) per sample (`_rabi_terms`), written
+    into two buffers made once per fit.  Returns ``(Omega, A)``; feed roughly
+    one to two Rabi periods of data, at three or more distinct times.
     """
     from ._varpro import varpro
 
-    if not guess:
-        raise InvalidInputError("guess must be a nonzero frequency: Omega is searched in its units")
-    # a column of the populations is strided; a contiguous copy is read faster
+    if not guess or not math.isfinite(guess):
+        raise InvalidInputError("guess must be a finite, nonzero frequency: "
+                                "Omega is searched in its units")
     t = np.ascontiguousarray(times, dtype=float)
-    y = np.ascontiguousarray(population, dtype=float)
+    y = np.asarray(population, dtype=float)
     if t.ndim != 1 or y.shape != t.shape:
         raise InvalidInputError(f"times and population must be 1-D of one length, "
                                 f"got shapes {t.shape} and {y.shape}")
-    phi = np.ones((2, t.size))
-    dphi = np.zeros((1, 2, t.size))
+    # A, c and Omega need three distinct times; a trace's first three are
+    # distinct, so the sort runs only on a short or repeating one
+    if len(set(t[:3].tolist())) < 3 and np.unique(t).size < 3:
+        raise InvalidInputError("times must hold at least three distinct values")
+    # centred into a contiguous copy: a strided column of the populations is read slower
+    y = y - y.mean()
+    phi = np.empty((1, t.size))
+    dphi = np.empty((1, 1, t.size))
+    row, deriv = phi[0], dphi[0, 0]
 
     def basis(theta):
         # varpro reads both arrays before it asks for the next theta
-        half = np.multiply(t, 0.5 * theta[0], out=dphi[0, 0])
-        _rabi_terms(half, phi[0])
-        half *= t
+        np.multiply(t, 0.5 * theta[0], out=deriv)
+        _rabi_terms(deriv, row)
+        np.multiply(deriv, t, out=deriv)
+        np.subtract(deriv, deriv.mean(), out=deriv)
+        np.subtract(row, row.mean(), out=row)
         return phi, dphi
 
     sol = varpro(basis, y, [guess], [-np.inf], [np.inf], abs(guess), 1e-10)

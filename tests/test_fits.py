@@ -12,8 +12,14 @@ from scipy.optimize import curve_fit, least_squares
 import qrotor._varpro
 import qrotor.raman
 from qrotor._varpro import varpro
-from qrotor.exceptions import InvalidInputError
-from qrotor.fivelevel import FiveLevelModel, evolve_populations, oscillation_frequency, tuned_model
+from qrotor.exceptions import ConvergenceError, InvalidInputError
+from qrotor.fivelevel import (
+    FiveLevelModel,
+    _rabi_terms,
+    evolve_populations,
+    oscillation_frequency,
+    tuned_model,
+)
 from qrotor.raman import (
     FIT_CENTRE_RANGE,
     FIT_SCREEN_TOL,
@@ -209,6 +215,66 @@ def test_oscillation_frequency_needs_a_nonzero_guess():
     times = np.linspace(0.0, 2.0, 200)
     with pytest.raises(InvalidInputError, match="guess"):
         oscillation_frequency(times, 0.9 * np.sin(1.5 * times) ** 2, 0.0)
+
+
+@pytest.mark.parametrize("guess", [np.nan, np.inf, -np.inf])
+def test_oscillation_frequency_needs_a_finite_guess(guess):
+    times = np.linspace(0.0, 2.0, 200)
+    with pytest.raises(InvalidInputError, match="guess"):
+        oscillation_frequency(times, 0.9 * np.sin(1.5 * times) ** 2, guess)
+
+
+def test_oscillation_frequency_from_a_vanishing_guess_fails_to_converge():
+    # at Omega = 1e-300 every sin^2(Omega t / 2) underflows to 0: the basis
+    # row is zero, its Gram matrix singular, and the fit fails at its start
+    times = np.linspace(0.0, 2.0, 200)
+    with pytest.raises(ConvergenceError, match="oscillation fit"):
+        oscillation_frequency(times, 0.9 * np.sin(1.5 * times) ** 2, 1e-300)
+
+
+@pytest.mark.parametrize("value", [0.0, np.inf], ids=["singular", "non_finite"])
+def test_fit_fails_on_a_singular_or_non_finite_gram_matrix(value):
+    t = np.linspace(0.0, 3.0, 200)
+
+    def flat(theta):
+        return np.full((1, t.size), value), np.zeros((1, 1, t.size))
+
+    sol = varpro(flat, np.exp(-t), [1.0], [0.5], [4.0], 1.0, 1e-10)
+    assert not sol.success and sol.nfev == 1
+
+
+def _ladder_trace(v_b, v_e):
+    from test_fivelevel import build_cfg
+
+    cfg = build_cfg(1.0, 300.0, 300.0, v_b, v_e)
+    omega_r = effective_coupling(cfg, LI6).Omega_R
+    model = tuned_model(FiveLevelModel(cfg, LI6, omega_2L0=1.0))
+    n_periods = int(np.ceil(2.2 * np.pi / omega_r / (2 * np.pi / model.drive_frequency)))
+    times, pops = evolve_populations(model, n_periods, 512)
+    return times, pops[:, 1], omega_r
+
+
+@pytest.mark.parametrize("v_b, v_e", [(0.025, 0.02), (0.02, 0.015)],
+                         ids=["criterion_9", "weak_66k_periods"])
+def test_centred_rabi_fit_matches_the_constant_as_a_basis_row(v_b, v_e):
+    # A sin^2 + c on the basis rows [s, 1] and A (s - mean s) fitted to
+    # y - mean y are one least-squares problem, solved by the same varpro
+    times, trace, omega_r = _ladder_trace(v_b, v_e)
+    phi = np.ones((2, times.size))
+    dphi = np.zeros((1, 2, times.size))
+
+    def with_constant(theta):
+        half = np.multiply(times, 0.5 * theta[0], out=dphi[0, 0])
+        _rabi_terms(half, phi[0])
+        half *= times
+        return phi, dphi
+
+    sol = varpro(with_constant, np.ascontiguousarray(trace), [omega_r], [-np.inf], [np.inf],
+                 omega_r, 1e-10)
+    assert sol.success
+    omega, amplitude = oscillation_frequency(times, trace, omega_r)
+    assert omega == pytest.approx(abs(sol.theta[0]), rel=1e-12)
+    assert amplitude == pytest.approx(sol.coef[0], rel=1e-12)
 
 
 def test_oscillation_frequency_matches_curve_fit_on_criterion_9():

@@ -169,6 +169,21 @@ def test_oscillation_frequency_refuses_a_2d_trace():
         oscillation_frequency(times, 0.9 * np.sin(1.5 * times) ** 2, 3.0)
 
 
+@pytest.mark.parametrize("times", [np.zeros(5), np.zeros(0), np.tile([0.0, 1.0], 100)],
+                         ids=["one_time", "empty", "two_times"])
+def test_oscillation_frequency_refuses_fewer_than_three_distinct_times(times):
+    # A, c and Omega take three distinct times
+    with pytest.raises(InvalidInputError, match="times"):
+        oscillation_frequency(times, 0.9 * np.sin(1.5 * times) ** 2, 3.0)
+
+
+def test_oscillation_frequency_counts_distinct_times_past_a_repeated_start():
+    times = np.concatenate([np.zeros(3), np.linspace(0.0, 2.0, 200)])
+    omega, amplitude = oscillation_frequency(times, 0.9 * np.sin(1.5 * times) ** 2, 2.8)
+    assert omega == pytest.approx(3.0, rel=1e-10)
+    assert amplitude == pytest.approx(0.9, rel=1e-10)
+
+
 def test_evolution_conserves_probability_over_criterion_9_run():
     cfg = build_cfg(1.0, 300.0, 300.0, 0.025, 0.02)
     omega_r = effective_coupling(cfg, LI6).Omega_R

@@ -307,7 +307,7 @@ def test_fig4_fit_stops_at_the_printed_digits(monkeypatch):
     # evaluations of the model and its slopes by the variable-projection
     # solver (8 + 8 + 9 + 8); 36 leaves 9% headroom.  The count moves with
     # the last digits of the data: scales within 2e-8 of the slope root that
-    # places the calibrated scale take 30 to 33, so a change that moves the
+    # places the calibrated scale take 30 to 38, so a change that moves the
     # calibrated scale in its last digits can cross the bound.  Every solver
     # evaluation goes through fit_model, so the count is never 0.
     cal = calibrate_quadratic_scale(OMEGA_R, TAU, 80, -0.5374 * OMEGA_R)
