@@ -23,6 +23,13 @@ elements carry the explicit 2 m_F factor, normalised so |m_F| = 1/2 matches
 the effective 1/3 spin factor of the coupling chain.  With these choices the
 ladder's fourth-order Raman amplitude closes exactly onto
 Omega_R = 2 sqrt(2) V / hbar, which the time integration verifies.
+
+Numerics: `evolve_populations` builds one drive period's propagator from
+exact eigen-steps at ceil(N / 2) midpoints (time reversal gives the rest).
+Each midpoint Hamiltonian is real symmetric up to a diagonal phase on |2> and
+|3>, so its eigensolve is real (`_midpoint_steps`).  `oscillation_frequency`
+fits the transfer trace, a long one first on a strided subsample and then on
+every sample from that estimate.
 """
 
 from __future__ import annotations
@@ -133,19 +140,37 @@ def _time_ordered_product(steps: np.ndarray) -> np.ndarray:
     return steps[0]
 
 
-def _period_propagator(model: FiveLevelModel, steps_per_period: int) -> np.ndarray:
-    """One drive period's propagator from ceil(N / 2) midpoint eigensolves.
+def _midpoint_steps(model: FiveLevelModel, times: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i H(t) dt / hbar) at each of ``times``, from real eigensolves.
 
-    With A = S_(N//2 - 1) ... S_0 the product of the first half's steps, the
-    period is U = A^T A for even N and A^T S_(N//2) A for odd N (see
-    `evolve_populations`).
+    Only the (0, 2) and (1, 3) couplings are complex, and both are
+    z = w_p + w_s exp(-i w t) = |z| exp(i phi).  So H = D H_r D^+ with
+    D = diag(1, 1, e^(-i phi), e^(-i phi), 1) and H_r real symmetric, |z| on
+    (0, 2) and (1, 3) (phi = 0 where z = 0).  H_r = Q diag(E) Q^T takes a
+    real eigensolve, and the step is (D Q) exp(-i E dt / hbar) (D Q)^+.
+    """
+    h = model.hamiltonian(times)
+    z = h[:, 0, 2]
+    h_r = np.ascontiguousarray(h.real)
+    h_r[:, [0, 2, 1, 3], [2, 0, 3, 1]] = np.abs(z)[:, None]
+    energies, vecs = np.linalg.eigh(h_r)
+    gauge = np.divide(z.conj(), np.abs(z), out=np.ones_like(z), where=z != 0)   # e^(-i phi)
+    dq = vecs.astype(complex)
+    dq[:, 2:4] *= gauge[:, None, None]
+    phases = np.exp(-1j * energies * (dt / HBAR))
+    return (dq * phases[:, None, :]) @ dq.conj().transpose(0, 2, 1)
+
+
+def _period_propagator(model: FiveLevelModel, steps_per_period: int) -> np.ndarray:
+    """One drive period's propagator from ceil(N / 2) real midpoint eigensolves.
+
+    With A = S_(N//2 - 1) ... S_0 the product of the first half's steps
+    (`_midpoint_steps`), the period is U = A^T A for even N and
+    A^T S_(N//2) A for odd N (see `evolve_populations`).
     """
     n = _count("steps_per_period", steps_per_period, 8)
     dt = 2.0 * np.pi / model.drive_frequency / n
-    midpoints = (np.arange((n + 1) // 2) + 0.5) * dt
-    energies, vecs = np.linalg.eigh(model.hamiltonian(midpoints))
-    phases = np.exp(-1j * energies * (dt / HBAR))
-    steps = (vecs * phases[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    steps = _midpoint_steps(model, (np.arange((n + 1) // 2) + 0.5) * dt, dt)
     half = _time_ordered_product(steps[: n // 2])
     return half.T @ (steps[-1] @ half if n % 2 else half)
 
@@ -161,7 +186,9 @@ def evolve_populations(
     detuning scale; the step only has to resolve the slow drive phase.  Each
     step is V exp(-i E dt / hbar) V^+ from the eigendecomposition
     H = V diag(E) V^+: exact and unitary to round-off however large
-    |H| dt / hbar is.
+    |H| dt / hbar is.  A diagonal phase D turns H into a real symmetric
+    H_r = D^+ H D, so V = D Q from a real eigensolve of H_r = Q diag(E) Q^T
+    (`_midpoint_steps`).
 
     The static Hamiltonian is real and the Stokes tone is w_s exp(-i w t)
     with w T = 2 pi, so H(T - t) = H(t)*: the step at midpoint N - 1 - k is
@@ -223,34 +250,24 @@ def _rabi_terms(half: np.ndarray, sin_sq: np.ndarray):
     return sin_sq, t
 
 
-def oscillation_frequency(times, population, guess: float) -> tuple[float, float]:
-    """Fit A sin^2(Omega t / 2) + c to a population trace.
+# A trace of at least twice this many samples is first fitted on every
+# (len // _COARSE_SAMPLES)-th sample.
+_COARSE_SAMPLES = 4096
 
-    A and c enter linearly.  c is eliminated in closed form by centring: A
-    (s - mean s), s = sin^2(Omega t / 2), fitted to y - mean y is the same
-    least-squares problem, so variable projection (`_varpro`) sees one basis
-    row and leaves a 1-D search in Omega from ``guess``.  The row and its
-    Omega-derivative, t sin cos less its mean (the derivative of the centred
-    row), come from one tan(Omega t / 2) per sample (`_rabi_terms`), written
-    into two buffers made once per fit.  Returns ``(Omega, A)``; feed roughly
-    one to two Rabi periods of data, at three or more distinct times.
-    """
-    from ._varpro import varpro
 
-    if not guess or not math.isfinite(guess):
-        raise InvalidInputError("guess must be a finite, nonzero frequency: "
-                                "Omega is searched in its units")
-    t = np.ascontiguousarray(times, dtype=float)
-    y = np.asarray(population, dtype=float)
-    if t.ndim != 1 or y.shape != t.shape:
-        raise InvalidInputError(f"times and population must be 1-D of one length, "
-                                f"got shapes {t.shape} and {y.shape}")
+def _three_distinct(t: np.ndarray) -> bool:
     # A, c and Omega need three distinct times; a trace's first three are
     # distinct, so the sort runs only on a short or repeating one
-    if len(set(t[:3].tolist())) < 3 and np.unique(t).size < 3:
-        raise InvalidInputError("times must hold at least three distinct values")
+    return len(set(t[:3].tolist())) == 3 or np.unique(t).size >= 3
+
+
+def _centred_fit(times, population, guess: float):
+    """`_varpro` fit of the centred model to one trace, from ``guess``."""
+    from ._varpro import varpro
+
+    t = np.ascontiguousarray(times, dtype=float)
     # centred into a contiguous copy: a strided column of the populations is read slower
-    y = y - y.mean()
+    y = population - population.mean()
     phi = np.empty((1, t.size))
     dphi = np.empty((1, 1, t.size))
     row, deriv = phi[0], dphi[0, 0]
@@ -264,7 +281,46 @@ def oscillation_frequency(times, population, guess: float) -> tuple[float, float
         np.subtract(row, row.mean(), out=row)
         return phi, dphi
 
-    sol = varpro(basis, y, [guess], [-np.inf], [np.inf], abs(guess), 1e-10)
+    return varpro(basis, y, [guess], [-np.inf], [np.inf], abs(guess), 1e-10)
+
+
+def oscillation_frequency(times, population, guess: float) -> tuple[float, float]:
+    """Fit A sin^2(Omega t / 2) + c to a population trace.
+
+    A and c enter linearly.  c is eliminated in closed form by centring: A
+    (s - mean s), s = sin^2(Omega t / 2), fitted to y - mean y is the same
+    least-squares problem, so variable projection (`_varpro`) sees one basis
+    row and leaves a 1-D search in Omega.  The row and its Omega-derivative,
+    t sin cos less its mean (the derivative of the centred row), come from
+    one tan(Omega t / 2) per sample (`_rabi_terms`), written into two
+    buffers made once per fit.
+
+    A trace of at least 2 _COARSE_SAMPLES = 8,192 samples is fitted in two
+    stages.  The same fit first runs from ``guess`` on every
+    (len // _COARSE_SAMPLES)-th sample, 4,096 to 8,191 of them; the fit of
+    the whole trace then starts from that estimate, to the same 1e-10
+    tolerance, and takes one or two evaluations over every sample in place
+    of about four.  It starts from ``guess`` when the subsample holds fewer
+    than three distinct times or its fit does not converge; a shorter trace
+    is fitted once, from ``guess``.  Returns ``(Omega, A)``; feed roughly
+    one to two Rabi periods of data, at three or more distinct times.
+    """
+    if not guess or not math.isfinite(guess):
+        raise InvalidInputError("guess must be a finite, nonzero frequency: "
+                                "Omega is searched in its units")
+    t = np.ascontiguousarray(times, dtype=float)
+    y = np.asarray(population, dtype=float)
+    if t.ndim != 1 or y.shape != t.shape:
+        raise InvalidInputError(f"times and population must be 1-D of one length, "
+                                f"got shapes {t.shape} and {y.shape}")
+    if not _three_distinct(t):
+        raise InvalidInputError("times must hold at least three distinct values")
+    start, stride = guess, t.size // _COARSE_SAMPLES
+    if stride >= 2 and _three_distinct(t[::stride]):
+        coarse = _centred_fit(t[::stride], y[::stride], guess)
+        if coarse.success:
+            start = abs(float(coarse.theta[0]))
+    sol = _centred_fit(t, y, start)
     if not sol.success:
         raise ConvergenceError("oscillation fit did not converge",
                                diagnostics={"Omega": sol.theta[0]})

@@ -73,7 +73,8 @@ def write_csv(path, header, rows) -> None:
     ``int`` cell through ``%d``, any other (``bool`` and numpy integers
     among them) through `_fmt_cell` and ``%s``.  When every row holds the
     first row's types, as a curve's or a table's do, one row pattern serves
-    them all.
+    them all; when every cell is a ``float`` or an ``int``, the cells go to
+    ``%`` as they are.
     """
     rows = list(rows)
     cells = list(itertools.chain.from_iterable(rows))
@@ -81,9 +82,14 @@ def write_csv(path, header, rows) -> None:
     width = len(rows[0]) if rows else 0
     if set(map(len, rows)) <= {width} and kinds == kinds[:width] * len(rows):
         pattern = _row_pattern(tuple(kinds[:width])) * len(rows)
+        direct = _DIRECT.keys() >= set(kinds[:width])
     else:
         pattern = "".join([_row_pattern(tuple(map(type, row))) for row in rows])
-    body = pattern % tuple([c if k in _DIRECT else _fmt_cell(c) for c, k in zip(cells, kinds)])
+        direct = _DIRECT.keys() >= set(kinds)
+    if direct:
+        body = pattern % tuple(cells)
+    else:
+        body = pattern % tuple([c if k in _DIRECT else _fmt_cell(c) for c, k in zip(cells, kinds)])
     Path(path).write_text(",".join(header) + "\n" + body, encoding="utf-8")
 
 

@@ -5,6 +5,8 @@ reflective, the same box) for the lineshape fit and `curve_fit` for the
 ladder's oscillation frequency.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import curve_fit, least_squares
@@ -14,7 +16,9 @@ import qrotor.raman
 from qrotor._varpro import varpro
 from qrotor.exceptions import ConvergenceError, InvalidInputError
 from qrotor.fivelevel import (
+    _COARSE_SAMPLES,
     FiveLevelModel,
+    _centred_fit,
     _rabi_terms,
     evolve_populations,
     oscillation_frequency,
@@ -258,8 +262,12 @@ def _ladder_trace(v_b, v_e):
                          ids=["criterion_9", "weak_66k_periods"])
 def test_centred_rabi_fit_matches_the_constant_as_a_basis_row(v_b, v_e):
     # A sin^2 + c on the basis rows [s, 1] and A (s - mean s) fitted to
-    # y - mean y are one least-squares problem, solved by the same varpro
+    # y - mean y are one least-squares problem, solved by the same varpro.
+    # Both polish from the estimate of the centred fit's coarse stage.
     times, trace, omega_r = _ladder_trace(v_b, v_e)
+    stride = times.size // _COARSE_SAMPLES
+    assert stride >= 2
+    start, _ = oscillation_frequency(times[::stride], trace[::stride], omega_r)
     phi = np.ones((2, times.size))
     dphi = np.zeros((1, 2, times.size))
 
@@ -269,12 +277,95 @@ def test_centred_rabi_fit_matches_the_constant_as_a_basis_row(v_b, v_e):
         half *= times
         return phi, dphi
 
-    sol = varpro(with_constant, np.ascontiguousarray(trace), [omega_r], [-np.inf], [np.inf],
-                 omega_r, 1e-10)
+    sol = varpro(with_constant, np.ascontiguousarray(trace), [start], [-np.inf], [np.inf],
+                 start, 1e-10)
     assert sol.success
     omega, amplitude = oscillation_frequency(times, trace, omega_r)
-    assert omega == pytest.approx(abs(sol.theta[0]), rel=1e-12)
-    assert amplitude == pytest.approx(sol.coef[0], rel=1e-12)
+    assert omega == pytest.approx(abs(sol.theta[0]), rel=1e-12, abs=0)
+    assert amplitude == pytest.approx(sol.coef[0], rel=1e-12, abs=0)
+
+
+def _recorded_fits(monkeypatch):
+    """(samples, theta0, Solution) of each varpro call, in call order."""
+    calls = []
+    original = qrotor._varpro.varpro
+
+    def recording(basis, y, theta0, *args):
+        sol = original(basis, y, theta0, *args)
+        calls.append((len(y), list(theta0), sol))
+        return sol
+
+    monkeypatch.setattr(qrotor._varpro, "varpro", recording)
+    return calls
+
+
+def _rabi_trace(samples, omega=3.7, ripple=0.0):
+    # 1.1 Rabi periods, the span of a ladder run, with an optional fast ripple
+    times = np.linspace(0.0, 2.2 * np.pi / omega, samples)
+    trace = 0.93 * np.sin(0.5 * omega * times) ** 2 + 0.01
+    return times, trace + ripple * np.sin(397.0 * omega * times)
+
+
+def test_trace_below_two_coarse_blocks_is_fitted_once_from_the_guess(monkeypatch):
+    times, trace = _rabi_trace(2 * _COARSE_SAMPLES - 1)
+    calls = _recorded_fits(monkeypatch)
+    omega, amplitude = oscillation_frequency(times, trace, 3.1)
+    [(samples, theta0, sol)] = calls
+    assert (samples, theta0) == (times.size, [3.1])
+    single = _centred_fit(times, trace, 3.1)
+    assert (omega, amplitude) == (abs(single.theta[0]), single.coef[0])
+    assert (omega, amplitude) == (abs(sol.theta[0]), sol.coef[0])
+
+
+def test_long_trace_is_polished_from_the_strided_fit(monkeypatch):
+    times, trace = _rabi_trace(2 * _COARSE_SAMPLES)
+    calls = _recorded_fits(monkeypatch)
+    omega, _ = oscillation_frequency(times, trace, 3.1)
+    (coarse, from_guess, first), (full, from_coarse, polish) = calls
+    assert (coarse, from_guess, full) == (_COARSE_SAMPLES, [3.1], times.size)
+    assert from_coarse == [abs(first.theta[0])]
+    assert polish.nfev <= 2 and omega == pytest.approx(3.7, rel=1e-10)
+
+
+@pytest.mark.parametrize("off", [0.7, 1.3])
+def test_two_stage_fit_lands_on_the_single_stage_fit(off):
+    # 60K samples, a 1e-3 ripple 397 times faster than the Rabi frequency
+    # (the drive's micromotion on a ladder trace) and a guess 30% off
+    times, trace = _rabi_trace(60_000, ripple=1e-3)
+    omega, amplitude = oscillation_frequency(times, trace, off * 3.7)
+    single = _centred_fit(times, trace, off * 3.7)
+    assert single.success
+    assert omega == pytest.approx(abs(single.theta[0]), rel=1e-10, abs=0)
+    assert amplitude == pytest.approx(single.coef[0], rel=1e-10, abs=0)
+    assert omega == pytest.approx(3.7, rel=1e-4)
+
+
+def test_failed_coarse_fit_leaves_the_polish_to_start_from_the_guess(monkeypatch):
+    times, trace = _rabi_trace(2 * _COARSE_SAMPLES)
+    calls = []
+    original = qrotor._varpro.varpro
+
+    def first_fails(basis, y, theta0, *args):
+        sol = original(basis, y, theta0, *args)
+        calls.append(list(theta0))
+        return sol if len(calls) > 1 else dataclasses.replace(sol, success=False)
+
+    monkeypatch.setattr(qrotor._varpro, "varpro", first_fails)
+    omega, _ = oscillation_frequency(times, trace, 3.1)
+    assert calls == [[3.1], [3.1]]
+    assert omega == pytest.approx(3.7, rel=1e-10)
+
+
+def test_long_trace_with_a_degenerate_subsample_is_fitted_from_the_guess(monkeypatch):
+    # every second sample sits at t = 0: the stride-2 subsample holds one
+    # time, so the whole trace is fitted from the guess
+    times, trace = _rabi_trace(10_000)
+    times[::2], trace[::2] = 0.0, trace[0]
+    calls = _recorded_fits(monkeypatch)
+    omega, amplitude = oscillation_frequency(times, trace, 3.1)
+    assert [(samples, theta0) for samples, theta0, _ in calls] == [(times.size, [3.1])]
+    assert omega == pytest.approx(3.7, rel=1e-10)
+    assert amplitude == pytest.approx(0.93, rel=1e-10)
 
 
 def test_oscillation_frequency_matches_curve_fit_on_criterion_9():

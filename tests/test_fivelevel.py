@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from qrotor.exceptions import InvalidInputError
 from qrotor.fivelevel import (
     FiveLevelModel,
+    _midpoint_steps,
     _period_propagator,
     _rabi_terms,
     evolve_populations,
@@ -129,6 +130,35 @@ def test_period_propagator_matches_the_sequential_product(m_f, steps):
     model = tuned_model(FiveLevelModel(cfg, LI6, omega_2L0=1.0, m_F=m_f))
     expected = sequential_period_propagator(model, steps)
     assert np.max(np.abs(_period_propagator(model, steps) - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("m_f", [0.5, -0.5])
+def test_real_gauge_steps_match_the_complex_eigen_steps(m_f):
+    # the strongly dressed ladder above, at 63 midpoints over the period
+    # (the middle one, at T / 2, has |z| = |w_p - w_s| near 0)
+    cfg = build_cfg(1.0, 10.0, 10.0, 0.1, 0.1)
+    model = tuned_model(FiveLevelModel(cfg, LI6, omega_2L0=1.0, m_F=m_f))
+    dt = 2 * np.pi / model.drive_frequency / 63
+    times = (np.arange(63) + 0.5) * dt
+    steps = _midpoint_steps(model, times, dt)
+    for t, step in zip(times, steps):
+        energies, vecs = np.linalg.eigh(model.hamiltonian(t))
+        expected = (vecs * np.exp(-1j * energies * dt / HBAR)) @ vecs.conj().T
+        assert np.max(np.abs(step - expected)) <= 1e-12
+
+
+def test_period_propagator_eigensolves_only_real_matrices(ladder_cfg, monkeypatch):
+    model = tuned_model(FiveLevelModel(ladder_cfg, LI6, omega_2L0=1.0))
+    dtypes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    _period_propagator(model, 64)
+    assert dtypes == [np.dtype(float)]
 
 
 def test_tan_terms_match_the_sin_form():
