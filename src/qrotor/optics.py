@@ -6,7 +6,7 @@ factor selects axial planes z_j spaced by half a wavelength, and the donut
 profile r^|l| exp(-r^2/w^2) peaks on a circle of radius r_l(z) = w(z) sqrt(|l|/2).
 Red-detuned light traps atoms on those rings.  Near a ring the potential
 separates into a radial profile V_l(r) and a harmonic axial well; `ring_minima`
-computes each ring's geometry and the curvature, frequency and oscillator
+computes a ring's geometry and the curvature, frequency and oscillator
 length of both axes once, and the spectrum reads them from there.
 """
 
@@ -102,15 +102,13 @@ class BeamConfig:
 class TrapGeometry:
     """One ring minimum and the harmonic wells about it.
 
-    ``ww2`` is (w(z_j)/w0)^2 and ``depth_at_ring`` = -V0 / ww2.  Each axis
-    carries its curvature kappa, frequency omega = sqrt(kappa / M) and
-    oscillator length b = sqrt(hbar / (M omega)).
+    ``depth_at_ring`` is -V0 (w0 / w(z_j))^2.  Each axis carries its
+    curvature kappa, frequency omega = sqrt(kappa / M) and oscillator length
+    b = sqrt(hbar / (M omega)).
     """
 
-    ring_index_j: int
     z_j: float
     r_l: float
-    ww2: float
     depth_at_ring: float
     kappa_z: float
     omega_z: float
@@ -157,29 +155,25 @@ def _oscillator(kappa: float, mass: float) -> tuple[float, float]:
     return omega, float(np.sqrt(HBAR / (mass * omega)))
 
 
-def ring_minima(beam: BeamConfig, species: AtomSpecies, j_range) -> list[TrapGeometry]:
-    """Geometry and harmonic wells of each requested ring.
+def ring_minima(beam: BeamConfig, species: AtomSpecies, j: int) -> TrapGeometry:
+    """Geometry and harmonic wells of ring j.
 
-    For ring j: z_j = pi j / k + z0, r_l = w(z_j) sqrt(|l|/2), ww = w(z_j)/w0
-    and depth -V0 / ww^2.  Expanding `optical_potential` about (r_l, z_j)
-    gives the axial curvature kappa_z = 2 V0 k^2 / ww^2 (from the standing
-    wave's cos^2) and the radial curvature kappa_r = 4 |l| V0 / (ww^2 r_l^2)
-    (from the donut profile).  At the waist omega_r = sqrt(8 V0 / (M w0^2))
-    for any l: the ring radius grows as sqrt(|l|) at exactly the rate that
+    z_j = pi j / k + z0, r_l = w(z_j) sqrt(|l|/2), ww = w(z_j)/w0 and depth
+    -V0 / ww^2.  Expanding `optical_potential` about (r_l, z_j) gives the
+    axial curvature kappa_z = 2 V0 k^2 / ww^2 (from the standing wave's
+    cos^2) and the radial curvature kappa_r = 4 |l| V0 / (ww^2 r_l^2) (from
+    the donut profile).  At the waist omega_r = sqrt(8 V0 / (M w0^2)) for
+    any l: the ring radius grows as sqrt(|l|) at exactly the rate that
     cancels the l-dependence of the curvature.
     """
     if beam.trap_depth_V0 <= 0:
         raise InvalidInputError("trap_depth_V0 must be positive for bound rings")
     v0, l = beam.trap_depth_V0, abs(beam.oam_l)
-    out = []
-    for j in j_range:
-        z_j = float(beam.ring_z(j))
-        r_l = float(beam.ring_radius(z_j))
-        ww2 = float((beam.width(z_j) / beam.waist_w0) ** 2)
-        kappa_z = 2.0 * v0 * beam.wavenumber**2 / ww2
-        kappa_r = 4.0 * l * v0 / (ww2 * r_l**2)
-        out.append(TrapGeometry(int(j), z_j, r_l, ww2, -v0 / ww2,
-                                kappa_z, *_oscillator(kappa_z, species.mass),
-                                kappa_r, *_oscillator(kappa_r, species.mass)))
-    return out
-
+    z_j = float(beam.ring_z(j))
+    r_l = float(beam.ring_radius(z_j))
+    ww2 = float((beam.width(z_j) / beam.waist_w0) ** 2)
+    kappa_z = 2.0 * v0 * beam.wavenumber**2 / ww2
+    kappa_r = 4.0 * l * v0 / (ww2 * r_l**2)
+    return TrapGeometry(z_j, r_l, -v0 / ww2,
+                        kappa_z, *_oscillator(kappa_z, species.mass),
+                        kappa_r, *_oscillator(kappa_r, species.mass))

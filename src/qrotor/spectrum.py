@@ -41,7 +41,8 @@ eigenvalues by that bound, and agree with a full eigvalsh of each
 Hamiltonian to 8e-10 C(r_l), that solve's own rounding.  The m_ell go in
 blocks of `_M_BLOCK`, each checked before the next, so memory stays bounded
 and an m_ell_max far beyond what the box holds stops at its first
-unconverged block.
+unconverged block.  The radial wavefunctions are the Ritz vectors V y of the
+3n/2-point basis, kept from the same solve.
 
 The level table (`RotorSpectrum`) is one sorted 1-D array per column: index
 arrays over every (n_z, n_r, m_ell), each energy the axial level plus the
@@ -51,9 +52,7 @@ radial one, and one lexsort by (energy, n_z, n_r, m_ell).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,14 +113,13 @@ class BoundStates:
     axis runs over the m_ell of a radial solve given several), normalised so
     that the trapezoid integral of |psi|^2 against ``measure`` equals one
     (measure = 1 for axial dz, measure = r for the radial r dr weight).
-    The spectrum needs only the energies, so the wavefunctions are computed
-    on first access: the axial ones are Hermite functions, the radial ones
-    the Ritz vectors V y of the 3n/2-point DVR basis whose grid is ``grid``,
-    which repeats that basis's reference eigendecompositions (one per stretch
-    of `_M_BLOCK` m_ell, see `_ritz`).  ``drift`` is the largest difference
-    between the n- and 3n/2-point levels, and ``ritz_bound`` the largest
-    residual bound of a Ritz value in either basis, both in units of C(r_l)
-    (both 0 for the closed-form axial levels).
+    The solve fills them in: the axial ones are Hermite functions, the
+    radial ones the Ritz vectors V y that the 3n/2-point DVR basis, whose
+    grid is ``grid``, computes with its levels (see `_ritz`).  ``drift`` is
+    the largest difference between the n- and 3n/2-point levels, and
+    ``ritz_bound`` the largest residual bound of a Ritz value in either
+    basis, both in units of C(r_l) (both 0 for the closed-form axial
+    levels).
     """
 
     energies: np.ndarray
@@ -129,11 +127,7 @@ class BoundStates:
     measure: np.ndarray
     drift: float
     ritz_bound: float
-    _vectors: Callable[[], np.ndarray] = field(repr=False, compare=False)
-
-    @cached_property
-    def wavefunctions(self) -> np.ndarray:
-        return self._vectors()
+    wavefunctions: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -150,7 +144,7 @@ class SpectrumLimits:
                 raise InvalidInputError(f"{name} must be non-negative")
         if self.n_z_max > _N_Z_MAX:
             raise InvalidInputError(f"n_z_max must be at most {_N_Z_MAX}")
-        # a basis of n points resolves n - 4 states (see `_solve_dvr`)
+        # a basis of n points resolves n - 4 states (see `solve_radial`)
         if self.n_r_max > _BASIS_POINTS - 5:
             raise InvalidInputError(f"n_r_max must be at most {_BASIS_POINTS - 5}")
         if not self.ratio_threshold > 0:
@@ -243,60 +237,6 @@ def _ritz(hamiltonian, d, m_ell, k, limit):
     return energies, bound, vectors
 
 
-def _solve_dvr(profile, lo, hi, n, mass, m_ell, k, scale):
-    """Lowest k radial levels of each m_ell in a sinc-DVR basis of n points, checked against 3n/2.
-
-    The Hamiltonian of m is T + diag(profile(r) + (m^2 - 1/4) D), with
-    D = hbar^2 / (2 M r^2): per basis ``profile`` is sampled once and the
-    levels come from `_ritz`.  The m_ell go in blocks of `_M_BLOCK`, each
-    solved in both bases and its drift checked before the next: memory
-    stays bounded by a block, and the first unconverged block stops the
-    solve.
-
-    Returns ``(energies, grid, vectors, drift, bound)``: the n-point
-    energies, shape (len(m_ell), k); the 3n/2-point grid; a ``vectors()``
-    that computes the 3n/2-point Ritz vectors normalised against dr only
-    when called, shape (len(m_ell), len(grid), k); the largest difference
-    between the two bases' energies and the largest Ritz bound, both in
-    units of ``scale``.
-    """
-    if n < k + 4:
-        raise InvalidInputError(f"basis of {n} points cannot resolve {k} eigenstates")
-    bases = []
-    for size in (n, 3 * n // 2):   # grid and h stay the 3n/2-point basis's
-        grid, h, hamiltonian = _dvr_kinetic(lo, hi, size, mass)
-        d = HBAR**2 / (2.0 * mass) / grid**2
-        hamiltonian[np.diag_indices(size)] += profile(grid) - 0.25 * d
-        bases.append((hamiltonian, d))
-    limit = _RITZ_LIMIT * scale
-
-    def blocks():
-        return (m_ell[start:start + _M_BLOCK] for start in range(0, len(m_ell), _M_BLOCK))
-
-    energies, drift, bound = [], 0.0, 0.0
-    for ms in blocks():
-        (coarse, coarse_bound, _), (fine, fine_bound, _) = (
-            _ritz(*basis, ms, k, limit) for basis in bases)
-        drifts = np.max(np.abs(coarse - fine), axis=1) / scale
-        failed = np.flatnonzero(~(drifts <= _CONVERGENCE_LIMIT))
-        if failed.size:
-            worst, m = float(drifts[failed[0]]), int(ms[failed[0]])
-            raise ConvergenceError(
-                f"sinc-DVR eigensolve did not converge at m_ell = {m}: drift_over_C "
-                f"{worst:.3e} exceeds the limit {_CONVERGENCE_LIMIT:.0e}",
-                diagnostics={"grid_points": n, "drift_over_C": worst, "lo": lo, "hi": hi,
-                             "m_ell": m},
-            )
-        energies.append(coarse)
-        drift = max(drift, float(np.max(drifts)))
-        bound = max(bound, coarse_bound, fine_bound)
-
-    def vectors():
-        return np.concatenate([_ritz(*bases[1], ms, k, limit)[2] for ms in blocks()]) / np.sqrt(h)
-
-    return np.concatenate(energies), grid, vectors, drift, bound / scale
-
-
 def solve_axial(
     beam: BeamConfig,
     species: AtomSpecies,
@@ -307,27 +247,26 @@ def solve_axial(
     """Axial levels hbar omega_z (n + 1/2), n = 0..n_z_max, of the well at ring j.
 
     The well kappa_z (z - z_j)^2 / 2 is exactly harmonic, so ``drift`` and
-    ``ritz_bound`` are 0.
-    The wavefunctions are the Hermite functions H_n(x) exp(-x^2/2) /
-    sqrt(2^n n! sqrt(pi) b_z), x = (z - z_j) / b_z, on ``grid_points``
-    uniform points over z_j +/- 7 b_z (see `_N_Z_MAX`).
+    ``ritz_bound`` are 0.  The wavefunctions are the Hermite functions
+    H_n(x) exp(-x^2/2) / sqrt(2^n n! sqrt(pi) b_z), x = (z - z_j) / b_z, on
+    ``grid_points`` uniform points over z_j +/- 7 b_z (see `_N_Z_MAX`),
+    from the normalised three-term recurrence
+    psi_(n+1) = sqrt(2 / (n+1)) x psi_n - sqrt(n / (n+1)) psi_(n-1).
     """
     if n_z_max < 0:
         raise InvalidInputError("n_z_max must be non-negative")
-    geo = ring_minima(beam, species, [j])[0]
+    geo = ring_minima(beam, species, j)
     energies = HBAR * geo.omega_z * (np.arange(n_z_max + 1) + 0.5)
     grid = np.linspace(geo.z_j - 7.0 * geo.b_z, geo.z_j + 7.0 * geo.b_z, grid_points)
-
-    def vectors():
-        from numpy.polynomial.hermite import hermval  # ~3 ms of import that no CLI run needs
-
-        x = (grid - geo.z_j) / geo.b_z
-        norm = [math.exp(-0.5 * (n * math.log(2.0) + math.lgamma(n + 1)))
-                for n in range(n_z_max + 1)]
-        psi = hermval(x, np.diag(norm)) * np.exp(-0.5 * x**2)
-        return psi.T / np.sqrt(np.sqrt(np.pi) * geo.b_z)
-
-    return BoundStates(energies, grid, np.ones_like(grid), 0.0, 0.0, vectors)
+    x = (grid - geo.z_j) / geo.b_z
+    psi = np.empty((grid_points, n_z_max + 1))
+    psi[:, 0] = np.exp(-0.5 * x**2) / np.sqrt(np.sqrt(np.pi) * geo.b_z)
+    if n_z_max:
+        psi[:, 1] = math.sqrt(2.0) * x * psi[:, 0]
+    for n in range(1, n_z_max):
+        psi[:, n + 1] = (math.sqrt(2.0 / (n + 1)) * x * psi[:, n]
+                         - math.sqrt(n / (n + 1)) * psi[:, n - 1])
+    return BoundStates(energies, grid, np.ones_like(grid), 0.0, 0.0, psi)
 
 
 def solve_radial(
@@ -342,15 +281,18 @@ def solve_radial(
 
     ``m_ell`` is an int or a 1-D sequence of ints; anything else raises
     `InvalidInputError`.  The box spans +/- 8 b_r around r_l in a DVR basis
-    of ``grid_points`` points.  The Hamiltonians of different m_ell differ
-    only in the centrifugal diagonal, so each basis samples the ring profile
-    once, and each stretch of `_M_BLOCK` m_ell shares one reference
-    eigendecomposition, from which every m takes its levels by Rayleigh-Ritz
-    (see the module docstring).  ``energies`` has shape np.shape(m_ell) +
-    (n_r_max + 1,); ``drift`` and ``ritz_bound`` are the largest over m_ell.
-    Eigenfunctions are returned as psi(r) = chi(r)/sqrt(r), orthonormal under
-    the cylindrical measure r dr, shape np.shape(m_ell) + (len(grid),
-    n_r_max + 1), and computed only when ``wavefunctions`` is first read.
+    of n = ``grid_points`` points, checked against 3n/2.  The Hamiltonian
+    of m is T + diag(V_l(r) + (m^2 - 1/4) D), D = hbar^2 / (2 M r^2), so
+    each basis samples the ring profile once, and each stretch of
+    `_M_BLOCK` m_ell shares one reference eigendecomposition, from which
+    every m takes its levels by Rayleigh-Ritz (`_ritz`).  The m_ell go in
+    blocks of `_M_BLOCK`, each solved in both bases and its drift checked
+    before the next, so the first unconverged block stops the solve, naming
+    its first failing m_ell.  ``energies`` are the n-point levels, shape
+    np.shape(m_ell) + (n_r_max + 1,); ``drift`` and ``ritz_bound`` are the
+    largest over m_ell.  The wavefunctions are the 3n/2-point Ritz vectors
+    as psi(r) = chi(r)/sqrt(r), orthonormal under the cylindrical measure
+    r dr, shape np.shape(m_ell) + (len(grid), n_r_max + 1).
     """
     if n_r_max < 0:
         raise InvalidInputError("n_r_max must be non-negative")
@@ -361,17 +303,46 @@ def solve_radial(
         raise InvalidInputError("m_ell must be an int or a 1-D sequence of ints")
     if not len(ms):
         raise InvalidInputError("m_ell must not be empty")
-    geo = ring_minima(beam, species, [j])[0]
+    geo = ring_minima(beam, species, j)
     lo = max(geo.r_l - 8.0 * geo.b_r, 1e-4 * geo.r_l)
     hi = geo.r_l + 8.0 * geo.b_r
-    energies, grid, vectors, drift, bound = _solve_dvr(
-        lambda r: optical_potential(beam, r, geo.z_j), lo, hi, grid_points, species.mass,
-        ms, n_r_max + 1, rotational_constant(geo.r_l, species),
-    )
+    n, k, mass = grid_points, n_r_max + 1, species.mass
+    if n < k + 4:
+        raise InvalidInputError(f"basis of {n} points cannot resolve {k} eigenstates")
+    scale = rotational_constant(geo.r_l, species)
+    bases = []
+    for size in (n, 3 * n // 2):   # grid and h stay the 3n/2-point basis's
+        grid, h, hamiltonian = _dvr_kinetic(lo, hi, size, mass)
+        d = HBAR**2 / (2.0 * mass) / grid**2
+        hamiltonian[np.diag_indices(size)] += optical_potential(beam, grid, geo.z_j) - 0.25 * d
+        bases.append((hamiltonian, d))
+    limit = _RITZ_LIMIT * scale
+
+    energies, vectors, drift, bound = [], [], 0.0, 0.0
+    for start in range(0, len(ms), _M_BLOCK):
+        block = ms[start:start + _M_BLOCK]
+        (coarse, coarse_bound, _), (fine, fine_bound, fine_vectors) = (
+            _ritz(*basis, block, k, limit) for basis in bases)
+        drifts = np.max(np.abs(coarse - fine), axis=1) / scale
+        failed = np.flatnonzero(~(drifts <= _CONVERGENCE_LIMIT))
+        if failed.size:
+            worst, m = float(drifts[failed[0]]), int(block[failed[0]])
+            raise ConvergenceError(
+                f"sinc-DVR eigensolve did not converge at m_ell = {m}: drift_over_C "
+                f"{worst:.3e} exceeds the limit {_CONVERGENCE_LIMIT:.0e}",
+                diagnostics={"grid_points": n, "drift_over_C": worst, "lo": lo, "hi": hi,
+                             "m_ell": m},
+            )
+        energies.append(coarse)
+        vectors.append(fine_vectors)
+        drift = max(drift, float(np.max(drifts)))
+        bound = max(bound, coarse_bound, fine_bound)
+
     shape = () if single else (len(ms),)
+    psi = np.concatenate(vectors) / np.sqrt(h) / np.sqrt(grid)[:, None]
     return BoundStates(
-        energies.reshape(shape + (n_r_max + 1,)), grid, grid.copy(), drift, bound,
-        lambda: (vectors() / np.sqrt(grid)[:, None]).reshape(shape + (len(grid), n_r_max + 1)),
+        np.concatenate(energies).reshape(shape + (k,)), grid, grid.copy(), drift,
+        bound / scale, psi.reshape(shape + (len(grid), k)),
     )
 
 

@@ -19,6 +19,8 @@
   checks the sinc-DVR kinetic matrix, and the closed-form
   `qrotor.spectrum.solve_axial` levels and Hermite functions, against each
   other (acceptance criterion 2).
+- `hermite_functions` sums the Hermite series with numpy's `hermval`; it
+  checks the three-term recurrence of `qrotor.spectrum.solve_axial`.
 - `harmonic_ring_profile` stands in for `qrotor.optics.optical_potential`
   with the ring's harmonic expansion, so that `solve_radial` can be run on a
   profile whose gaps are known (acceptance criterion 2).
@@ -35,6 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.hermite import hermval
 
 from qrotor.fivelevel import FiveLevelModel
 from qrotor.optics import optical_potential, ring_minima
@@ -247,7 +250,7 @@ def radial_dvr(beam, species, j: int, m_ell, n_r_max: int, grid_points: int = 42
     `_M_BLOCK`.  Returns `stacked_dvr`'s ``(energies, grid, vectors, drift)``,
     energies of shape (len(m_ell), n_r_max + 1).
     """
-    geo = ring_minima(beam, species, [j])[0]
+    geo = ring_minima(beam, species, j)
 
     def v_eff(r):
         well = optical_potential(beam, r, geo.z_j)
@@ -272,13 +275,23 @@ def axial_dvr(beam, species, j: int, n_z_max: int, grid_points: int = 42):
     eigenvectors on it (normalised against dz) and the drift between the two
     bases in units of C(r_l).
     """
-    geo = ring_minima(beam, species, [j])[0]
+    geo = ring_minima(beam, species, j)
     half = 7.0 * geo.b_z
     return stacked_dvr(
         lambda z: 0.5 * geo.kappa_z * (z - geo.z_j) ** 2,
         geo.z_j - half, geo.z_j + half, grid_points, species.mass, n_z_max + 1,
         rotational_constant(geo.r_l, species),
     )
+
+
+def hermite_functions(x, n_max: int) -> np.ndarray:
+    """Hermite functions H_n(x) exp(-x^2/2) / sqrt(2^n n! sqrt(pi)), n = 0..n_max.
+
+    Summed from the physicists' Hermite series (`numpy.polynomial.hermite`),
+    each normalisation taken in log space; shape (len(x), n_max + 1).
+    """
+    norm = [math.exp(-0.5 * (n * math.log(2.0) + math.lgamma(n + 1))) for n in range(n_max + 1)]
+    return (hermval(x, np.diag(norm)) * np.exp(-0.5 * x**2)).T / math.sqrt(math.sqrt(math.pi))
 
 
 def harmonic_ring_profile(beam, r, z):
@@ -289,7 +302,7 @@ def harmonic_ring_profile(beam, r, z):
     on the species).
     """
     j = round((float(z) - beam.phase_z0) * beam.wavenumber / math.pi)
-    geo = ring_minima(beam, LI6, [j])[0]
+    geo = ring_minima(beam, LI6, j)
     return geo.depth_at_ring + 0.5 * geo.kappa_r * (np.asarray(r) - geo.r_l) ** 2
 
 
@@ -298,7 +311,7 @@ def axial_frequency(beam, species, j: int) -> float:
 
     The difference is taken at (r_l, z_j) of ring j with a step of 1e-3 b_z.
     """
-    geo = ring_minima(beam, species, [j])[0]
+    geo = ring_minima(beam, species, j)
     step = 1e-3 * geo.b_z
     v = optical_potential(beam, geo.r_l, geo.z_j + step * np.array([-1.0, 0.0, 1.0]))
     return math.sqrt((v[0] - 2.0 * v[1] + v[2]) / step**2 / species.mass)

@@ -48,14 +48,14 @@ def _within(value, target, rel):
 
 
 def test_criterion_1_ring_geometry(fig_beam, li6):
-    geo = ring_minima(fig_beam, li6, [0])[0]
+    geo = ring_minima(fig_beam, li6, 0)
     checks = [(f"r_l = {geo.r_l * 1e6:.4f} um (15.81 +/- 0.01)",
                abs(geo.r_l - 15.81e-6) <= 0.01e-6)]
     _verdict(1, "ring radius", checks)
 
 
 def test_criterion_2_trap_scales(fig_beam, li6, monkeypatch):
-    geo = ring_minima(fig_beam, li6, [0])[0]
+    geo = ring_minima(fig_beam, li6, 0)
     c_rl = rotational_constant(geo.r_l, li6)
     omega_r = geo.omega_r
     checks = [

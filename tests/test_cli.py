@@ -48,7 +48,7 @@ def fast_lineshape_config(**shift):
 def test_minimal_config_fills_defaults(tmp_path):
     p = write_config(tmp_path, "min.json", MINIMAL)
     cfg = parse_config(p)
-    assert cfg.beam.phase_z0 == pytest.approx(671e-9 / 4)
+    assert cfg.beam.phase_z0 == pytest.approx(671e-9 / 4, abs=0)
     assert cfg.spectrum.n_z_max == 1
     assert cfg.sensor.ring_count_N == 161
     assert cfg.parallelism == 1
@@ -79,13 +79,13 @@ def test_config_rejects_garbage(tmp_path):
 
 def test_reference_fig2_config_parses(config_dir):
     cfg = parse_config(config_dir / "fig2_spectrum.json")
-    assert cfg.beam.waist_w0 == pytest.approx(10e-6)
+    assert cfg.beam.waist_w0 == pytest.approx(10e-6, abs=0)
     assert cfg.beam.oam_l == 5
     # depth is ten recoil energies
     from qrotor.units import recoil_energy
 
     assert cfg.beam.trap_depth_V0 == pytest.approx(
-        10 * recoil_energy(cfg.species, cfg.beam.wavelength), rel=1e-12
+        10 * recoil_energy(cfg.species, cfg.beam.wavelength), rel=1e-12, abs=0
     )
 
 
@@ -103,7 +103,7 @@ def test_budget_reproduces_headline_uncertainty(runner, tmp_path, config_dir):
                               "--out", str(out), "--format", "json"])
     assert res.exit_code == 0, res.output
     payload = json.loads(out.read_text())
-    assert payload["dOmega_freq"] == pytest.approx(2.25e-12, rel=1e-2)
+    assert payload["dOmega_freq"] == pytest.approx(2.25e-12, rel=1e-2, abs=0)
     assert payload["inputs"]["ring_count_N"] == 161
 
 
@@ -553,7 +553,7 @@ def test_tiny_omega_r_gives_the_same_lineshape_in_its_units(runner, tmp_path, co
     # down to the fit's float limit (6.1e-77) the run is the Omega_R = 1 run,
     # rescaled; the saturated calibration pins scale_s to ~1e-8 relative
     assert _fig4_fit_in_units(runner, tmp_path, config_dir, omega_r) == pytest.approx(
-        _fig4_fit_in_units(runner, tmp_path, config_dir, 1.0), rel=1e-4)
+        _fig4_fit_in_units(runner, tmp_path, config_dir, 1.0), rel=1e-4, abs=0)
 
 
 def test_lineshape_pair_is_written_together_or_not_at_all(runner, tmp_path, config_dir):

@@ -99,9 +99,9 @@ def test_noise_free_curve_is_recovered(monkeypatch, amplitude, delta_0, omega_ef
     calls = _counting_fit_model(monkeypatch)
     fit = fit_lineshape(Lineshape(GRID, y, OMEGA_R))
     assert 0 < len(calls) <= 40
-    assert fit.amplitude_A == pytest.approx(amplitude, rel=1e-12)
-    assert fit.delta_0 == pytest.approx(delta_0 * OMEGA_R, rel=1e-12)
-    assert fit.Omega_R_eff == pytest.approx(omega_eff * OMEGA_R, rel=1e-12)
+    assert fit.amplitude_A == pytest.approx(amplitude, rel=1e-12, abs=0)
+    assert fit.delta_0 == pytest.approx(delta_0 * OMEGA_R, rel=1e-12, abs=0)
+    assert fit.Omega_R_eff == pytest.approx(omega_eff * OMEGA_R, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("ls_args", [(12, -0.5374), (5, None)], ids=["calibrated", "on_face"])
@@ -149,8 +149,8 @@ def test_uphill_step_out_of_a_face_is_damped(monkeypatch):
     monkeypatch.setattr(qrotor._varpro, "_secant", negative_once)
     sol = varpro(decay, 0.8 * np.exp(-t), [3.0], [0.5], [4.0], 1.0, 1e-10)
     assert calls and sol.success
-    assert sol.theta[0] == pytest.approx(1.0, rel=1e-9)
-    assert sol.coef[0] == pytest.approx(0.8, rel=1e-9)
+    assert sol.theta[0] == pytest.approx(1.0, rel=1e-9, abs=0)
+    assert sol.coef[0] == pytest.approx(0.8, rel=1e-9, abs=0)
 
 
 def trf_fit(ls):
@@ -189,7 +189,7 @@ def test_fit_matches_trust_region_least_squares(j_max, target):
     fit = fit_lineshape(ls)
     oracle = trf_fit(ls)
     got = [fit.amplitude_A, fit.delta_0, fit.Omega_R_eff]
-    assert got == pytest.approx(list(oracle), rel=1e-7)
+    assert got == pytest.approx(list(oracle), rel=1e-7, abs=0)
 
 
 def test_clipped_amplitude_is_held_at_its_bound():
@@ -203,15 +203,15 @@ def test_clipped_amplitude_is_held_at_its_bound():
     oracle = least_squares(lambda th: fit_model(GRID, 1.5, *th)[0] - y, [peak, 1.5 * OMEGA_R],
                            bounds=(lower, upper), x_scale=OMEGA_R,
                            xtol=1e-15, ftol=1e-15, gtol=1e-15).x
-    assert sol.theta == pytest.approx(oracle, rel=1e-7)
+    assert sol.theta == pytest.approx(oracle, rel=1e-7, abs=0)
 
 
 def test_oscillation_frequency_recovers_a_synthetic_trace():
     times = np.linspace(0.0, 2.0, 400)
     trace = 0.83 * np.sin(0.5 * 3.7 * times) ** 2 + 0.05
     omega, amplitude = oscillation_frequency(times, trace, 3.5)
-    assert omega == pytest.approx(3.7, rel=1e-10)
-    assert amplitude == pytest.approx(0.83, rel=1e-10)
+    assert omega == pytest.approx(3.7, rel=1e-10, abs=0)
+    assert amplitude == pytest.approx(0.83, rel=1e-10, abs=0)
 
 
 def test_oscillation_frequency_needs_a_nonzero_guess():
@@ -324,7 +324,7 @@ def test_long_trace_is_polished_from_the_strided_fit(monkeypatch):
     (coarse, from_guess, first), (full, from_coarse, polish) = calls
     assert (coarse, from_guess, full) == (_COARSE_SAMPLES, [3.1], times.size)
     assert from_coarse == [abs(first.theta[0])]
-    assert polish.nfev <= 2 and omega == pytest.approx(3.7, rel=1e-10)
+    assert polish.nfev <= 2 and omega == pytest.approx(3.7, rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("off", [0.7, 1.3])
@@ -337,7 +337,7 @@ def test_two_stage_fit_lands_on_the_single_stage_fit(off):
     assert single.success
     assert omega == pytest.approx(abs(single.theta[0]), rel=1e-10, abs=0)
     assert amplitude == pytest.approx(single.coef[0], rel=1e-10, abs=0)
-    assert omega == pytest.approx(3.7, rel=1e-4)
+    assert omega == pytest.approx(3.7, rel=1e-4, abs=0)
 
 
 def test_failed_coarse_fit_leaves_the_polish_to_start_from_the_guess(monkeypatch):
@@ -353,7 +353,7 @@ def test_failed_coarse_fit_leaves_the_polish_to_start_from_the_guess(monkeypatch
     monkeypatch.setattr(qrotor._varpro, "varpro", first_fails)
     omega, _ = oscillation_frequency(times, trace, 3.1)
     assert calls == [[3.1], [3.1]]
-    assert omega == pytest.approx(3.7, rel=1e-10)
+    assert omega == pytest.approx(3.7, rel=1e-10, abs=0)
 
 
 def test_long_trace_with_a_degenerate_subsample_is_fitted_from_the_guess(monkeypatch):
@@ -364,8 +364,8 @@ def test_long_trace_with_a_degenerate_subsample_is_fitted_from_the_guess(monkeyp
     calls = _recorded_fits(monkeypatch)
     omega, amplitude = oscillation_frequency(times, trace, 3.1)
     assert [(samples, theta0) for samples, theta0, _ in calls] == [(times.size, [3.1])]
-    assert omega == pytest.approx(3.7, rel=1e-10)
-    assert amplitude == pytest.approx(0.93, rel=1e-10)
+    assert omega == pytest.approx(3.7, rel=1e-10, abs=0)
+    assert amplitude == pytest.approx(0.93, rel=1e-10, abs=0)
 
 
 def test_oscillation_frequency_matches_curve_fit_on_criterion_9():
@@ -379,5 +379,5 @@ def test_oscillation_frequency_matches_curve_fit_on_criterion_9():
     omega, amplitude = oscillation_frequency(times, pops[:, 1], omega_r)
     popt, _ = curve_fit(lambda t, a, om, c: a * np.sin(0.5 * om * t) ** 2 + c,
                         times, pops[:, 1], p0=[1.0, omega_r, 0.0])
-    assert omega == pytest.approx(abs(popt[1]), rel=1e-7)
-    assert amplitude == pytest.approx(popt[0], rel=1e-7)
+    assert omega == pytest.approx(abs(popt[1]), rel=1e-7, abs=0)
+    assert amplitude == pytest.approx(popt[0], rel=1e-7, abs=0)

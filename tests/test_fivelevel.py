@@ -68,7 +68,7 @@ def test_hamiltonian_takes_an_array_of_times(ladder_cfg):
 def test_m_f_sign_enters_magnetic_couplings(ladder_cfg):
     up = FiveLevelModel(ladder_cfg, LI6, omega_2L0=1.0, m_F=0.5)
     down = FiveLevelModel(ladder_cfg, LI6, omega_2L0=1.0, m_F=-0.5)
-    assert up.magnetic_couplings[0] == pytest.approx(-down.magnetic_couplings[0])
+    assert up.magnetic_couplings[0] == pytest.approx(-down.magnetic_couplings[0], abs=0)
     assert up.electric_couplings == down.electric_couplings
 
 
@@ -210,8 +210,8 @@ def test_oscillation_frequency_refuses_fewer_than_three_distinct_times(times):
 def test_oscillation_frequency_counts_distinct_times_past_a_repeated_start():
     times = np.concatenate([np.zeros(3), np.linspace(0.0, 2.0, 200)])
     omega, amplitude = oscillation_frequency(times, 0.9 * np.sin(1.5 * times) ** 2, 2.8)
-    assert omega == pytest.approx(3.0, rel=1e-10)
-    assert amplitude == pytest.approx(0.9, rel=1e-10)
+    assert omega == pytest.approx(3.0, rel=1e-10, abs=0)
+    assert amplitude == pytest.approx(0.9, rel=1e-10, abs=0)
 
 
 def test_evolution_conserves_probability_over_criterion_9_run():
@@ -263,21 +263,21 @@ def test_resonance_includes_kick_stark_and_drive_shifts(ladder_cfg):
     res = raman_resonance(model)
     # kick-pulse Stark shifts push |0> down twice as hard as the bright state
     v_e = kick_stark_scale(ladder_cfg) / HBAR
-    assert res == pytest.approx(1.0 + v_e, rel=0.1)
+    assert res == pytest.approx(1.0 + v_e, rel=0.1, abs=0)
 
 
 def test_elimination_cos_amplitude_matches_coupling_chain(ladder_cfg):
     res = adiabatic_eliminate(ladder_cfg, LI6, omega_2L0=1.0)
     v = effective_coupling(ladder_cfg, LI6).V
-    assert res.cos_amplitude == pytest.approx(2.0 * v, rel=1e-12)
-    assert res.epsilon_2L == pytest.approx(HBAR * 1.0, rel=1e-15)
+    assert res.cos_amplitude == pytest.approx(2.0 * v, rel=1e-12, abs=0)
+    assert res.epsilon_2L == pytest.approx(HBAR * 1.0, rel=1e-15, abs=0)
 
 
 def test_kick_stark_scale_is_the_one_optical_factor(ladder_cfg):
     v_e = kick_stark_scale(ladder_cfg)
     assert effective_coupling(ladder_cfg, LI6).V_e == v_e
     h_e = adiabatic_eliminate(ladder_cfg, LI6, omega_2L0=1.0).h_e
-    assert h_e**2 == pytest.approx(v_e * HBAR * abs(ladder_cfg.Delta_e) / 2, rel=1e-12)
+    assert h_e**2 == pytest.approx(v_e * HBAR * abs(ladder_cfg.Delta_e) / 2, rel=1e-12, abs=0)
 
 
 def test_elimination_effective_hamiltonian_structure(ladder_cfg):
@@ -288,10 +288,10 @@ def test_elimination_effective_hamiltonian_structure(ladder_cfg):
     # off-diagonal oscillates around the static part with the drive period
     period = 2 * np.pi / res.omega_ps
     assert res.hamiltonian(0.0)[0, 1] == pytest.approx(
-        res.static_coupling + res.cos_amplitude, rel=1e-12
+        res.static_coupling + res.cos_amplitude, rel=1e-12, abs=0
     )
     assert res.hamiltonian(period / 2)[0, 1] == pytest.approx(
-        res.static_coupling - res.cos_amplitude, rel=1e-9
+        res.static_coupling - res.cos_amplitude, rel=1e-9, abs=0
     )
 
 
@@ -313,4 +313,4 @@ def test_elimination_rejects_strong_dressing():
     strong = build_cfg(1.0, 300.0, 300.0, 0.45, 0.02)
     with pytest.raises(DressingError) as err:
         adiabatic_eliminate(strong, LI6, omega_2L0=1.0)
-    assert err.value.ratio == pytest.approx(0.45, rel=1e-9)
+    assert err.value.ratio == pytest.approx(0.45, rel=1e-9, abs=0)

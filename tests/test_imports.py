@@ -1,10 +1,12 @@
-"""Each subcommand imports only what it runs, and none of them loads scipy.
+"""Each subcommand imports only what it runs: none of them loads scipy or numpy.polynomial.
 
-Every case runs in a fresh interpreter and lists the ``scipy`` modules in
-``sys.modules`` afterwards.  scipy is a test dependency only: the package's
-fits, roots and extrema run on numpy.  The control is a body that imports
-scipy itself, which shows that the probe sees a scipy import when there is
-one.
+Every case runs in a fresh interpreter and lists the ``scipy`` and
+``numpy.polynomial`` modules in ``sys.modules`` afterwards.  scipy is a test
+dependency only: the package's fits, roots and extrema run on numpy.  The
+axial wavefunctions come from a three-term recurrence, not from
+``numpy.polynomial.hermite``, whose import costs ~3 ms.  The control is a
+body that imports each of them itself, which shows that the probe sees such
+an import when there is one.
 """
 
 import json
@@ -20,12 +22,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PROBE = """
 import json, sys
 {body}
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(m for m in sys.modules
+                        if (m + ".").startswith(("scipy.", "numpy.polynomial.")))))
 """
 RUN_CLI = "from qrotor.cli import cli\ncli.main(sys.argv[1:], standalone_mode=False)"
 
 
-def scipy_modules(body: str, *args) -> list[str]:
+def loaded_modules(body: str, *args) -> list[str]:
+    """The scipy and numpy.polynomial modules loaded after ``body`` runs."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", PROBE.format(body=body), *args],
@@ -36,7 +40,7 @@ def scipy_modules(body: str, *args) -> list[str]:
 
 @pytest.mark.parametrize("module", ["qrotor", "qrotor.cli"])
 def test_import_loads_no_scipy(module):
-    assert scipy_modules(f"import {module}") == []
+    assert loaded_modules(f"import {module}") == []
 
 
 @pytest.mark.parametrize("command, config", [
@@ -47,13 +51,14 @@ def test_import_loads_no_scipy(module):
 ])
 def test_subcommand_without_fits_loads_no_scipy(tmp_path, config_dir, command, config):
     out = tmp_path / "artifact"
-    assert scipy_modules(RUN_CLI, command, "--config", str(config_dir / config),
+    assert loaded_modules(RUN_CLI, command, "--config", str(config_dir / config),
                          "--out", str(out)) == []
     assert out.stat().st_size > 0
 
 
 def test_probe_sees_a_scipy_import():
-    assert "scipy.optimize" in scipy_modules("import scipy.optimize")
+    assert "scipy.optimize" in loaded_modules("import scipy.optimize")
+    assert "numpy.polynomial.hermite" in loaded_modules("import numpy.polynomial.hermite")
 
 
 def test_calibrated_lineshape_loads_no_scipy(tmp_path, config_dir):
@@ -64,7 +69,7 @@ def test_calibrated_lineshape_loads_no_scipy(tmp_path, config_dir):
     p = tmp_path / "small.json"
     p.write_text(json.dumps(cfg))
     out = tmp_path / "ls.csv"
-    assert scipy_modules(RUN_CLI, "lineshape", "--config", str(p), "--out", str(out)) == []
+    assert loaded_modules(RUN_CLI, "lineshape", "--config", str(p), "--out", str(out)) == []
     assert json.loads((tmp_path / "ls.csv.fit.json").read_text())["calibration_on_target"] is False
 
 
@@ -88,4 +93,4 @@ assert abs(omega - 3.0) < 1e-9 and abs(amplitude - 0.9) < 1e-9
 @pytest.mark.parametrize("body", [FIT_LINESHAPE, OSCILLATION_FREQUENCY],
                          ids=["fit_lineshape", "oscillation_frequency"])
 def test_least_squares_fits_load_no_scipy(body):
-    assert scipy_modules(body) == []
+    assert loaded_modules(body) == []

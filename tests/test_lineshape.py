@@ -257,7 +257,7 @@ def test_self_fit_recovers_exact_parameters():
     fit = fit_lineshape(ls)
     assert fit.amplitude_A == pytest.approx(1.0, abs=1e-6)
     assert fit.delta_0 == pytest.approx(0.0, abs=1e-6 * OMEGA_R)
-    assert fit.Omega_R_eff == pytest.approx(OMEGA_R, rel=1e-6)
+    assert fit.Omega_R_eff == pytest.approx(OMEGA_R, rel=1e-6, abs=0)
     assert fit.rms_residual < 1e-8
 
 
@@ -271,7 +271,7 @@ def test_fit_constants_do_not_depend_on_the_unit_of_omega_r(omega_r):
         fit = fit_lineshape(ls)
         return fit.amplitude_A, fit.delta_0 / om, fit.Omega_R_eff / om
 
-    assert fit_in_units(omega_r) == pytest.approx(fit_in_units(1.0), rel=1e-7)
+    assert fit_in_units(omega_r) == pytest.approx(fit_in_units(1.0), rel=1e-7, abs=0)
 
 
 @pytest.mark.parametrize("j_max, edge, amplitude, width", [
@@ -286,8 +286,8 @@ def test_fit_finds_the_lowest_basin_of_a_broadened_stack(j_max, edge, amplitude,
     ls = lineshape_from_rabi(OMEGA_R, TAU, quadratic(j_max, edge * OMEGA_R / j_max**2),
                              np.linspace(-8 * OMEGA_R, 8 * OMEGA_R, 1601))
     fit = fit_lineshape(ls)
-    assert fit.amplitude_A == pytest.approx(amplitude, rel=1e-4)
-    assert fit.Omega_R_eff / OMEGA_R == pytest.approx(width, rel=1e-4)
+    assert fit.amplitude_A == pytest.approx(amplitude, rel=1e-4, abs=0)
+    assert fit.Omega_R_eff / OMEGA_R == pytest.approx(width, rel=1e-4, abs=0)
 
 
 def _counting(monkeypatch, name):
@@ -367,9 +367,9 @@ def test_calibration_reaches_moderate_targets():
     target = -0.30 * OMEGA_R
     cal = calibrate_quadratic_scale(OMEGA_R, TAU, 80, target)
     assert cal.on_target
-    assert cal.delta_max == pytest.approx(target, rel=1e-6)
+    assert cal.delta_max == pytest.approx(target, rel=1e-6, abs=0)
     d_check, _ = lineshape_peak(OMEGA_R, TAU, quadratic(80, cal.scale_s))
-    assert d_check == pytest.approx(target, rel=1e-6)
+    assert d_check == pytest.approx(target, rel=1e-6, abs=0)
 
 
 def test_calibration_root_asks_only_for_resolved_digits(monkeypatch):
@@ -426,7 +426,7 @@ def test_shift_models_need_geometry_only_when_physical(fig_beam):
     # order shift_j ~ (j + 1/2)^2 - 1/4: the j=5 to j=1 ratio is 15
     eta = 2 * fig_beam.phase_z0 / fig_beam.wavelength
     expected = ((5 + eta) ** 2 - eta**2) / ((1 + eta) ** 2 - eta**2)
-    assert phys[-1] / phys[6] == pytest.approx(expected, rel=1e-3)
+    assert phys[-1] / phys[6] == pytest.approx(expected, rel=1e-3, abs=0)
 
 
 def test_broadened_fit_center_differs_from_peak():

@@ -11,7 +11,7 @@ def test_potential_value_on_ring(fig_beam, li6):
         z_j = fig_beam.ring_z(j)
         r_l = fig_beam.ring_radius(z_j)
         expected = -fig_beam.trap_depth_V0 * (fig_beam.waist_w0 / fig_beam.width(z_j)) ** 2
-        assert optical_potential(fig_beam, r_l, z_j) == pytest.approx(expected, rel=1e-12)
+        assert optical_potential(fig_beam, r_l, z_j) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_potential_vanishes_at_standing_wave_node(fig_beam):
@@ -37,17 +37,17 @@ def test_potential_periodicity_when_collimated(fig_beam):
 
 
 def test_ring_minima_reference_values(fig_beam, li6):
-    geo = ring_minima(fig_beam, li6, [0])[0]
+    geo = ring_minima(fig_beam, li6, 0)
     assert geo.r_l == pytest.approx(15.811e-6, abs=1e-9)
-    assert geo.omega_z * HBAR / K_B == pytest.approx(22.36e-6, rel=1e-3)
+    assert geo.omega_z * HBAR / K_B == pytest.approx(22.36e-6, rel=1e-3, abs=0)
     assert geo.b_z > 0
     assert geo.depth_at_ring < 0
-    assert geo.z_j == pytest.approx(fig_beam.phase_z0, rel=1e-15)
+    assert geo.z_j == pytest.approx(fig_beam.phase_z0, rel=1e-15, abs=0)
 
 
 def test_ring_minima_are_stationary_points(fig_beam, li6):
     for j in (0, 3):
-        geo = ring_minima(fig_beam, li6, [j])[0]
+        geo = ring_minima(fig_beam, li6, j)
         hr = 1e-9
         hz = 1e-10
         dvdr = (
@@ -68,24 +68,24 @@ def test_harmonic_decomposition_values(fig_beam, li6):
     # each axis: omega = sqrt(kappa / M), b = sqrt(hbar / (M omega)), and the
     # depth is the potential on the ring
     for j in (0, 200):
-        geo = ring_minima(fig_beam, li6, [j])[0]
+        geo = ring_minima(fig_beam, li6, j)
         assert geo.depth_at_ring == pytest.approx(
-            optical_potential(fig_beam, geo.r_l, geo.z_j), rel=1e-12)
+            optical_potential(fig_beam, geo.r_l, geo.z_j), rel=1e-12, abs=0)
         for kappa, omega, b in ((geo.kappa_z, geo.omega_z, geo.b_z),
                                 (geo.kappa_r, geo.omega_r, geo.b_r)):
-            assert omega == pytest.approx(np.sqrt(kappa / li6.mass), rel=1e-15)
-            assert b == pytest.approx(np.sqrt(HBAR / (li6.mass * omega)), rel=1e-15)
+            assert omega == pytest.approx(np.sqrt(kappa / li6.mass), rel=1e-15, abs=0)
+            assert b == pytest.approx(np.sqrt(HBAR / (li6.mass * omega)), rel=1e-15, abs=0)
         # the axial curvature is the full potential's, along z at r_l
         h = 1e-10
         v = [optical_potential(fig_beam, geo.r_l, geo.z_j + d) for d in (-h, 0.0, h)]
-        assert geo.kappa_z == pytest.approx((v[0] - 2 * v[1] + v[2]) / h**2, rel=1e-5)
+        assert geo.kappa_z == pytest.approx((v[0] - 2 * v[1] + v[2]) / h**2, rel=1e-5, abs=0)
 
 
 def test_radial_curvature_matches_finite_differences(fig_beam, li6):
-    geo = ring_minima(fig_beam, li6, [0])[0]
+    geo = ring_minima(fig_beam, li6, 0)
     h = 1e-9
     v = [optical_potential(fig_beam, geo.r_l + d, geo.z_j) for d in (-h, 0.0, h)]
-    assert geo.kappa_r == pytest.approx((v[0] - 2 * v[1] + v[2]) / h**2, rel=1e-6)
+    assert geo.kappa_r == pytest.approx((v[0] - 2 * v[1] + v[2]) / h**2, rel=1e-6, abs=0)
 
 
 def test_axial_harmonic_frequency_identity(fig_beam, li6, e0_recoil):
@@ -93,10 +93,12 @@ def test_axial_harmonic_frequency_identity(fig_beam, li6, e0_recoil):
     # and b_z = sqrt(ww) / k (E0 / V0)^(1/4), ww = w(z_j) / w0
     v0, k = fig_beam.trap_depth_V0, fig_beam.wavenumber
     for j in (0, 200):
-        geo = ring_minima(fig_beam, li6, [j])[0]
+        geo = ring_minima(fig_beam, li6, j)
         ww = fig_beam.width(geo.z_j) / fig_beam.waist_w0
-        assert geo.omega_z == pytest.approx(2 / ww * np.sqrt(e0_recoil * v0) / HBAR, rel=1e-12)
-        assert geo.b_z == pytest.approx(np.sqrt(ww) / k * (e0_recoil / v0) ** 0.25, rel=1e-12)
+        assert geo.omega_z == pytest.approx(2 / ww * np.sqrt(e0_recoil * v0) / HBAR,
+                                            rel=1e-12, abs=0)
+        assert geo.b_z == pytest.approx(np.sqrt(ww) / k * (e0_recoil / v0) ** 0.25,
+                                        rel=1e-12, abs=0)
 
 
 def test_radial_frequency_independent_of_oam(fig_beam, li6):
@@ -106,8 +108,8 @@ def test_radial_frequency_independent_of_oam(fig_beam, li6):
     waist = replace(fig_beam, collimated=True)
     expected = np.sqrt(8 * waist.trap_depth_V0 / (li6.mass * waist.waist_w0**2))
     for l in (1, 2, 5, 10, 25, 50, -5):
-        geo = ring_minima(replace(waist, oam_l=l), li6, [0])[0]
-        assert geo.omega_r == pytest.approx(expected, rel=1e-12)
+        geo = ring_minima(replace(waist, oam_l=l), li6, 0)
+        assert geo.omega_r == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_beam_config_validation():

@@ -37,9 +37,9 @@ def reference_sensor(**over):
 
 def test_ground_band_transition():
     assert transition_frequency(0, +1, 25, OMEGA_0, 0.0) == pytest.approx(
-        4 * 25**2 * OMEGA_0, rel=1e-14
+        4 * 25**2 * OMEGA_0, rel=1e-14, abs=0
     )
-    assert 4 * 25**2 * OMEGA_0 == pytest.approx(5.2825e4, rel=1e-4)
+    assert 4 * 25**2 * OMEGA_0 == pytest.approx(5.2825e4, rel=1e-4, abs=0)
 
 
 @given(
@@ -61,7 +61,7 @@ def test_mirror_degeneracy_at_rest():
     for m in (0, 1, -1):
         a = transition_frequency(m, +1, 25, OMEGA_0, 0.0)
         b = transition_frequency(m, -1, 25, OMEGA_0, 0.0)
-        assert a == pytest.approx(b, rel=1e-14)
+        assert a == pytest.approx(b, rel=1e-14, abs=0)
 
 
 def test_transition_frequency_validation():
@@ -131,13 +131,14 @@ def test_rotation_scan_three_lines_at_rest():
 def test_budget_frequency_headline():
     # sum convention: the quoted 2.86e-9 uncertainty is the pump+Stokes total
     cfg = reference_sensor(freq_uncertainty_pump=1.43e-9, freq_uncertainty_stokes=1.43e-9)
-    assert budget_frequency(cfg) == pytest.approx(2.25e-12, rel=1e-2)
+    assert budget_frequency(cfg) == pytest.approx(2.25e-12, rel=1e-2, abs=0)
 
 
 def test_budget_frequency_scalings():
     cfg = reference_sensor()
     base = budget_frequency(cfg)
-    assert budget_frequency(reference_sensor(kick_oam_L=50)) == pytest.approx(base / 2, rel=1e-12)
+    halved = budget_frequency(reference_sensor(kick_oam_L=50))
+    assert halved == pytest.approx(base / 2, rel=1e-12, abs=0)
     quiet = reference_sensor(freq_uncertainty_pump=0.0, freq_uncertainty_stokes=0.0)
     assert budget_frequency(quiet) == 0.0
 
@@ -148,23 +149,23 @@ def test_budget_channels_scale_as_inverse_sqrt_n(n_scale):
     ref = reference_sensor(ring_count_N=1)
     for fn in (budget_frequency, lambda c: budget_rabi_fluctuation(c)[2],
                lambda c: budget_shot_noise(c)[2]):
-        assert fn(cfg) == pytest.approx(fn(ref) / np.sqrt(n_scale), rel=1e-12)
+        assert fn(cfg) == pytest.approx(fn(ref) / np.sqrt(n_scale), rel=1e-12, abs=0)
 
 
 def test_budget_rabi_fluctuation_reference_numbers():
     cfg = reference_sensor()  # each drive uncertainty quoted as 2.86e-9
     dphi, deps, domega = budget_rabi_fluctuation(cfg)
-    assert dphi / np.pi == pytest.approx(3.21e-17, rel=1e-2)
-    assert deps / 1.054571817e-34 == pytest.approx(1.267e-15, rel=1e-2)
-    assert domega == pytest.approx(9.985e-19, rel=1e-2)
+    assert dphi / np.pi == pytest.approx(3.21e-17, rel=1e-2, abs=0)
+    assert deps / 1.054571817e-34 == pytest.approx(1.267e-15, rel=1e-2, abs=0)
+    assert domega == pytest.approx(9.985e-19, rel=1e-2, abs=0)
 
 
 def test_budget_shot_noise_reference_numbers():
     cfg = reference_sensor()
     dphi, deps, domega = budget_shot_noise(cfg)
-    assert dphi == pytest.approx(1.987e-14, rel=1e-2)
-    assert deps / 1.054571817e-34 == pytest.approx(7.949e-14, rel=1e-2)
-    assert domega == pytest.approx(6.265e-17, rel=1e-2)
+    assert dphi == pytest.approx(1.987e-14, rel=1e-2, abs=0)
+    assert deps / 1.054571817e-34 == pytest.approx(7.949e-14, rel=1e-2, abs=0)
+    assert domega == pytest.approx(6.265e-17, rel=1e-2, abs=0)
 
 
 def test_budget_channel_ordering_matches_conclusions():
@@ -188,7 +189,7 @@ def test_tilt_without_acceleration():
     g = [0.0, 0.0, -9.81]
     geo = tilt_compensation(g, [0.0, 0.0, 0.0], [1e-5, 2e-5, 3e-5])
     assert geo.tilt_angle_theta_a == 0.0
-    assert geo.effective_Omega_prime == pytest.approx(3e-5, rel=1e-12)
+    assert geo.effective_Omega_prime == pytest.approx(3e-5, rel=1e-12, abs=0)
 
 
 def test_tilt_45_degrees():
@@ -196,9 +197,9 @@ def test_tilt_45_degrees():
     a = np.array([9.81, 0.0, 0.0])
     omega = np.array([4e-5, 0.0, 3e-5])
     geo = tilt_compensation(g, a, omega)
-    assert geo.tilt_angle_theta_a == pytest.approx(np.pi / 4, rel=1e-12)
+    assert geo.tilt_angle_theta_a == pytest.approx(np.pi / 4, rel=1e-12, abs=0)
     # e_z' = (1, 0, 1)/sqrt(2): sensed rate mixes the in-plane component
-    assert geo.effective_Omega_prime == pytest.approx((4e-5 + 3e-5) / np.sqrt(2), rel=1e-12)
+    assert geo.effective_Omega_prime == pytest.approx((4e-5 + 3e-5) / np.sqrt(2), rel=1e-12, abs=0)
 
 
 def test_tilt_orthogonal_rotation_invisible():

@@ -16,7 +16,14 @@ from qrotor.spectrum import (
 )
 from qrotor.units import HBAR, K_B
 
-from oracles import axial_dvr, axial_frequency, harmonic_ring_profile, level_rows, radial_dvr
+from oracles import (
+    axial_dvr,
+    axial_frequency,
+    harmonic_ring_profile,
+    hermite_functions,
+    level_rows,
+    radial_dvr,
+)
 
 
 R_L = 15.811388300841896e-6  # w0 sqrt(l/2) for w0 = 10 um, l = 5
@@ -24,13 +31,13 @@ R_L = 15.811388300841896e-6  # w0 sqrt(l/2) for w0 = 10 um, l = 5
 
 def test_rotational_constant_reference(li6):
     c = rotational_constant(R_L, li6)
-    assert c / K_B == pytest.approx(0.1613e-9, rel=5e-3)
-    assert c / HBAR == pytest.approx(21.13, rel=5e-3)
+    assert c / K_B == pytest.approx(0.1613e-9, rel=5e-3, abs=0)
+    assert c / HBAR == pytest.approx(21.13, rel=5e-3, abs=0)
 
 
 def test_rotational_constant_scaling(li6):
     c = rotational_constant(R_L, li6)
-    assert rotational_constant(2 * R_L, li6) == pytest.approx(c / 4, rel=1e-12)
+    assert rotational_constant(2 * R_L, li6) == pytest.approx(c / 4, rel=1e-12, abs=0)
     with pytest.raises(InvalidInputError):
         rotational_constant(0.0, li6)
 
@@ -42,7 +49,7 @@ def test_axial_levels_match_harmonic_oracle(fig_beam, li6):
     assert np.allclose(states.energies, exact, rtol=1e-6)
     # reference gap value
     gap = states.energies[1] - states.energies[0]
-    assert gap / K_B == pytest.approx(22.36e-6, rel=1e-3)
+    assert gap / K_B == pytest.approx(22.36e-6, rel=1e-3, abs=0)
 
 
 @pytest.mark.parametrize("j", [0, 3, -120])
@@ -60,7 +67,7 @@ def test_axial_energies_converge_with_basis_size(fig_beam, li6):
     coarse, _, _, drift = axial_dvr(fig_beam, li6, 0, 3, grid_points=42)
     fine = axial_dvr(fig_beam, li6, 0, 3, grid_points=63)[0]
     assert np.max(np.abs(coarse / fine - 1.0)) <= 1e-10
-    c_rl = rotational_constant(ring_minima(fig_beam, li6, [0])[0].r_l, li6)
+    c_rl = rotational_constant(ring_minima(fig_beam, li6, 0).r_l, li6)
     diff = np.max(np.abs(coarse - fine)) / c_rl
     assert drift == diff
     # the rounding floor of levels ~1e5 C(r_l) deep
@@ -82,8 +89,17 @@ def test_axial_wavefunctions_match_dvr_eigenvectors(fig_beam, li6, j):
     assert np.array_equal(states.grid[1:-1], grid)
     hermite, dvr = states.wavefunctions[1:-1], vectors()
     dvr = dvr * np.sign(np.sum(hermite * dvr, axis=0))
-    b_z = ring_minima(fig_beam, li6, [j])[0].b_z
+    b_z = ring_minima(fig_beam, li6, j).b_z
     assert np.max(np.abs(hermite - dvr)) * np.sqrt(b_z) <= 1e-6
+
+
+@pytest.mark.parametrize("grid_points", [42, 2001])
+def test_axial_recurrence_matches_the_hermite_series(fig_beam, li6, grid_points):
+    # every listed n_z (<= 23) on the +/- 7 b_z box, in units of b_z^-1/2
+    states = solve_axial(fig_beam, li6, 0, qrotor.spectrum._N_Z_MAX, grid_points=grid_points)
+    geo = ring_minima(fig_beam, li6, 0)
+    series = hermite_functions((states.grid - geo.z_j) / geo.b_z, qrotor.spectrum._N_Z_MAX)
+    assert np.max(np.abs(states.wavefunctions * np.sqrt(geo.b_z) - series)) <= 1e-13
 
 
 @pytest.mark.parametrize("m", [0, 5, 10])
@@ -98,7 +114,7 @@ def test_radial_convergence_error_on_coarse_basis(fig_beam, li6, m):
 def test_radial_gap_close_to_harmonic(fig_beam, li6):
     states = solve_radial(fig_beam, li6, 0, 0, 1)
     gap = states.energies[1] - states.energies[0]
-    assert gap / K_B == pytest.approx(0.4776e-6, rel=5e-2)
+    assert gap / K_B == pytest.approx(0.4776e-6, rel=5e-2, abs=0)
 
 
 def test_orbital_gap_is_rotational_constant(fig_beam, li6):
@@ -106,7 +122,7 @@ def test_orbital_gap_is_rotational_constant(fig_beam, li6):
     m1 = solve_radial(fig_beam, li6, 0, 1, 0)
     gap = m1.energies[0] - m0.energies[0]
     c = rotational_constant(R_L, li6)
-    assert gap == pytest.approx(c, rel=2e-2)
+    assert gap == pytest.approx(c, rel=2e-2, abs=0)
 
 
 @pytest.mark.parametrize("m", [2, 5, 10, 25, 50])
@@ -115,7 +131,7 @@ def test_rigid_rotor_tower(fig_beam, li6, m):
     mm = solve_radial(fig_beam, li6, 0, m, 0)
     gap = mm.energies[0] - m0.energies[0]
     c = rotational_constant(R_L, li6)
-    assert gap == pytest.approx(m * m * c, rel=2e-2)
+    assert gap == pytest.approx(m * m * c, rel=2e-2, abs=0)
 
 
 def test_radial_solver_symmetric_in_m_sign(fig_beam, li6):
@@ -126,15 +142,18 @@ def test_radial_solver_symmetric_in_m_sign(fig_beam, li6):
 
 def test_harmonic_radial_profile_oracle(fig_beam, li6, monkeypatch):
     # harmonic profile plus centrifugal: gaps n hbar w_r + m^2 C to first order
-    omega_r = ring_minima(fig_beam, li6, [0])[0].omega_r
-    c = rotational_constant(R_L, li6)
+    omega_r = ring_minima(fig_beam, li6, 0).omega_r
     monkeypatch.setattr(qrotor.spectrum, "optical_potential", harmonic_ring_profile)
     base = solve_radial(fig_beam, li6, 0, 0, 2)
     for n in (1, 2):
         gap = base.energies[n] - base.energies[0]
-        assert gap == pytest.approx(n * HBAR * omega_r, rel=1e-3)
+        assert gap == pytest.approx(n * HBAR * omega_r, rel=1e-3, abs=0)
+    # the m = 5 shift is 25 hbar^2 / (2 M r^2) to first order, whose mean over
+    # the ground state is C(r_l) (1 + (3/2) (b_r / r_l)^2), 1e-3 above 25 C(r_l)
+    psi0, r = base.wavefunctions[:, 0], base.grid
+    first_order = 25 * np.trapezoid(psi0**2 * HBAR**2 / (2 * li6.mass * r**2) * base.measure, r)
     m5 = solve_radial(fig_beam, li6, 0, 5, 0)
-    assert m5.energies[0] - base.energies[0] == pytest.approx(25 * c, rel=1e-3)
+    assert m5.energies[0] - base.energies[0] == pytest.approx(first_order, rel=1e-4, abs=0)
 
 
 def test_eigenfunctions_orthonormal(fig_beam, li6):
@@ -163,9 +182,9 @@ def small_spectrum(fig_beam, li6):
 
 def test_spectrum_scale_hierarchy(small_spectrum):
     eps_z, eps_r, eps_ell = small_spectrum.gaps
-    assert eps_z / K_B == pytest.approx(22.36e-6, rel=1e-3)
-    assert eps_r / K_B == pytest.approx(0.4776e-6, rel=5e-2)
-    assert eps_ell / K_B == pytest.approx(0.1613e-9, rel=2e-2)
+    assert eps_z / K_B == pytest.approx(22.36e-6, rel=1e-3, abs=0)
+    assert eps_r / K_B == pytest.approx(0.4776e-6, rel=5e-2, abs=0)
+    assert eps_ell / K_B == pytest.approx(0.1613e-9, rel=2e-2, abs=0)
     assert small_spectrum.inequalities_ok
 
 
@@ -199,7 +218,7 @@ def test_spectrum_rows_columns(small_spectrum):
     assert len(rows) == len(small_spectrum.energy)
     n_z, n_r, m, e_j, e_nk, deg = rows[0]
     assert (n_z, n_r, m, deg) == (0, 0, 0, 2)
-    assert e_nk == pytest.approx(e_j / K_B * 1e9, rel=1e-12)
+    assert e_nk == pytest.approx(e_j / K_B * 1e9, rel=1e-12, abs=0)
 
 
 def test_energies_do_not_depend_on_reading_wavefunctions(fig_beam, li6):
@@ -207,7 +226,6 @@ def test_energies_do_not_depend_on_reading_wavefunctions(fig_beam, li6):
     read = solve_radial(fig_beam, li6, 0, 2, 3)
     assert read.wavefunctions.shape == (len(read.grid), 4)
     assert np.array_equal(plain.energies, read.energies)
-    assert read.wavefunctions is read.wavefunctions   # computed once
 
 
 def test_spectrum_energies_are_the_solver_energies(fig_beam, li6, small_spectrum):
@@ -258,7 +276,7 @@ def test_spectrum_eigensolves_one_reference_per_basis_and_stretch(fig_beam, li6,
 def _ritz_matches_the_full_eigensolve(beam, li6, j, ms, n_r_max, grid_points):
     states = solve_radial(beam, li6, j, ms, n_r_max, grid_points=grid_points)
     energies, grid, vectors, drift = radial_dvr(beam, li6, j, ms, n_r_max, grid_points)
-    c_rl = rotational_constant(ring_minima(beam, li6, [j])[0].r_l, li6)
+    c_rl = rotational_constant(ring_minima(beam, li6, j).r_l, li6)
     assert np.max(np.abs(states.energies - energies)) <= 1e-9 * c_rl
     assert abs(states.drift - drift) <= 2e-9
     assert 0.0 < states.ritz_bound <= qrotor.spectrum._RITZ_LIMIT

@@ -13,9 +13,9 @@ from qrotor.units import (
 
 def test_recoil_li6_671nm_reference_value():
     e0 = recoil_energy(LI6, 671e-9)
-    assert e0 / K_B == pytest.approx(3.536e-6, rel=5e-3)
+    assert e0 / K_B == pytest.approx(3.536e-6, rel=5e-3, abs=0)
     # trap depth convention: 10 recoils is kB x 35.36 uK
-    assert 10 * e0 / K_B == pytest.approx(35.36e-6, rel=5e-3)
+    assert 10 * e0 / K_B == pytest.approx(35.36e-6, rel=5e-3, abs=0)
 
 
 def test_recoil_long_wavelength_limit():
@@ -26,7 +26,7 @@ def test_recoil_long_wavelength_limit():
 def test_recoil_doubling_wavelength_quarters_energy():
     e1 = recoil_energy(LI6, 671e-9)
     e2 = recoil_energy(LI6, 2 * 671e-9)
-    assert e2 == pytest.approx(e1 / 4.0, rel=1e-12)
+    assert e2 == pytest.approx(e1 / 4.0, rel=1e-12, abs=0)
 
 
 @given(
@@ -37,7 +37,7 @@ def test_recoil_scaling_in_wavelength(lam, scale):
     e1 = recoil_energy(LI6, lam)
     e2 = recoil_energy(LI6, lam * scale)
     assert e2 < e1
-    assert e2 * scale**2 == pytest.approx(e1, rel=1e-9)
+    assert e2 * scale**2 == pytest.approx(e1, rel=1e-9, abs=0)
 
 
 @given(
@@ -52,7 +52,7 @@ def test_recoil_scaling_in_mass(mass_amu, scale):
     e1 = recoil_energy(light, 671e-9)
     e2 = recoil_energy(heavy, 671e-9)
     assert e2 < e1
-    assert e2 * scale == pytest.approx(e1, rel=1e-9)
+    assert e2 * scale == pytest.approx(e1, rel=1e-9, abs=0)
 
 
 def test_recoil_rejects_bad_wavelength():
