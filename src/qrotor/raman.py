@@ -595,8 +595,8 @@ def fit_model(delta, amplitude, delta_0, omega_eff):
 # grid's peak, the width Omega_eff within FIT_WIDTH_BOUNDS.
 FIT_CENTRE_RANGE = 3.0
 FIT_WIDTH_BOUNDS = (0.2, 5.0)
-# The fewest grid points the fit takes, and the tolerance each start is
-# screened to before the best one is polished.
+# The fewest grid points the fit takes, and the tolerance each start of a
+# multi-lobed curve is screened to before the best one is polished.
 FIT_MIN_POINTS = 50
 FIT_SCREEN_TOL = 1e-6
 
@@ -615,26 +615,61 @@ def fit_denominator_range(omega_r: float, half_width: float) -> tuple[float, flo
     return least * least, greatest * greatest
 
 
+@functools.cache
+def _fwhm_per_width() -> float:
+    """peak_fwhm(Omega) / Omega at the pi pulse, the same at every Omega."""
+    return peak_fwhm(1.0)
+
+
+def _half_width_start(delta, y, top: int) -> tuple[float, float, int]:
+    """Centre and full width at half maximum of the lobe around ``y[top]``.
+
+    The half-maximum crossings on each side of ``top`` are interpolated
+    linearly between grid points; a side that never falls below half ends at
+    the grid's edge.  Also returns the number of runs of grid points at or
+    above half the maximum: more than one marks a multi-lobed curve.
+    """
+    half = 0.5 * y[top]
+    above = y >= half
+    runs = int(above[0]) + int(np.count_nonzero(above[1:] & ~above[:-1]))
+
+    def crossing(below, inside):
+        return delta[below] + (half - y[below]) * (
+            (delta[inside] - delta[below]) / (y[inside] - y[below]))
+
+    left = np.flatnonzero(~above[:top])
+    right = np.flatnonzero(~above[top:])
+    lo = crossing(left[-1], left[-1] + 1) if left.size else delta[0]
+    hi = crossing(top + right[0], top + right[0] - 1) if right.size else delta[-1]
+    return float(0.5 * (lo + hi)), float(hi - lo), runs
+
+
 def fit_lineshape(ls: Lineshape) -> FitResult:
     """Least-squares fit of A * P0(delta - delta_0, Omega_eff) to the lineshape.
 
     A enters linearly, so variable projection (`_varpro`) eliminates it:
     A = <P0, y> / <P0, P0> at each (delta_0, Omega_eff), clipped to
     [1e-9, 1.5], and damped Newton steps built from the analytic slopes of
-    `fit_model` move (delta_0, Omega_eff) within the fit's box.  The fit is
-    multi-started over width guesses {1, 1.5, 2} Omega_R because the sin^2
-    sidelobes create secondary minima.  Requires the grid to span at least
-    +/- 4 Omega_R around the peak with >= FIT_MIN_POINTS points.
+    `fit_model` move (delta_0, Omega_eff) within the fit's box.  Requires the
+    grid to span at least +/- 4 Omega_R around the peak with >=
+    FIT_MIN_POINTS points.
 
-    Each start runs only to tolerance FIT_SCREEN_TOL, which tells the basins
-    apart: where the starts land in different minima their costs differ by
-    30% or more.  Only the lowest-cost start is then polished at 1e-15.  Its
-    answer is determined to ~1e-8 relative, not 1e-15: the cost is flat to
-    rounding over that much of the parameters.  A trust-region reflective
-    least-squares solve on the same box (the oracle in tests/test_fits.py)
-    agrees with it to 6.4e-9 relative on fig4 and to
-    within 3.9e-9 on calibrated stacks of 9 to 30 rings: the ninth printed
-    digit is not determined.
+    The start is read off the curve: delta_0 is the midpoint of the
+    half-maximum crossings around the grid's peak, and Omega_eff their
+    distance over the model's own width ratio peak_fwhm(Omega) / Omega
+    (1.597), clipped into the box.  A curve whose points at or above half
+    its maximum form one run is fitted from that start alone, at 1e-15.  On
+    a multi-lobed curve the sin^2 sidelobes and a broad stack's separate
+    ring groups make secondary minima, and the half-width start can land in
+    the wrong one: there it is screened, with width starts {1, 1.5, 2}
+    Omega_R at the grid's peak, to tolerance FIT_SCREEN_TOL, which tells the
+    basins apart (their costs differ by 30% or more), and only the
+    lowest-cost one is polished at 1e-15.  The answer is determined to
+    ~1e-8 relative, not 1e-15: the cost is flat to rounding over that much
+    of the parameters.  A trust-region reflective least-squares solve on the
+    same box (the oracle in tests/test_fits.py) agrees with it to 6.4e-9
+    relative on fig4 and to within 8.9e-9 on calibrated stacks of 9 to 30
+    rings: the ninth printed digit is not determined.
 
     delta_0 and Omega_eff move in units of Omega_R: the step test is
     relative to them, which holds at every scale of Omega_R.  Floats still
@@ -649,7 +684,8 @@ def fit_lineshape(ls: Lineshape) -> FitResult:
 
     delta = ls.delta_grid
     y = ls.probability
-    peak = float(delta[int(np.argmax(y))])
+    top = int(np.argmax(y))
+    peak = float(delta[top])
     span = 4.0 * ls.Omega_R
     if len(delta) < FIT_MIN_POINTS or delta[0] > peak - span or delta[-1] < peak + span:
         raise InvalidInputError(
@@ -668,8 +704,13 @@ def fit_lineshape(ls: Lineshape) -> FitResult:
     def solve(start, tol):
         return varpro(basis, y, start, lower, upper, ls.Omega_R, tol, coef_bounds=(1e-9, 1.5))
 
-    screened = [solve([peak, guess * ls.Omega_R], FIT_SCREEN_TOL) for guess in (1.0, 1.5, 2.0)]
-    best = solve(min(screened, key=lambda sol: sol.cost).theta, 1e-15)
+    centre, fwhm, runs = _half_width_start(delta, y, top)
+    start = [centre, fwhm / _fwhm_per_width()]
+    if runs > 1:
+        starts = [start] + [[peak, guess * ls.Omega_R] for guess in (1.0, 1.5, 2.0)]
+        screened = [solve(s, FIT_SCREEN_TOL) for s in starts]
+        start = min(screened, key=lambda sol: sol.cost).theta
+    best = solve(start, 1e-15)
     result = FitResult(
         amplitude_A=float(best.coef[0]),
         delta_0=float(best.theta[0]),

@@ -64,13 +64,12 @@ from .units import HBAR, K_B, AtomSpecies
 # units of the rotor constant C(r_l), beyond which the basis is declared
 # unconverged.
 _CONVERGENCE_LIMIT = 1e-3
-# Default sinc-DVR basis size of the radial solve, and the default number of
-# axial wavefunction samples.  The reference eigendecompositions (eigh,
-# LAPACK syevd) of more than 25 points take the divide-and-conquer path, on
-# which OpenBLAS (0.3.31) wakes a second thread, although one is faster
-# (2-core machine: 0.32 ms per 42-point eigh on two cores against 0.24 ms on
-# one, 0.62 against 0.49 ms at 63 points); numpy has no eigenvector solver
-# that stays on the calling thread at these sizes.  So a radial solve of
+# Default sinc-DVR basis size of the radial solve.  The reference
+# eigendecompositions (eigh, LAPACK syevd) of more than 25 points take the
+# divide-and-conquer path, on which OpenBLAS (0.3.31) wakes a second thread,
+# although one is faster (2-core machine: 0.32 ms per 42-point eigh on two
+# cores against 0.24 ms on one, 0.62 against 0.49 ms at 63 points); numpy has
+# no eigenvector solver that stays on the calling thread at these sizes.  So a radial solve of
 # m_ell 0..30, two such eigh calls, runs at CPU/wall 1.9-2.0 (min of 60 runs:
 # 2.0-3.8 ms, against 8.7-14 ms for a full eigvalsh of every Hamiltonian).
 _BASIS_POINTS = 42
@@ -86,9 +85,15 @@ _RITZ_SPARE = 6
 # third of the rounding floor of the levels (see the module docstring), so
 # Rayleigh-Ritz moves no level by more than a full eigensolve's rounding.
 _RITZ_LIMIT = 1e-10
-# Highest axial level a spectrum lists: the +/- 7 b_z sampling box of the axial
-# wavefunctions holds the turning point sqrt(2 n + 1) b_z of every n <= 23.
+# Highest axial level a spectrum lists, and the half-width in b_z and the
+# default number of samples of the box its wavefunctions are sampled on.  The
+# turning point sqrt(2 n + 1) b_z of n = 23 lies at 6.9 b_z; a +/- 7 b_z box
+# cut 2.8e-2 of that state's norm (|1 - sum psi^2 dz|, trapezoid), and the
+# +/- 10 b_z box, at the same spacing of ~0.34 b_z, cuts below 1e-9 of every
+# listed state.
 _N_Z_MAX = 23
+_AXIAL_HALF_WIDTH = 10.0
+_AXIAL_POINTS = 60
 
 
 @dataclass(frozen=True)
@@ -242,14 +247,14 @@ def solve_axial(
     species: AtomSpecies,
     j: int,
     n_z_max: int,
-    grid_points: int = _BASIS_POINTS,
+    grid_points: int = _AXIAL_POINTS,
 ) -> BoundStates:
     """Axial levels hbar omega_z (n + 1/2), n = 0..n_z_max, of the well at ring j.
 
     The well kappa_z (z - z_j)^2 / 2 is exactly harmonic, so ``drift`` and
     ``ritz_bound`` are 0.  The wavefunctions are the Hermite functions
     H_n(x) exp(-x^2/2) / sqrt(2^n n! sqrt(pi) b_z), x = (z - z_j) / b_z, on
-    ``grid_points`` uniform points over z_j +/- 7 b_z (see `_N_Z_MAX`),
+    ``grid_points`` uniform points over z_j +/- 10 b_z (see `_N_Z_MAX`),
     from the normalised three-term recurrence
     psi_(n+1) = sqrt(2 / (n+1)) x psi_n - sqrt(n / (n+1)) psi_(n-1).
     """
@@ -257,7 +262,8 @@ def solve_axial(
         raise InvalidInputError("n_z_max must be non-negative")
     geo = ring_minima(beam, species, j)
     energies = HBAR * geo.omega_z * (np.arange(n_z_max + 1) + 0.5)
-    grid = np.linspace(geo.z_j - 7.0 * geo.b_z, geo.z_j + 7.0 * geo.b_z, grid_points)
+    half = _AXIAL_HALF_WIDTH * geo.b_z
+    grid = np.linspace(geo.z_j - half, geo.z_j + half, grid_points)
     x = (grid - geo.z_j) / geo.b_z
     psi = np.empty((grid_points, n_z_max + 1))
     psi[:, 0] = np.exp(-0.5 * x**2) / np.sqrt(np.sqrt(np.pi) * geo.b_z)

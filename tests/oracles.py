@@ -269,14 +269,14 @@ def radial_dvr(beam, species, j: int, m_ell, n_r_max: int, grid_points: int = 42
 def axial_dvr(beam, species, j: int, n_z_max: int, grid_points: int = 42):
     """Sinc-DVR solve of the axial well kappa_z (z - z_j)^2 / 2 at ring j.
 
-    Runs `stacked_dvr` on z_j +/- 7 b_z in a basis of ``grid_points`` points
+    Runs `stacked_dvr` on z_j +/- 10 b_z in a basis of ``grid_points`` points
     checked against 3n/2, and returns its ``(energies, grid, vectors,
     drift)``: the lowest n_z_max + 1 levels, the 3n/2-point grid, the
     eigenvectors on it (normalised against dz) and the drift between the two
     bases in units of C(r_l).
     """
     geo = ring_minima(beam, species, j)
-    half = 7.0 * geo.b_z
+    half = 10.0 * geo.b_z
     return stacked_dvr(
         lambda z: 0.5 * geo.kappa_z * (z - geo.z_j) ** 2,
         geo.z_j - half, geo.z_j + half, grid_points, species.mass, n_z_max + 1,

@@ -345,7 +345,7 @@ _UNREAD_IDS = ["-".join([shift["model"], *(k for k in shift if k != "model")])
     pytest.param("budget", "beam", "trap_depth_J", 1e-30, id="beam-trap_depth_J"),
     pytest.param("rotation-scan", "rotation_scan", "Omega_values", [0.0, 1.0],
                  id="rotation_scan-Omega_values"),
-    # the +/- 7 b_z axial sampling box holds n_z <= 23; a huge n_z_max would
+    # the +/- 10 b_z axial sampling box holds n_z <= 23 whole; a huge n_z_max would
     # build its level table until memory ran out
     pytest.param("spectrum", "spectrum", "n_z_max", 24, id="spectrum-n_z_max-24"),
     pytest.param("spectrum", "spectrum", "n_z_max", 10**9, id="spectrum-n_z_max-1e9"),

@@ -93,8 +93,9 @@ def test_fit_model_slopes_match_central_differences(amplitude, delta_0, omega_ef
 @pytest.mark.parametrize("amplitude, delta_0, omega_eff", [
     (0.73, -1.1, 1.37), (0.4, 0.6, 2.9), (0.95, -0.2, 0.8), (0.6, -0.5, 4.2)])
 def test_noise_free_curve_is_recovered(monkeypatch, amplitude, delta_0, omega_eff):
-    # three starts and the polish took 20-29 evaluations; the exact fit
-    # stops each one as soon as its cost reaches rounding
+    # the half-width start is the exact curve's own width: 4 evaluations each
+    # (three screened starts and the polish took 20-26); the exact fit stops
+    # as soon as its cost reaches rounding
     y = fit_model(GRID, amplitude, delta_0 * OMEGA_R, omega_eff * OMEGA_R)[0]
     calls = _counting_fit_model(monkeypatch)
     fit = fit_lineshape(Lineshape(GRID, y, OMEGA_R))
@@ -181,15 +182,32 @@ def trf_fit(ls):
     return solve(min(screened, key=lambda res: res.cost).x, 1e-15).x
 
 
-@pytest.mark.parametrize("j_max, target", [(80, -0.5374), (9, -0.4), (12, -0.3), (15, -0.45)],
-                         ids=["fig4", "j9", "j12", "j15"])
-def test_fit_matches_trust_region_least_squares(j_max, target):
-    # measured: 6.4e-9 relative on fig4, at most 2.2e-9 on the other stacks
-    ls = _calibrated(j_max, target)
+@pytest.mark.parametrize("model, j_max, target, factor", [
+    ("quadratic", 80, -0.5374, 1.0), ("quadratic", 9, -0.4, 1.0), ("quadratic", 12, -0.3, 1.0),
+    ("quadratic", 15, -0.45, 1.0), ("quadratic", 3, -0.1, 1.0), ("quadratic", 3, -0.1, -1.0),
+    ("quadratic", 80, -0.3, 0.5), ("quadratic", 80, -0.5374, -1.0), ("physical", 20, None, None),
+    ("none", 0, None, None), ("none", 200, None, None)],
+    ids=["fig4", "j9", "j12", "j15", "j3", "j3-negative", "j80-half", "fig4-negative", "physical",
+         "none-j0", "none-j200"])
+def test_fit_matches_trust_region_least_squares(fig_beam, model, j_max, target, factor):
+    # each curve has one run of points above half its maximum, so the fit
+    # makes one solve from the half-width start; a negative scale mirrors the
+    # curve.  Measured: 6.4e-9 relative on fig4, at most 3.7e-9 on the other
+    # quadratic stacks and 1.1e-8 on the physical one, as far as the
+    # three-start fit was.  delta_0 of an unshifted stack is 0, so its bound
+    # is relative to Omega_R there.
+    if model == "quadratic":
+        cal = calibrate_quadratic_scale(OMEGA_R, TAU, j_max, target * OMEGA_R)
+        shifts = ring_shifts(model, j_max, factor * cal.scale_s)
+    else:
+        shifts = ring_shifts(model, j_max, None, dataclasses.replace(fig_beam, z_eff=5e-4),
+                             LI6, 25)
+    ls = lineshape_from_rabi(OMEGA_R, TAU, shifts, GRID)
     fit = fit_lineshape(ls)
-    oracle = trf_fit(ls)
-    got = [fit.amplitude_A, fit.delta_0, fit.Omega_R_eff]
-    assert got == pytest.approx(list(oracle), rel=1e-7, abs=0)
+    amplitude, delta_0, omega_eff = trf_fit(ls)
+    assert [fit.amplitude_A, fit.Omega_R_eff] == pytest.approx([amplitude, omega_eff],
+                                                               rel=1e-7, abs=0)
+    assert fit.delta_0 == pytest.approx(delta_0, rel=1e-7, abs=1e-12 * OMEGA_R)
 
 
 def test_clipped_amplitude_is_held_at_its_bound():

@@ -83,7 +83,7 @@ def test_axial_convergence_error_on_absurd_grid(fig_beam, li6):
 @pytest.mark.parametrize("j", [0, 3, -120])
 def test_axial_wavefunctions_match_dvr_eigenvectors(fig_beam, li6, j):
     # the DVR's 63-point grid is the interior of a 65-point grid over the same
-    # +/- 7 b_z box, which is where solve_axial samples its Hermite functions
+    # +/- 10 b_z box, which is where solve_axial samples its Hermite functions
     _, grid, vectors, _ = axial_dvr(fig_beam, li6, j, 5)
     states = solve_axial(fig_beam, li6, j, 5, grid_points=65)
     assert np.array_equal(states.grid[1:-1], grid)
@@ -95,7 +95,7 @@ def test_axial_wavefunctions_match_dvr_eigenvectors(fig_beam, li6, j):
 
 @pytest.mark.parametrize("grid_points", [42, 2001])
 def test_axial_recurrence_matches_the_hermite_series(fig_beam, li6, grid_points):
-    # every listed n_z (<= 23) on the +/- 7 b_z box, in units of b_z^-1/2
+    # every listed n_z (<= 23) on the +/- 10 b_z box, in units of b_z^-1/2
     states = solve_axial(fig_beam, li6, 0, qrotor.spectrum._N_Z_MAX, grid_points=grid_points)
     geo = ring_minima(fig_beam, li6, 0)
     series = hermite_functions((states.grid - geo.z_j) / geo.b_z, qrotor.spectrum._N_Z_MAX)
@@ -172,6 +172,20 @@ def test_eigenfunctions_orthonormal(fig_beam, li6):
         rad.grid, axis=0,
     )
     assert np.allclose(overlaps, np.eye(4), atol=1e-8)
+
+
+@pytest.mark.parametrize("j", [0, 3, -120])
+def test_every_listed_wavefunction_has_unit_norm(fig_beam, li6, j):
+    # every axial level a spectrum may list, and the radial levels of fig2's
+    # trap at the benchmark's largest limits (m_ell 0..30, n_r_max 4): at most
+    # 2.7e-10 from 1 (axial n_z 23) and 1.4e-14 (radial).  The +/- 7 b_z axial
+    # box cut 2.8e-2 of the n_z 23 state and 2.2e-3 of n_z 20.
+    ax = solve_axial(fig_beam, li6, j, qrotor.spectrum._N_Z_MAX)
+    norms = np.trapezoid(ax.wavefunctions**2 * ax.measure[:, None], ax.grid, axis=0)
+    assert np.max(np.abs(norms - 1.0)) <= 1e-9
+    rad = solve_radial(fig_beam, li6, j, range(31), 4)
+    norms = np.trapezoid(rad.wavefunctions**2 * rad.measure[:, None], rad.grid, axis=1)
+    assert np.max(np.abs(norms - 1.0)) <= 1e-9
 
 
 @pytest.fixture(scope="module")
