@@ -621,13 +621,15 @@ def _fwhm_per_width() -> float:
     return peak_fwhm(1.0)
 
 
-def _half_width_start(delta, y, top: int) -> tuple[float, float, int]:
-    """Centre and full width at half maximum of the lobe around ``y[top]``.
+def _half_width_start(delta, y, top: int) -> tuple[list[float], int]:
+    """The fit's start (delta_0, Omega_eff) read off the lobe around ``y[top]``.
 
-    The half-maximum crossings on each side of ``top`` are interpolated
-    linearly between grid points; a side that never falls below half ends at
-    the grid's edge.  Also returns the number of runs of grid points at or
-    above half the maximum: more than one marks a multi-lobed curve.
+    delta_0 is the midpoint of the half-maximum crossings on each side of
+    ``top``, interpolated linearly between grid points (a side that never
+    falls below half ends at the grid's edge), and Omega_eff the model width
+    whose full width at half maximum is their distance.  Also returns the
+    number of runs of grid points at or above half the maximum: more than
+    one marks a multi-lobed curve.
     """
     half = 0.5 * y[top]
     above = y >= half
@@ -641,7 +643,7 @@ def _half_width_start(delta, y, top: int) -> tuple[float, float, int]:
     right = np.flatnonzero(~above[top:])
     lo = crossing(left[-1], left[-1] + 1) if left.size else delta[0]
     hi = crossing(top + right[0], top + right[0] - 1) if right.size else delta[-1]
-    return float(0.5 * (lo + hi)), float(hi - lo), runs
+    return [float(0.5 * (lo + hi)), float(hi - lo) / _fwhm_per_width()], runs
 
 
 def fit_lineshape(ls: Lineshape) -> FitResult:
@@ -704,8 +706,7 @@ def fit_lineshape(ls: Lineshape) -> FitResult:
     def solve(start, tol):
         return varpro(basis, y, start, lower, upper, ls.Omega_R, tol, coef_bounds=(1e-9, 1.5))
 
-    centre, fwhm, runs = _half_width_start(delta, y, top)
-    start = [centre, fwhm / _fwhm_per_width()]
+    start, runs = _half_width_start(delta, y, top)
     if runs > 1:
         starts = [start] + [[peak, guess * ls.Omega_R] for guess in (1.0, 1.5, 2.0)]
         screened = [solve(s, FIT_SCREEN_TOL) for s in starts]

@@ -294,15 +294,15 @@ def test_fit_finds_the_lowest_basin_of_a_broadened_stack(j_max, edge, amplitude,
     assert fit.Omega_R_eff / OMEGA_R == pytest.approx(width, rel=1e-4, abs=0)
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, module=qrotor.raman):
     calls = []
-    original = getattr(qrotor.raman, name)
+    original = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(None)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(qrotor.raman, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -323,25 +323,13 @@ def test_fig4_fit_stops_at_the_printed_digits(monkeypatch):
     assert 0 < len(calls) <= 24
 
 
-def _counting_varpro(monkeypatch):
-    calls = []
-    original = qrotor._varpro.varpro
-
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(qrotor._varpro, "varpro", counting)
-    return calls
-
-
 def test_single_lobed_curve_is_fitted_from_its_half_width_alone(monkeypatch):
     # the calibrated j_max 12 stack's points above half its maximum form one
     # run: one solve from the half-width start, no screen
     cal = calibrate_quadratic_scale(OMEGA_R, TAU, 12, -0.3 * OMEGA_R)
     ls = lineshape_from_rabi(OMEGA_R, TAU, quadratic(12, cal.scale_s),
                              np.linspace(-8 * OMEGA_R, 8 * OMEGA_R, 1601))
-    calls = _counting_varpro(monkeypatch)
+    calls = _counting(monkeypatch, "varpro", qrotor._varpro)
     fit_lineshape(ls)
     assert len(calls) == 1
 
@@ -352,7 +340,7 @@ def test_multi_lobed_curve_screens_every_start(monkeypatch):
     # is polished
     ls = lineshape_from_rabi(OMEGA_R, TAU, quadratic(5, 20.0 * OMEGA_R / 25),
                              np.linspace(-8 * OMEGA_R, 8 * OMEGA_R, 1601))
-    calls = _counting_varpro(monkeypatch)
+    calls = _counting(monkeypatch, "varpro", qrotor._varpro)
     fit_lineshape(ls)
     assert len(calls) == 5
 
