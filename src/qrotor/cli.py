@@ -117,7 +117,8 @@ def spectrum(config_path, out, fmt, parallel):
 
 @cli.command()
 @_common_options
-@click.option("--jmax", default=None, type=int, help="Override ring-stack half-size.")
+@click.option("--jmax", default=None, type=click.IntRange(min=0),
+              help="Override ring-stack half-size.")
 @_guarded
 def lineshape(config_path, out, fmt, parallel, jmax):
     """Stack-averaged Raman transfer curve and its three-parameter fit."""

@@ -459,24 +459,31 @@ def calibrate_quadratic_scale(
     Root-finds delta_max(s) = target on the rising branch.  The peak location
     saturates as the broadening grows, so targets beyond the extremum are
     unattainable; in that case the extremal s (closest approach) is returned
-    with ``on_target = False``.  Each scale's peak (delta_max, P_max) is
-    searched once, by `lineshape_peak` with its own scan, and kept, so the
-    result carries the peak at its scale.
+    with ``on_target = False``.  The reported (delta_max, P_max) is always a
+    whole `lineshape_peak` search at the returned scale.
 
-    Both solves use the slope of delta_max(s) in closed form.  At the peak the
-    stack-mean slope <P0'> vanishes and its s-derivative is <j^2 P0''>, so
-    d delta_max / ds = -<j^2 P0''> / <P0''>, both means taken at delta_max
-    (`_p0_terms`).
+    Whole searches only bracket and certify.  Golden-section steps on
+    delta_max over [1e-6 s_max, s_max], as a bounded minimiser takes them,
+    stop at the first scale whose peak is at or past the target, or once
+    their two inner points bracket a slope d delta_max / ds that turns from
+    falling to rising (at j_max 12, tau Omega_R = pi the slope is -52 at
+    1e-6 s_max, +0.9 at 0.7 s_max and -1.4 at s_max, so the interval's ends
+    need not bracket it).  At the peak the stack-mean slope <P0'> vanishes
+    and its s-derivative is <j^2 P0''>, so the slope is -<j^2 P0''> / <P0''>,
+    means taken at delta_max + s j^2 (`_p0_terms`).  In between, the solves
+    evaluate such means at single points, not whole searches:
 
-    The extremum is a root of that slope, but the ends of [1e-6 s_max, s_max]
-    need not bracket it: delta_max(s) falls to a minimum and can rise to a
-    local maximum before s_max (at j_max 12, tau Omega_R = pi the slope is
-    -52 at 1e-6 s_max, +0.9 at 0.7 s_max and -1.4 at s_max).  So golden-section
-    steps on the values of delta_max, as a bounded minimiser takes them, first
-    narrow the interval until its two inner points bracket a slope that turns
-    from falling to rising.  A secant iteration on the slope inside that
-    bracket (`_falling_root`) then locates the minimum.  The target's root is
-    a Newton iteration with the slope, safeguarded inside [1e-9 s_max, s_ext].
+    - root-found: with delta_max at the target, G(s) = <P0'(target + s j^2)>
+      falls through 0 at the scale sought, with slope <j^2 P0''>;
+      `_falling_root` solves it on [1e-9 s_max, the scale that passed].
+    - saturated: <P0'(d + s j^2)> = 0 and <j^2 P0''(d + s j^2)> = 0 are solved
+      jointly by Newton steps in (d, s) (`_peak_extremum`), with s kept
+      between the two bracketing golden points.
+
+    A whole search at the final scale certifies the Newton peak: the two must
+    agree to the resolution below, else ConvergenceError, as when the Newton
+    steps do not converge.  An extremum that lies past the target hands its
+    scale to the root-found solve.
 
     Both solves ask for s only to the precision delta_max(s) carries.  The
     peak is flat, so rounding in P moves delta_max by up to sqrt(eps) of P0's
@@ -505,58 +512,124 @@ def calibrate_quadratic_scale(
     # peak saturation happens near s j_max^2 ~ 2 Omega_R
     s_max = 3.0 * omega_r / j_max**2
     j2 = ring_shifts("quadratic", j_max, 1.0)
+    width = max(omega_r / _features_per_omega_r(omega_r, tau), np.pi / tau)
+    resolution = np.sqrt(np.finfo(float).eps) * width
+    mean_j2 = max(j_max * (j_max + 1), 1) / 3.0
+    xtol = resolution / mean_j2
 
     @functools.cache
     def peak(s):
-        """delta_max, P_max and d delta_max / ds at scale s."""
+        """delta_max, P_max and d delta_max / ds at scale s, by a whole search."""
         shifts = s * j2
         d_max, p_max = lineshape_peak(omega_r, tau, shifts)
         x = d_max + shifts
         curvature = _p0_terms(x, omega_r, tau, 2)[2]
         return d_max, p_max, -float(np.dot(j2, curvature) / curvature.sum())
 
-    def slope(s):
-        return peak(float(s))[2]
+    def certified(s, d_newton):
+        """The whole search's peak at s, which must lie within resolution of d_newton."""
+        d_max, p_max, _ = peak(s)
+        if not abs(d_max - d_newton) <= resolution:
+            raise ConvergenceError(
+                f"the quadratic-scale calibration did not converge: at s = {s:.9g} the "
+                f"searched peak {d_max / omega_r:.9g} Omega_R and the Newton peak "
+                f"{d_newton / omega_r:.9g} Omega_R differ by more than {resolution:.3g}",
+                {"scale_s": s, "delta_max": d_max, "newton_delta_max": d_newton},
+            )
+        return d_max, p_max
 
-    width = max(omega_r / _features_per_omega_r(omega_r, tau), np.pi / tau)
-    resolution = np.sqrt(np.finfo(float).eps) * width
-    mean_j2 = max(j_max * (j_max + 1), 1) / 3.0
-    xtol = resolution / mean_j2
     golden = 0.5 * (3.0 - math.sqrt(5.0))
     lo, hi = 1e-6 * s_max, s_max
     left, right = lo + golden * (hi - lo), hi - golden * (hi - lo)
-    while not slope(left) < 0.0 < slope(right) and hi - lo > xtol:
+
+    def turned():
+        return peak(left)[2] < 0.0 < peak(right)[2]
+
+    while (passed := next((s for s in (left, right) if peak(s)[0] <= target_delta_max),
+                          None)) is None:
+        if turned() or not hi - lo > xtol:
+            break
         if peak(left)[0] <= peak(right)[0]:
             hi, right = right, left
             left = lo + golden * (hi - lo)
         else:
             lo, left = left, right
             right = hi - golden * (hi - lo)
-    if slope(left) < 0.0 < slope(right):
-        s_ext = float(_falling_root(lambda s: (-slope(s), None), left, right,
-                                    -slope(left), -slope(right), xtol)[0])
-    else:  # the minimum is at an end of [1e-6 s_max, s_max]
-        s_ext = min(left, right, key=lambda s: peak(s)[0])
-    d_ext, p_ext, _ = peak(s_ext)
-    if target_delta_max < d_ext:
-        return CalibrationResult(s_ext, d_ext, target_delta_max, False, p_ext)
+    if passed is None:
+        if turned():
+            s_ext, d_newton = _peak_extremum(omega_r, tau, j2, (left, right),
+                                             peak(left), peak(right), resolution, xtol)
+            d_ext, p_ext = certified(s_ext, d_newton)
+        else:  # the minimum is at an end of [1e-6 s_max, s_max]
+            s_ext = min(left, right, key=lambda s: peak(s)[0])
+            d_ext, p_ext, _ = peak(s_ext)
+        if target_delta_max < d_ext:
+            return CalibrationResult(s_ext, d_ext, target_delta_max, False, p_ext)
+        passed = s_ext
+
+    def at_target(s):
+        """G(s) = <P0'>, its slope <j^2 P0''>, and <P0''>, at target + s j^2."""
+        _, slope, curvature = _p0_terms(target_delta_max + s * j2, omega_r, tau, 2)
+        return slope.mean(), np.mean(j2 * curvature), curvature.mean()
+
     s_lo = 1e-9 * s_max
-    d_lo = peak(s_lo)[0]
-    if d_lo <= target_delta_max:
+    g_lo = at_target(s_lo)[0]
+    # a slope that does not rise into the target there marks a target the peak
+    # has passed, or one on a side lobe (then the certifying search fails)
+    if not g_lo > 0.0 and (d_lo := peak(s_lo)[0]) <= target_delta_max:
         raise CalibrationTargetError(
             f"the target delta_max = {target_delta_max / omega_r:.3g} Omega_R is passed "
             f"already at the smallest scale tried, s = {s_lo:.3g}, where delta_max = "
             f"{d_lo / omega_r:.3g} Omega_R"
         )
-
-    def miss(s):
-        d_max, _, d_slope = peak(float(s))
-        return d_max - target_delta_max, d_slope
-
-    s_star = float(_falling_root(miss, s_lo, s_ext, d_lo - target_delta_max,
-                                 d_ext - target_delta_max, xtol)[0])
-    d_star, p_star, _ = peak(s_star)
+    s_star, (g, _, curvature) = _falling_root(at_target, s_lo, passed, g_lo,
+                                              at_target(passed)[0], xtol)
+    s_star = float(s_star)
+    # one Newton step in delta from the target places the peak at s_star
+    d_star, p_star = certified(s_star, target_delta_max - float(g / curvature))
     return CalibrationResult(s_star, d_star, target_delta_max, True, p_star)
+
+
+# The most joint Newton steps `_peak_extremum` takes.
+_EXTREMUM_NEWTON_STEPS = 50
+
+
+def _peak_extremum(omega_r, tau, j2, bracket, peak_lo, peak_hi, resolution, xtol):
+    """(s, delta_max) where the peak of the s j^2 stack stops moving, by Newton steps.
+
+    Solves <P0'(d + s j^2)> = 0 (d is the peak at s) and <j^2 P0''(d + s j^2)>
+    = 0 (d delta_max / ds = 0) jointly in (d, s).  ``peak_lo`` and ``peak_hi``
+    are (delta_max, P_max, d delta_max / ds) at the ends of ``bracket``, where
+    that slope turns from falling to rising.  s starts at the slope's secant
+    root and d on the parabola the secant describes; s stays inside the
+    bracket.  The Jacobian's P0''' column is a forward difference of P0''
+    over ``resolution`` from the same `_p0_terms` call: only the closed-form
+    conditions decide the answer.  The terms are taken in units of that step,
+    so that no product of them leaves the float range at any Omega_R.  Stops
+    after the first step of at most ``xtol`` in s and ``resolution`` in d, and
+    raises ConvergenceError after _EXTREMUM_NEWTON_STEPS steps.
+    """
+    (s_lo, s_hi), (d, _, slope_lo), (_, _, slope_hi) = bracket, peak_lo, peak_hi
+    s = s_lo - slope_lo * (s_hi - s_lo) / (slope_hi - slope_lo)
+    d += 0.5 * slope_lo * (s - s_lo)
+    h = resolution   # the difference step, and the unit of the terms below
+    for _ in range(_EXTREMUM_NEWTON_STEPS):
+        x = d + s * j2
+        _, slope, curvature = _p0_terms(np.stack([x, x + h]), omega_r, tau, 2)
+        slope, curvature = slope[0] * h, curvature * (h * h)
+        third = j2 * (curvature[1] - curvature[0])   # j^2 P0''' by a forward difference
+        f_d, f_s = slope.mean(), np.mean(j2 * curvature[0])
+        a, c, e = curvature[0].mean(), third.mean(), np.mean(j2 * third)
+        det = a * e - f_s * c
+        step_d, step_s = h * (f_s * f_s - e * f_d) / det, h * (c * f_d - a * f_s) / det
+        d, s = d + step_d, min(max(s + step_s, s_lo), s_hi)
+        if abs(step_s) <= xtol and abs(step_d) <= resolution:
+            return float(s), float(d)
+    raise ConvergenceError(
+        f"the quadratic-scale calibration did not converge: {_EXTREMUM_NEWTON_STEPS} "
+        f"Newton steps on the peak conditions left s = {s:.9g}",
+        {"scale_s": float(s), "delta_max": float(d)},
+    )
 
 
 # --------------------------------------------------------------------------

@@ -149,7 +149,11 @@ class SpectrumLimits:
                 raise InvalidInputError(f"{name} must be non-negative")
         if self.n_z_max > _N_Z_MAX:
             raise InvalidInputError(f"n_z_max must be at most {_N_Z_MAX}")
-        # a basis of n points resolves n - 4 states (see `solve_radial`)
+        # `solve_radial` takes at most n - 4 states from a basis of n points.
+        # That bounds the matrix, not convergence: the largest n_r_max that
+        # passes the drift check is 15 on the fig2 trap (m_ell 0..30), 10 to
+        # 17 over depths of 2-200 recoils and oam_l 1-20; beyond it a solve
+        # raises ConvergenceError naming the first failing m_ell.
         if self.n_r_max > _BASIS_POINTS - 5:
             raise InvalidInputError(f"n_r_max must be at most {_BASIS_POINTS - 5}")
         if not self.ratio_threshold > 0:

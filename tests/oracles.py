@@ -27,12 +27,18 @@
 - `level_rows` builds a spectrum's rows one level at a time and sorts them
   with a Python key, from the same solves; it checks the index arrays and
   lexsort of `qrotor.spectrum.assemble_spectrum` and `spectrum_rows`.
+- `nested_calibration` places the calibrated peak with a whole
+  `qrotor.raman.lineshape_peak` search at every step (golden-section steps,
+  then a secant root of the peak's slope in s or a Newton root on the
+  target); it checks the single-point Newton steps of
+  `qrotor.raman.calibrate_quadratic_scale`.
 - `axial_frequency` takes the axial frequency from a finite difference of
   `qrotor.optics.optical_potential`, not from the closed-form curvature that
   `qrotor.spectrum.solve_axial` reads; it checks the axial gaps (acceptance
   criterion 2).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +47,15 @@ from numpy.polynomial.hermite import hermval
 
 from qrotor.fivelevel import FiveLevelModel
 from qrotor.optics import optical_potential, ring_minima
-from qrotor.exceptions import ConvergenceError, InvalidInputError
+from qrotor.exceptions import CalibrationTargetError, ConvergenceError, InvalidInputError
+from qrotor.raman import (
+    CalibrationResult,
+    _falling_root,
+    _features_per_omega_r,
+    _p0_terms,
+    lineshape_peak,
+    ring_shifts,
+)
 from qrotor.spectrum import (
     _CONVERGENCE_LIMIT,
     _M_BLOCK,
@@ -337,3 +351,116 @@ def level_rows(beam, species, limits):
                 levels.append((energy, n_z, n_r, m, deg0 if m == 0 else 2 * deg0))
     levels.sort(key=lambda level: level[:4])
     return [(n_z, n_r, m, e, e / K_B * 1e9, deg) for e, n_z, n_r, m, deg in levels]
+
+
+def nested_calibration(
+    omega_r: float,
+    tau: float,
+    j_max: int,
+    target_delta_max: float,
+) -> CalibrationResult:
+    """`qrotor.raman.calibrate_quadratic_scale` by nested peak searches.
+
+    Every step of both solves runs a whole `lineshape_peak` search.
+
+    Root-finds delta_max(s) = target on the rising branch.  The peak location
+    saturates as the broadening grows, so targets beyond the extremum are
+    unattainable; in that case the extremal s (closest approach) is returned
+    with ``on_target = False``.  Each scale's peak (delta_max, P_max) is
+    searched once, by `lineshape_peak` with its own scan, and kept, so the
+    result carries the peak at its scale.
+
+    Both solves use the slope of delta_max(s) in closed form.  At the peak the
+    stack-mean slope <P0'> vanishes and its s-derivative is <j^2 P0''>, so
+    d delta_max / ds = -<j^2 P0''> / <P0''>, both means taken at delta_max
+    (`_p0_terms`).
+
+    The extremum is a root of that slope, but the ends of [1e-6 s_max, s_max]
+    need not bracket it: delta_max(s) falls to a minimum and can rise to a
+    local maximum before s_max (at j_max 12, tau Omega_R = pi the slope is
+    -52 at 1e-6 s_max, +0.9 at 0.7 s_max and -1.4 at s_max).  So golden-section
+    steps on the values of delta_max, as a bounded minimiser takes them, first
+    narrow the interval until its two inner points bracket a slope that turns
+    from falling to rising.  A secant iteration on the slope inside that
+    bracket (`_falling_root`) then locates the minimum.  The target's root is
+    a Newton iteration with the slope, safeguarded inside [1e-9 s_max, s_ext].
+
+    Both solves ask for s only to the precision delta_max(s) carries.  The
+    peak is flat, so rounding in P moves delta_max by up to sqrt(eps) of P0's
+    width: Omega_R, or its fringe period 2 pi / tau when the pulse is longer
+    than 2 pi / Omega_R, or pi / tau when it is shorter than pi / Omega_R (P0
+    is then a sinc^2 about 1/tau wide).  delta_max(s) falls at most as fast as
+    the mean shift s <j^2>, <j^2> = j_max (j_max + 1) / 3, so s is resolved to
+    that precision over <j^2>, about 1e-8 s_max for a pi pulse.  An on-target
+    peak lands within 4 sqrt(eps) of P0's width of the target (6e-8 Omega_R
+    for tau Omega_R in [pi, 2 pi], 6e-4 Omega_R at tau Omega_R = 3e-4).  The
+    slope is not flat at the extremum, so a saturated scale is pinned to that
+    tolerance too, the same in units of Omega_R at every scale of Omega_R.
+
+    A target that the smallest scale tried, 1e-9 s_max, already passes has
+    no root on the bracket and raises CalibrationTargetError, as do a target
+    that is not negative and a one-ring stack (j_max = 0), whose only ring
+    is unshifted at every s.
+    """
+    if target_delta_max >= 0:
+        raise CalibrationTargetError("target_delta_max must be negative for s >= 0 shifts")
+    if j_max == 0:
+        raise CalibrationTargetError(
+            "a one-ring stack (j_max = 0) has no scale to calibrate: its peak does not "
+            "move with s"
+        )
+    # peak saturation happens near s j_max^2 ~ 2 Omega_R
+    s_max = 3.0 * omega_r / j_max**2
+    j2 = ring_shifts("quadratic", j_max, 1.0)
+
+    @functools.cache
+    def peak(s):
+        """delta_max, P_max and d delta_max / ds at scale s."""
+        shifts = s * j2
+        d_max, p_max = lineshape_peak(omega_r, tau, shifts)
+        x = d_max + shifts
+        curvature = _p0_terms(x, omega_r, tau, 2)[2]
+        return d_max, p_max, -float(np.dot(j2, curvature) / curvature.sum())
+
+    def slope(s):
+        return peak(float(s))[2]
+
+    width = max(omega_r / _features_per_omega_r(omega_r, tau), np.pi / tau)
+    resolution = np.sqrt(np.finfo(float).eps) * width
+    mean_j2 = max(j_max * (j_max + 1), 1) / 3.0
+    xtol = resolution / mean_j2
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    lo, hi = 1e-6 * s_max, s_max
+    left, right = lo + golden * (hi - lo), hi - golden * (hi - lo)
+    while not slope(left) < 0.0 < slope(right) and hi - lo > xtol:
+        if peak(left)[0] <= peak(right)[0]:
+            hi, right = right, left
+            left = lo + golden * (hi - lo)
+        else:
+            lo, left = left, right
+            right = hi - golden * (hi - lo)
+    if slope(left) < 0.0 < slope(right):
+        s_ext = float(_falling_root(lambda s: (-slope(s), None), left, right,
+                                    -slope(left), -slope(right), xtol)[0])
+    else:  # the minimum is at an end of [1e-6 s_max, s_max]
+        s_ext = min(left, right, key=lambda s: peak(s)[0])
+    d_ext, p_ext, _ = peak(s_ext)
+    if target_delta_max < d_ext:
+        return CalibrationResult(s_ext, d_ext, target_delta_max, False, p_ext)
+    s_lo = 1e-9 * s_max
+    d_lo = peak(s_lo)[0]
+    if d_lo <= target_delta_max:
+        raise CalibrationTargetError(
+            f"the target delta_max = {target_delta_max / omega_r:.3g} Omega_R is passed "
+            f"already at the smallest scale tried, s = {s_lo:.3g}, where delta_max = "
+            f"{d_lo / omega_r:.3g} Omega_R"
+        )
+
+    def miss(s):
+        d_max, _, d_slope = peak(float(s))
+        return d_max - target_delta_max, d_slope
+
+    s_star = float(_falling_root(miss, s_lo, s_ext, d_lo - target_delta_max,
+                                 d_ext - target_delta_max, xtol)[0])
+    d_star, p_star, _ = peak(s_star)
+    return CalibrationResult(s_star, d_star, target_delta_max, True, p_star)

@@ -3,11 +3,13 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import qrotor.cli
+import qrotor.raman
 from qrotor.cli import cli
 from qrotor.config import parse_config
 from qrotor.exceptions import ConfigError
@@ -208,12 +210,15 @@ def test_parallel_below_one_exits_2_naming_it(runner, tmp_path, workers):
     {"model": "quadratic", "calibrate_delta_max_over_OmegaR": -0.3},
 ])
 def test_lineshape_negative_jmax_is_config_error(runner, tmp_path, shift):
-    # an empty ring stack has no mean: exit 2, not a root-finder traceback
+    # a negative ring-stack half-size is a usage error naming the option, on a
+    # fixed scale as on a calibrated one, before any config is read
     p = write_config(tmp_path, "ls.json", fast_lineshape_config(**shift))
-    res = runner.invoke(cli, ["lineshape", "--config", str(p),
-                              "--out", str(tmp_path / "c.csv"), "--jmax", "-1"])
+    out = tmp_path / "c.csv"
+    res = runner.invoke(cli, ["lineshape", "--config", str(p), "--out", str(out),
+                              "--jmax", "-1"])
     assert res.exit_code == 2, res.output
-    assert "ring stack is empty" in res.output
+    assert "--jmax" in res.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("tau", [-1.0, 0.0])
@@ -529,6 +534,31 @@ def test_calibration_without_a_sign_change_exits_naming_the_field(runner, tmp_pa
     res = runner.invoke(cli, ["lineshape", "--config", str(p), "--out", str(tmp_path / "b.csv")])
     assert res.exit_code == code, res.output
     assert key in res.output
+
+
+def test_calibration_that_fails_its_certifying_search_exits_3(runner, tmp_path, config_dir,
+                                                               monkeypatch):
+    # the whole peak search at the final scale certifies the Newton peak; one
+    # that lands elsewhere is a convergence failure, and nothing is written
+    cfg = json.loads((config_dir / "fig4_lineshape.json").read_text())
+    cfg["lineshape"]["j_max"] = 12
+    p = write_config(tmp_path, "fig4.json", cfg)
+    job = parse_config(p).lineshape
+    omega_r = job.Omega_R
+    cal = qrotor.raman.calibrate_quadratic_scale(
+        omega_r, job.tau, 12, job.calibrate_delta_max_over_OmegaR * omega_r)
+    final = qrotor.raman.ring_shifts("quadratic", 12, cal.scale_s)
+    search = qrotor.raman.lineshape_peak
+
+    def displaced(omega_r, tau, shifts):
+        d_max, p_max = search(omega_r, tau, shifts)
+        return d_max + (1e-3 * omega_r if np.array_equal(shifts, final) else 0.0), p_max
+
+    monkeypatch.setattr(qrotor.raman, "lineshape_peak", displaced)
+    res = runner.invoke(cli, ["lineshape", "--config", str(p), "--out", str(tmp_path / "l.csv")])
+    assert res.exit_code == 3, res.output
+    assert "quadratic-scale calibration did not converge" in res.output
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["fig4.json"]
 
 
 @pytest.mark.parametrize("j_max, extra", [(0, ()), (80, ("--jmax", "0"))],
