@@ -18,22 +18,40 @@ Gauss-Newton alone converges only linearly there (about 0.6 per step on
 fig4, 68 evaluations against 31 with the secant term).  A coordinate on a
 face of the box whose descent direction leaves the box is held there; the
 step of the others is clipped to the box, and a clipped step that is not
-downhill is damped further before it is tried.
+downhill is damped further before it is tried.  A step that the model does
+not predict to lower the cost is damped without being evaluated.
 
-An evaluation makes only the passes over the samples that its algebra needs,
-and no temporary as long as the samples (bar one per extra basis function):
-the residual c Phi - y is written into a buffer, and the rows of the Jacobian
-into buffers of their own, once per accepted step.  Every sum over the
-samples (the Gram matrix Phi Phi^T, Phi y, the cost, J Phi^T, J r, J J^T,
-and the old Jacobian at the new residual, which gives the secant its change
-of the Jacobian) is an einsum over these rows: one pass per inner product,
-on the calling thread, with one call for all rows of J.  As BLAS products,
-OpenBLAS threads them from about 10,000 points, and a fit of a 31,000-sample
-trace then ran at CPU/wall 1.87 and no faster than on one thread.  The n x n
-normal equations, the k x k damped Newton system and the secant update
-(n, k <= 2 in both fits) run on Python floats.  A singular or non-finite
-Gram matrix leaves c NaN, and so the cost: the fit fails when that happens
-at its start, and a trial step that meets it is rejected.
+A fit ends at the cost's rounding floor: an unclipped trial step that
+predicts a reduction of at most 4 eps of the cost stops it, before the step
+is evaluated, since the cost's rounding cannot show so small a change (the
+"no further reduction in the sum of squares is possible" of MINPACK; J. J.
+More, Lecture Notes in Math. 630 (1978)).  On the lineshape fits this ends a
+third of the evaluations early, once the cost has stopped moving, and leaves
+the parameters where the cost no longer tells them apart (~1e-8 relative).
+A clipped step is always evaluated: the box, not the minimum, made its
+prediction small, and the coordinates left free may still have far to go.
+
+Each evaluation copies the basis rows Phi and their derivative rows dPhi into
+one block of rows, followed by a row that holds y and then the residual r = c
+Phi - y, and takes every sum over the samples from that block in two passes:
+[Phi; dPhi; y] against [Phi; dPhi] (Phi Phi^T and Phi y give c, the rest J
+J^T), then [Phi; dPhi; r] against r (the cost and J r).  As y only passes
+through the residual's row, each of the two blocks (the evaluation at the
+current theta and the trial) has n (k + 1) + 1 rows, one less than with y
+kept in it (0.5 MB less per block on a 65,848-sample Rabi trace).  The
+Jacobian is never formed: its rows, J_i = c dPhi_i - b_i Phi with Kaufman's
+b_i (0 when c is clipped), are coefficients over the block, so J r and J J^T
+are small products of those sums, and the old Jacobian at the new residual,
+which gives the secant its change of the Jacobian, is one more pass of the
+old block against the new r.  The passes are BLAS products over blocks of
+_SAMPLE_BLOCK samples, which OpenBLAS keeps on the calling thread (CPU/wall
+1.00 on Rabi traces of 31,784 and 65,848 samples; an unblocked 5 x 4 product
+of 65,848 samples took 4x as long); a 4 x 3 block of sums over 1,601 samples
+takes 3.7 us so, against 11.4 us as an einsum.  The n x n normal equations,
+the k x k damped Newton system and the secant update (n, k <= 2 in both fits)
+run on Python floats.  A singular or non-finite Gram matrix leaves c NaN, and
+so the cost: the fit fails when that happens at its start, and a trial step
+that meets it is rejected.
 """
 
 from __future__ import annotations
@@ -46,6 +64,9 @@ import numpy as np
 
 # Evaluations of the basis after which a fit gives up.
 MAX_NFEV = 2000
+# Sums over the samples run as BLAS products over blocks of this many
+# samples, each small enough for OpenBLAS to keep on the calling thread.
+_SAMPLE_BLOCK = 2**13
 
 
 @dataclass(frozen=True)
@@ -56,6 +77,15 @@ class Solution:
     cost: float            # 0.5 |residual|^2
     nfev: int
     success: bool
+
+
+def _sums(a, b) -> np.ndarray:
+    """a b^T: every inner product of a row of ``a`` with a row of ``b``."""
+    total = a[:, :_SAMPLE_BLOCK] @ b[:, :_SAMPLE_BLOCK].T
+    for start in range(_SAMPLE_BLOCK, a.shape[1], _SAMPLE_BLOCK):
+        block = slice(start, start + _SAMPLE_BLOCK)
+        total += a[:, block] @ b[:, block].T
+    return total
 
 
 def _vdot(a, b) -> float:
@@ -73,10 +103,16 @@ def _solve(a, b):
     Gaussian elimination with partial pivoting; None when ``a`` is singular or
     a pivot is not finite.
     """
+    n = len(a)
+    if n == 1:   # most systems here: the same arithmetic without the loops
+        pivot = a[0][0]
+        return [b[0] / pivot] if pivot != 0.0 and math.isfinite(pivot) else None
     rows = [[*row, rhs] for row, rhs in zip(a, b)]
-    n = len(rows)
     for col in range(n):
-        best = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        best = col
+        for r in range(col + 1, n):
+            if abs(rows[r][col]) > abs(rows[best][col]):
+                best = r
         rows[col], rows[best] = rows[best], rows[col]
         top = rows[col]
         pivot = top[col]
@@ -93,39 +129,59 @@ def _solve(a, b):
 
 @dataclass
 class _Evaluation:
+    rows: np.ndarray    # the n basis rows Phi, their k n derivative rows dPhi, r
     coef: list          # clipped to the coefficient box
     unclipped: bool
-    gram: list
-    phi: np.ndarray
-    dphi: np.ndarray
+    gram: list          # [Phi; dPhi] [Phi; dPhi]^T
+    dots: list          # [Phi; dPhi; r] r
     cost: float
 
 
-def _project(basis, y, theta, coef_bounds, residual) -> _Evaluation:
-    """Evaluate at ``theta``; ``residual`` is filled with c Phi - y."""
-    phi, dphi = basis(theta)   # (n, m), one basis function per row, and (k, n, m)
+@np.errstate(invalid="ignore", over="ignore")
+def _project(phi, dphi, y, rows, coef_bounds) -> _Evaluation:
+    """Evaluate the basis ``phi``, ``dphi`` against ``y`` into ``rows``.
+
+    ``phi`` and ``dphi`` are copied into their rows, and the last row is
+    filled with the residual r = c Phi - y.  A non-finite basis leaves NaN
+    sums without a warning: `varpro` fails or rejects the step on them.
+    """
     n = len(phi)
-    gram = np.einsum("im,jm->ij", phi, phi).tolist()
-    coef = _solve(gram, np.einsum("im,m->i", phi, y).tolist()) or [math.nan] * n
+    rows[:n] = phi
+    for i, d in enumerate(dphi):
+        rows[n + i * n:n + (i + 1) * n] = d
+    rows[-1] = y   # until the residual is written: y [Phi; dPhi]^T with the Gram matrix
+    *gram, y_sums = _sums(rows, rows[:-1]).tolist()
+    coef = _solve([row[:n] for row in gram[:n]], y_sums[:n]) or [math.nan] * n
     held = [min(max(c, coef_bounds[0]), coef_bounds[1]) for c in coef]
-    np.multiply(phi[0], held[0], out=residual)
-    for c, row in zip(held[1:], phi[1:]):
+    residual = rows[-1]
+    np.multiply(rows[0], held[0], out=residual)
+    for c, row in zip(held[1:], rows[1:n]):
         residual += c * row
     residual -= y
-    cost = 0.5 * float(np.einsum("m,m", residual, residual))
-    return _Evaluation(held, held == coef, gram, phi, dphi, cost)
+    dots = _sums(rows, rows[-1:])[:, 0].tolist()
+    return _Evaluation(rows, held, held == coef, gram, dots, 0.5 * dots[-1])
 
 
-def _jacobian(ev: _Evaluation, jac, scratch):
-    """Kaufman's Jacobian (the plain one when c is clipped) into the rows of ``jac``."""
-    for row, drows in zip(jac, ev.dphi):
-        np.multiply(drows[0], ev.coef[0], out=row)
-        for c, d in zip(ev.coef[1:], drows[1:]):
-            row += np.multiply(d, c, out=scratch)
-    if ev.unclipped:
-        for row, along in zip(jac, np.einsum("km,im->ki", jac, ev.phi).tolist()):
-            for b, p in zip(_solve(ev.gram, along), ev.phi):
-                row -= np.multiply(p, b, out=scratch)
+def _jacobian(ev: _Evaluation, k: int) -> list:
+    """Kaufman's Jacobian (the plain one when c is clipped) as coefficients.
+
+    Row i holds the coefficients of J_i over the rows [Phi; dPhi]: c on the
+    derivatives in coordinate i, D_i = sum_j c_j dPhi_ij, and -b_i on Phi,
+    where b_i solves Phi Phi^T b_i = Phi D_i^T (b_i = 0 when c is clipped).
+    """
+    c, gram = ev.coef, ev.gram
+    n = len(c)
+    phi_phi = [g[:n] for g in gram[:n]]
+    jac = []
+    for i in range(k):
+        row = [0.0] * len(gram)
+        derivs = slice(n + i * n, n + (i + 1) * n)
+        row[derivs] = c
+        if ev.unclipped:
+            d_phi = [_vdot(c, col) for col in zip(*(g[:n] for g in gram[derivs]))]
+            row[:n] = [-b for b in _solve(phi_phi, d_phi)]
+        jac.append(row)
+    return jac
 
 
 def _secant(second, step, dgrad, dgrad_jac):
@@ -155,38 +211,39 @@ def varpro(basis, y, theta0, lower, upper, scale, tol,
 
     ``basis(theta)`` returns the basis functions sampled at y's points,
     shape (n, m), and their derivatives in each of the k coordinates of
-    theta, shape (k, n, m).  Stops, successfully, when the cost is at
-    rounding level (an exact fit), when every free gradient component is
+    theta, shape (k, n, m) or k arrays of shape (n, m).  Stops, successfully, when the cost is
+    at rounding level (an exact fit), when every free gradient component is
     below ``tol``, when a step is below ``tol`` relative to the scaled theta,
-    or when an accepted step lowers the cost by less than ``tol`` of it.  It
-    fails after MAX_NFEV evaluations of ``basis``, on a non-finite cost or
-    Jacobian, or on a singular damped Newton system.
+    when an accepted step lowers the cost by less than ``tol`` of it, or when
+    an unclipped trial step predicts a reduction of at most 4 eps of the cost
+    (the rounding floor).  It fails after MAX_NFEV evaluations of ``basis``,
+    on a non-finite cost or Jacobian, or on a singular damped Newton system.
     """
     k = len(theta0)
     scale = np.asarray(scale, dtype=float) * np.ones(k)
     lo, hi = np.asarray(lower) / scale, np.asarray(upper) / scale
     u = np.clip(np.asarray(theta0, dtype=float) / scale, lo, hi).tolist()
     scale, lo, hi = scale.tolist(), lo.tolist(), hi.tolist()
-    residual, spare, jac = np.empty(len(y)), np.empty(len(y)), np.empty((k, len(y)))
 
     def at(v):
         return np.array([vi * s for vi, s in zip(v, scale)])
 
-    def jac_dot(r):   # J r, in the units of u
-        return [s * g for s, g in zip(scale, np.einsum("km,m->k", jac, r).tolist())]
-
-    ev = _project(basis, y, at(u), coef_bounds, residual)
+    phi, dphi = basis(at(u))
+    # two blocks of rows: the evaluation at u and the trial
+    rows, spare = np.empty((2, 1 + len(phi) * (k + 1), len(y)))
+    ev = _project(phi, dphi, y, rows, coef_bounds)
     cost, nfev, mu, nu = ev.cost, 1, None, 2.0
     second = [[0.0] * k for _ in range(k)]
-    floor = (4.0 * np.finfo(float).eps) ** 2 * float(np.einsum("m,m", y, y))
+    eps = np.finfo(float).eps
+    floor = (4.0 * eps) ** 2 * float(_sums(y[None], y[None])[0, 0])
 
     def done(success):
-        return Solution(at(u), np.array(ev.coef), residual, cost, nfev, success)
+        return Solution(at(u), np.array(ev.coef), ev.rows[-1], cost, nfev, success)
 
     while math.isfinite(cost):
-        # spare holds a residual no longer needed: it is the scratch row
-        _jacobian(ev, jac, spare)
-        grad = jac_dot(residual)
+        jac = _jacobian(ev, k)
+        # J r in the units of u (a row of jac stops before the r r of dots)
+        grad = [s * _vdot(row, ev.dots) for s, row in zip(scale, jac)]
         if not all(map(math.isfinite, grad)):
             # with a finite residual, J^T r is finite only if J is
             return done(False)
@@ -194,14 +251,15 @@ def varpro(basis, y, theta0, lower, upper, scale, tol,
                 for ui, l, h, g in zip(u, lo, hi, grad)]
         if cost <= floor or not any(f and abs(g) > tol for f, g in zip(free, grad)):
             return done(True)
-        hessian = [[si * sj * h for sj, h in zip(scale, row)]
-                   for si, row in zip(scale, np.einsum("km,jm->kj", jac, jac).tolist())]
-        if mu is None:
-            mu = 1e-3 * max(hessian[i][i] for i in range(k))
-        else:
+        if mu is not None:
             second = _secant(second, step, [g - lg for g, lg in zip(grad, last_grad)],
                              [g - lg for g, lg in zip(grad, last_jac_r)])
-        hessian = [[h + s for h, s in zip(row, srow)] for row, srow in zip(hessian, second)]
+        # J J^T from the Gram matrix of [Phi; dPhi], plus the secant term
+        gram_jac = [[_vdot(row, g) for g in ev.gram] for row in jac]
+        hessian = [[si * sj * _vdot(row, gj) + s for sj, gj, s in zip(scale, gram_jac, srow)]
+                   for si, row, srow in zip(scale, jac, second)]
+        if mu is None:   # `second` is still 0
+            mu = 1e-3 * max(hessian[i][i] for i in range(k))
         # held coordinates get a zero step: only the free ones are solved for
         idx = [i for i in range(k) if free[i]]
         while True:
@@ -222,20 +280,26 @@ def varpro(basis, y, theta0, lower, upper, scale, tol,
                 continue
             if math.sqrt(_vdot(step, step)) <= tol * (tol + math.sqrt(_vdot(u, u))):
                 return done(True)
-            if nfev >= MAX_NFEV:
-                return done(False)
             predicted = -(_vdot(step, grad) + 0.5 * _quad(step, hessian))
-            new = _project(basis, y, at(trial), coef_bounds, spare)
-            nfev += 1
-            gain = (cost - new.cost) / predicted if predicted > 0 else -1.0
-            if gain > 0:
-                break
+            if predicted > 0.0:
+                if trial == moved and predicted <= 4.0 * eps * cost:
+                    # the cost cannot show a reduction this small over its rounding
+                    return done(True)
+                if nfev >= MAX_NFEV:
+                    return done(False)
+                new = _project(*basis(at(trial)), y, spare, coef_bounds)
+                nfev += 1
+                gain = (cost - new.cost) / predicted
+                if gain > 0:
+                    break
+            # a step the model does not predict to go down is damped unevaluated
             mu, nu = mu * nu, 2.0 * nu
-        # the secant's old Jacobian at the new residual, before jac is rewritten
-        last_jac_r = jac_dot(spare)
+        # the secant's old Jacobian at the new residual
+        old_dots = _sums(ev.rows[:-1], new.rows[-1:])[:, 0].tolist()
+        last_jac_r = [s * _vdot(row, old_dots) for s, row in zip(scale, jac)]
         reduction, old_cost = cost - new.cost, cost
-        last_grad, u, ev, cost = grad, trial, new, new.cost
-        residual, spare = spare, residual
+        last_grad, u, cost = grad, trial, new.cost
+        spare, ev = ev.rows, new
         mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 2.0
         if reduction <= tol * old_cost and gain > 0.25:
             return done(True)

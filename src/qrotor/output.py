@@ -80,7 +80,11 @@ def write_csv(path, header, rows) -> None:
     cells = list(itertools.chain.from_iterable(rows))
     kinds = list(map(type, cells))
     width = len(rows[0]) if rows else 0
-    if set(map(len, rows)) <= {width} and kinds == kinds[:width] * len(rows):
+    # every row holds the first row's types when every row is that long and
+    # each column holds its first cell's type (counted by identity, in C)
+    if (list(map(len, rows)).count(width) == len(rows)
+            and all(kinds[j::width].count(kind) == len(rows)
+                    for j, kind in enumerate(kinds[:width]))):
         pattern = _row_pattern(tuple(kinds[:width])) * len(rows)
         direct = _DIRECT.keys() >= set(kinds[:width])
     else:
@@ -133,13 +137,14 @@ def write_json(path, obj) -> None:
 def parallel_map(fn, items, workers: int = 1) -> list:
     """Order-preserving map over items, optionally on a thread pool.
 
-    Each item is computed independently with identical arithmetic, so results
-    do not depend on the worker count.
+    The pool has no more threads than items.  Each item is computed
+    independently with identical arithmetic, so results do not depend on the
+    worker count.
     """
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))

@@ -122,7 +122,11 @@ def transition_probability(delta, omega_r: float, tau: float):
     return _p0_terms(delta, omega_r, tau)[0]
 
 
-def _p0_terms(x, omega_r: float, tau: float, order: int = 0, work=None) -> list:
+# Rows of `_p0_terms`' work array at each order: the terms, then scratch.
+_P0_ROWS = (3, 7, 8)
+
+
+def _p0_terms(x, omega_r: float, tau: float, order: int = 0, work=None):
     """[P0, dP0/d delta, d^2 P0/d delta^2][:order + 1] at detunings x: the one home of P0.
 
     With g^2 = Omega_R^2 + x^2, u = tau g / 2 and t = tan u, every term comes
@@ -140,35 +144,58 @@ def _p0_terms(x, omega_r: float, tau: float, order: int = 0, work=None) -> list:
     to about u^2 for a short pulse, so the slopes carry a relative rounding
     error of about eps / u^2.
 
-    ``work``, three float arrays shaped like x, holds the intermediates (made
-    here when None); at order 0 P0 is returned in the second of them.
+    Every step writes into a row of ``work``, ``_P0_ROWS[order]`` float
+    arrays shaped like x, stacked or in a list (a list made here when None),
+    so no temporary is allocated.  The terms are returned as its first
+    order + 1 rows; the rest is scratch.  x must not share memory with
+    ``work``.
     """
-    g2, t_sq, buf = (np.empty_like(x) for _ in range(3)) if work is None else work
-
-    def scratch(a):   # order 0 overwrites its intermediates; the slopes read them
-        return None if order else a
-
+    if work is None:
+        work = [np.empty(np.shape(x)) for _ in range(_P0_ROWS[order])]
+    p0, *rows = work
+    if order:
+        g2, g, t, t_sq, one_t2 = rows[order:]
+        denominator = rows[0]   # the slope's row, free until the slope is written
+    else:   # P0 alone: each intermediate overwrites the one before it
+        g2, one_t2 = rows
+        g = t = t_sq = p0
+        denominator = one_t2
     np.multiply(x, x, out=g2)
     g2 += omega_r**2
-    t = np.sqrt(g2, out=t_sq)
-    t *= 0.5 * tau
-    t = np.tan(t, out=scratch(t))
+    np.sqrt(g2, out=g)
+    np.multiply(g, 0.5 * tau, out=t)
+    np.tan(t, out=t)
     np.square(t, out=t_sq)
-    one_t2 = np.add(t_sq, 1.0, out=buf)
-    p0 = np.multiply(t_sq, omega_r**2, out=scratch(t_sq))
-    p0 /= np.multiply(one_t2, g2, out=scratch(one_t2))
-    terms = [p0]
-    if order:
-        w = omega_r**2 / g2
-        sin2 = t_sq / one_t2
-        t1 = (tau / np.sqrt(g2)) * t / one_t2
-        t2 = (2.0 / g2) * sin2
-        terms.append(w * x * (t1 - t2))
+    np.add(t_sq, 1.0, out=one_t2)
+    np.multiply(t_sq, omega_r**2, out=p0)
+    p0 /= np.multiply(one_t2, g2, out=denominator)
+    if not order:
+        return work[:1]
+    sin2 = np.divide(t_sq, one_t2, out=t_sq)
+    t1 = np.divide(tau, g, out=g)
+    t1 *= t
+    t1 /= one_t2
+    t2 = np.divide(2.0, g2, out=t)
+    t2 *= sin2
+    diff = np.subtract(t1, t2, out=one_t2)
+    # w waits in the row of the last term that reads it
+    w = np.divide(omega_r**2, g2, out=rows[order - 1])
+    slope = np.multiply(w, x, out=rows[0])
+    slope *= diff
     if order > 1:
-        cos_2u = 1.0 - 2.0 * sin2
-        terms.append(w * (t1 - t2 + (x * x / g2) * (0.5 * tau * tau * cos_2u - 5.0 * t1
-                                                    + 4.0 * t2)))
-    return terms
+        bracket = np.multiply(sin2, 2.0, out=sin2)
+        np.subtract(1.0, bracket, out=bracket)   # cos 2u
+        bracket *= 0.5 * tau * tau
+        t1 *= 5.0
+        bracket -= t1
+        t2 *= 4.0
+        bracket += t2
+        r2 = np.multiply(x, x, out=t1)
+        r2 /= g2
+        r2 *= bracket
+        diff += r2
+        w *= diff   # the curvature
+    return work[:order + 1]
 
 
 def _falling_root(f, lo, hi, f_lo, f_hi, xtol: float):
@@ -289,6 +316,12 @@ class Lineshape:
 # 2.7x on two, where each block's Python steps hold the interpreter lock.
 _BLOCK_CELLS = 2**16
 _RING_CHUNK = 256
+# The fewest cells (grid points x distinct shifts) in a chunk of
+# `lineshape_from_rabi`'s grid: the break-even size of a thread.  At 1601
+# points (min of 15, interleaved, with both cores free), two workers took
+# 0.96x as long as one on 161 distinct shifts (two chunks of 129K cells),
+# 0.68x on 1001 (1.6M cells) and 1.46x on 41 (66K); on 11 they took 2.4x.
+_PARALLEL_CHUNK_CELLS = 2**17
 
 
 def stack_average(delta, omega_r: float, tau: float, ring_shifts) -> np.ndarray:
@@ -305,11 +338,11 @@ def stack_average(delta, omega_r: float, tau: float, ring_shifts) -> np.ndarray:
 
 
 def _fold(ring_shifts) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ring shifts, sorted, and how many rings carry each."""
+    """The distinct ring shifts, sorted, and how many rings carry each (as floats)."""
     shifts, counts = np.unique(np.asarray(ring_shifts, dtype=float), return_counts=True)
     if shifts.size == 0:
         raise InvalidInputError("the ring stack is empty (j_max must be non-negative)")
-    return shifts, counts
+    return shifts, counts.astype(float)
 
 
 def _folded_average(delta, omega_r: float, tau: float, shifts, counts, order: int = 0):
@@ -321,27 +354,29 @@ def _folded_average(delta, omega_r: float, tau: float, shifts, counts, order: in
     rows that _BLOCK_CELLS allows against one block of _RING_CHUNK sorted
     shifts.  Every point's sum goes through the ring blocks in the same fixed
     order, whatever its grid block, so a point's value does not depend on the
-    rest of the grid.  The blocks are computed in contiguous views of four
-    buffers made once per call (not per module: `lineshape_from_rabi` runs
-    this function on threads), so memory stays at about 2 MB whatever the
-    inputs.
+    rest of the grid; one einsum per block weights every order by the counts
+    and sums over the block's shifts.  The blocks are computed in contiguous
+    views of the detunings' buffer and `_p0_terms`' work rows, made once per
+    call (not per module: `lineshape_from_rabi` runs this function on
+    threads), so memory stays at 2 MB at order 0 and 4.5 MB at order 2
+    whatever the inputs.
     """
     d = np.asarray(delta, dtype=float)
     points = d.reshape(-1)
     width = min(shifts.size, _RING_CHUNK)
     rows = max(_BLOCK_CELLS // width, 1)
-    buffers = np.empty((4, min(rows, points.size) * width))
+    buffers = np.empty((1 + _P0_ROWS[order], min(rows, points.size) * width))
     total = np.zeros((order + 1, points.size))
     for g in range(0, points.size, rows):
         block = points[g:g + rows, None]
         for r in range(0, shifts.size, _RING_CHUNK):
             rings = slice(r, r + _RING_CHUNK)
             cells = block.size * counts[rings].size
-            x, *work = (b[:cells].reshape(block.size, -1) for b in buffers)
+            x = buffers[0, :cells].reshape(block.size, -1)
+            work = buffers[1:, :cells].reshape(len(buffers) - 1, block.size, -1)
             np.add(block, shifts[rings], out=x)
-            for k, term in enumerate(_p0_terms(x, omega_r, tau, order, work)):
-                term *= counts[rings]
-                total[k, g:g + rows] += term.sum(axis=-1)
+            terms = _p0_terms(x, omega_r, tau, order, work)
+            total[:, g:g + rows] += np.einsum("kpr,r->kp", terms, counts[rings])
     return (total / counts.sum()).reshape((order + 1, *d.shape))
 
 
@@ -352,14 +387,19 @@ def lineshape_from_rabi(omega_r: float, tau: float, ring_shifts, delta_grid,
     The stack holds one singly occupied ring per entry of ``ring_shifts``,
     that ring's resonance shift; the function `ring_shifts` gives the 2 j_max
     + 1 rings |j| <= j_max of each profile.
-    The grid is split into ``workers`` contiguous chunks averaged on a thread
-    pool; a point's value does not depend on its chunk, so the curve is
-    bit-identical at every worker count.
+    The grid is split into contiguous chunks averaged on a thread pool: at
+    most ``workers`` of them, and no more than give each chunk
+    _PARALLEL_CHUNK_CELLS cells (grid points x distinct shifts), so a stack
+    too small to pay for a thread runs on the calling one.  A point's value
+    does not depend on its chunk, so the curve is bit-identical at every
+    worker count.
     """
     grid = np.asarray(delta_grid, dtype=float)
+    cells = grid.size * _fold(ring_shifts)[0].size
+    chunks = max(1, min(workers, cells // _PARALLEL_CHUNK_CELLS))
     parts = parallel_map(
         lambda sub: stack_average(sub, omega_r, tau, ring_shifts),
-        np.array_split(grid, max(workers, 1)), workers,
+        np.array_split(grid, chunks), workers,
     )
     return Lineshape(delta_grid=grid, probability=np.concatenate(parts), Omega_R=omega_r)
 
@@ -741,10 +781,12 @@ def fit_lineshape(ls: Lineshape) -> FitResult:
     basins apart (their costs differ by 30% or more), and only the
     lowest-cost one is polished at 1e-15.  The answer is determined to
     ~1e-8 relative, not 1e-15: the cost is flat to rounding over that much
-    of the parameters.  A trust-region reflective least-squares solve on the
-    same box (the oracle in tests/test_fits.py) agrees with it to 6.4e-9
-    relative on fig4 and to within 8.9e-9 on calibrated stacks of 9 to 30
-    rings: the ninth printed digit is not determined.
+    of the parameters, and the solver stops at that rounding floor, once a
+    step predicts a smaller reduction than the cost can show (8 evaluations
+    on fig4).  A trust-region reflective least-squares solve on the same box
+    (the oracle in tests/test_fits.py) agrees with it to 5.6e-9 relative on
+    fig4 and to within 1.1e-8 on 378 calibrated stacks of 9 to 30 rings: the
+    ninth printed digit is not determined.
 
     delta_0 and Omega_eff move in units of Omega_R: the step test is
     relative to them, which holds at every scale of Omega_R.  Floats still
@@ -770,7 +812,7 @@ def fit_lineshape(ls: Lineshape) -> FitResult:
 
     def basis(theta):
         profile, d_delta_0, d_omega = fit_model(delta, 1.0, *theta)
-        return profile[None, :], np.stack([d_delta_0, d_omega])[:, None, :]
+        return profile[None, :], (d_delta_0[None, :], d_omega[None, :])
 
     w_lo, w_hi = FIT_WIDTH_BOUNDS
     lower = [peak - FIT_CENTRE_RANGE * ls.Omega_R, w_lo * ls.Omega_R]

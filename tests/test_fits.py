@@ -110,8 +110,8 @@ def test_noise_free_curve_is_recovered(monkeypatch, amplitude, delta_0, omega_ef
 @pytest.mark.parametrize("tol, most", [(FIT_SCREEN_TOL, 30), (1e-15, 40)])
 def test_starts_against_each_face_end_inside_the_box(ls_args, face, tol, most):
     # a coordinate on a face whose descent leaves the box is held there: the
-    # j_max 5 stack has its minimum on the 5 Omega_R face (up to 21
-    # evaluations seen at the screen tolerance, 26 at 1e-15)
+    # j_max 5 stack has its minimum on the 5 Omega_R face (up to 16
+    # evaluations seen at the screen tolerance, 18 at 1e-15)
     j_max, target = ls_args
     if target is None:
         shifts = ring_shifts("quadratic", j_max, 12.0 * OMEGA_R / j_max**2)
@@ -154,6 +154,39 @@ def test_uphill_step_out_of_a_face_is_damped(monkeypatch):
     assert sol.coef[0] == pytest.approx(0.8, rel=1e-9, abs=0)
 
 
+def _decay(t):
+    def basis(theta):
+        e = np.exp(-theta[0] * t)
+        return e[None], (-t * e)[None, None]
+
+    return basis
+
+
+def test_rounding_floor_ends_a_fit_on_an_unclipped_step():
+    # tol 0 turns off every stopping rule but the rounding floor (the cost,
+    # 0.122, is far from an exact fit): 5 evaluations end at the
+    # least-squares minimum to the ~1e-8 the cost determines
+    t = np.linspace(0.0, 3.0, 200)
+    y = np.exp(-t) + 0.05 * np.cos(7.0 * t)
+    sol = varpro(_decay(t), y, [0.3], [0.1], [4.0], 1.0, 0.0)
+    assert sol.success and sol.nfev <= 8
+    oracle = least_squares(lambda p: p[0] * np.exp(-p[1] * t) - y, [1.0, 0.3],
+                           xtol=1e-15, ftol=1e-15, gtol=1e-15).x
+    assert [sol.coef[0], sol.theta[0]] == pytest.approx(oracle, rel=1e-8, abs=0)
+
+
+def test_rounding_floor_never_ends_a_fit_on_a_clipped_step():
+    # the minimum (1.008) lies beyond the 0.9 face and the fit starts one ulp
+    # inside it: the first step clips to the face and predicts a reduction
+    # of 6e-16 of the cost, below the floor, yet it is evaluated and the fit
+    # ends on the face.  Stopping there would leave theta one ulp short.
+    t = np.linspace(0.0, 3.0, 200)
+    y = np.exp(-t) + 0.05 * np.cos(7.0 * t)
+    sol = varpro(_decay(t), y, [np.nextafter(0.9, 0.0)], [0.5], [0.9], 1.0, 0.0)
+    assert sol.success and sol.nfev == 2
+    assert sol.theta[0] == 0.9
+
+
 def trf_fit(ls):
     """The fit as scipy's trust-region reflective least squares runs it.
 
@@ -192,9 +225,8 @@ def trf_fit(ls):
 def test_fit_matches_trust_region_least_squares(fig_beam, model, j_max, target, factor):
     # each curve has one run of points above half its maximum, so the fit
     # makes one solve from the half-width start; a negative scale mirrors the
-    # curve.  Measured: 6.4e-9 relative on fig4, at most 3.7e-9 on the other
-    # quadratic stacks and 1.1e-8 on the physical one, as far as the
-    # three-start fit was.  delta_0 of an unshifted stack is 0, so its bound
+    # curve.  Measured: 5.6e-9 relative on fig4 (6.1e-9 mirrored), at most
+    # 2.2e-9 on the other quadratic stacks and 8.0e-9 on the physical one.  delta_0 of an unshifted stack is 0, so its bound
     # is relative to Omega_R there.
     if model == "quadratic":
         cal = calibrate_quadratic_scale(OMEGA_R, TAU, j_max, target * OMEGA_R)

@@ -113,6 +113,35 @@ def test_stack_average_bit_identical_across_block_boundaries(rings):
     assert_split_invariant(shifts, (1, 2, 3, 7))
 
 
+@pytest.mark.parametrize("rings", [1, 255, 256, 257, 2001])
+def test_stack_slopes_match_the_count_weighted_ring_mean(rings):
+    # distinct shifts, each but the first on two rings; the one-einsum block
+    # sums agree with a ring-by-ring sum of `_p0_terms` to within 1e-14 of
+    # each term's largest value (measured: 1.8e-15 up to 257 distinct shifts,
+    # 4.0e-15 at 2001, most of it the 4001-term running sum's own rounding),
+    # and stay bit-identical under every grid split at orders 1 and 2 as at
+    # order 0
+    distinct = np.random.default_rng(rings).uniform(-3.0 * OMEGA_R, OMEGA_R, rings)
+    shifts = np.concatenate([distinct, distinct[1:]])
+    folded = qrotor.raman._fold(shifts)
+    assert folded[0].size == rings
+    grid = grid_beyond_one_block(shifts)
+    naive = np.zeros((3, grid.size))
+    for shift in shifts:
+        naive += qrotor.raman._p0_terms(grid + shift, OMEGA_R, TAU, 2)
+    naive /= shifts.size
+    means = qrotor.raman._folded_average(grid, OMEGA_R, TAU, *folded, order=2)
+    for got, want in zip(means, naive):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    for order in (1, 2):
+        whole = qrotor.raman._folded_average(grid, OMEGA_R, TAU, *folded, order=order)
+        assert np.array_equal(whole, means[:order + 1])
+        for pieces in (2, 3, 7):
+            parts = [qrotor.raman._folded_average(g, OMEGA_R, TAU, *folded, order=order)
+                     for g in np.array_split(grid, pieces)]
+            assert np.array_equal(np.concatenate(parts, axis=1), whole), (order, pieces)
+
+
 def test_lineshape_bit_identical_at_every_worker_count():
     shifts = quadratic(2000, 2e-6 * OMEGA_R)
     grid = np.linspace(-8 * OMEGA_R, 8 * OMEGA_R, 1601)
@@ -120,6 +149,30 @@ def test_lineshape_bit_identical_at_every_worker_count():
                   for workers in (1, 2, 3))
     for curve in more:
         assert np.array_equal(curve, one)
+
+
+@pytest.mark.parametrize("j_max, workers, chunks", [
+    (2000, 100_000, 24), (2000, 2, 2), (80, 100_000, 1), (10, 2, 1)])
+def test_grid_splits_only_into_chunks_that_pay_for_a_thread(monkeypatch, j_max, workers,
+                                                            chunks):
+    # 1,601 points x 2,001 distinct shifts of the j_max 2000 stack make 24
+    # chunks of at least _PARALLEL_CHUNK_CELLS however many workers are
+    # asked for; 81 or 11 distinct shifts make one.  The recorder maps on
+    # this thread, so no pool is started.
+    handed = []
+
+    def recording(fn, items, workers=1):
+        handed.append(len(items))
+        return [fn(item) for item in items]
+
+    monkeypatch.setattr(qrotor.raman, "parallel_map", recording)
+    shifts = quadratic(j_max, 2e-6 * OMEGA_R)
+    grid = np.linspace(-8 * OMEGA_R, 8 * OMEGA_R, 1601)
+    curve = lineshape_from_rabi(OMEGA_R, TAU, shifts, grid, workers).probability
+    assert handed == [chunks]
+    assert chunks == min(workers, max(1, grid.size * (j_max + 1)
+                                      // qrotor.raman._PARALLEL_CHUNK_CELLS))
+    assert np.array_equal(curve, stack_average(grid, OMEGA_R, TAU, shifts))
 
 
 def test_stack_average_rejects_empty_stack():
@@ -309,20 +362,18 @@ def _counting(monkeypatch, name, module=qrotor.raman):
 
 
 def test_fig4_fit_stops_at_the_printed_digits(monkeypatch):
-    # one start read off the curve's half width, solved at 1e-15: 9
+    # one start read off the curve's half width, solved at 1e-15: 8
     # evaluations of the model and its slopes by the variable-projection
-    # solver.  The count moves with the last digits of the data: scales
-    # within 2e-8 of the slope root that places the calibrated scale take
-    # 9 to 17, and scales within 10% of it 8 to 17, so 24 leaves 40%
-    # headroom.  Three width starts screened to 1e-6 and the best one
-    # polished took 33 here, and 27 to 38 over the same scales.  Every solver
-    # evaluation goes through fit_model, so the count is never 0.
+    # solver, which stops once a step predicts less than the cost's
+    # rounding.  Scales within 2e-8 of the calibrated one take 8 each, and
+    # scales within 10% of it 6 to 9, so 12 leaves a third of headroom.
+    # Every solver evaluation goes through fit_model, so the count is never 0.
     cal = calibrate_quadratic_scale(OMEGA_R, TAU, 80, -0.5374 * OMEGA_R)
     ls = lineshape_from_rabi(OMEGA_R, TAU, quadratic(80, cal.scale_s),
                              np.linspace(-8 * OMEGA_R, 8 * OMEGA_R, 1601))
     calls = _counting(monkeypatch, "fit_model")
     fit_lineshape(ls)
-    assert 0 < len(calls) <= 24
+    assert 0 < len(calls) <= 12
 
 
 def test_single_lobed_curve_is_fitted_from_its_half_width_alone(monkeypatch):

@@ -12,6 +12,16 @@ ROWS = {
     "large int": [(10**30, -(10**25), 1e300), (2**63, 2**64 + 1, -1e-300)],
     "mixed": [(1, True, "a"), (np.int64(2), 3, 4.0), (5, 6.0)],
     "ragged float and int": [(1, 2.0), (3.0, 4, 5.0), (6.5,)],
+    # as many cells as a 3 x 2 table of floats, in rows of 2, 1 and 3
+    "ragged float": [(1.0, 2.0), (3.0,), (4.0, 5.0, 6.0)],
+    "longer rows after the first": [(1.0,), (2.0, 3.0), (4.0, 5.0)],
+    "column types swap": [(1, 2.0), (3.0, 4)],
+    "one float column turns int": [(0.5, 1.0), (1.5, 2.0), (2.5, 3)],
+    "int and float table": [(m, n, 0.25 * m, -1e-3 * n) for m in range(7) for n in range(3)],
+    "float curve": [(0.01 * k - 8.0, (0.01 * k) ** 2) for k in range(1601)],
+    "numpy float": [(np.float64(0.1), 2.0), (np.float64(-3.5), 4.0)],
+    "empty rows": [(), ()],
+    "no rows": [],
 }
 
 
