@@ -103,16 +103,10 @@ def _solve(a, b):
     Gaussian elimination with partial pivoting; None when ``a`` is singular or
     a pivot is not finite.
     """
-    n = len(a)
-    if n == 1:   # most systems here: the same arithmetic without the loops
-        pivot = a[0][0]
-        return [b[0] / pivot] if pivot != 0.0 and math.isfinite(pivot) else None
     rows = [[*row, rhs] for row, rhs in zip(a, b)]
+    n = len(rows)
     for col in range(n):
-        best = col
-        for r in range(col + 1, n):
-            if abs(rows[r][col]) > abs(rows[best][col]):
-                best = r
+        best = max(range(col, n), key=lambda r: abs(rows[r][col]))
         rows[col], rows[best] = rows[best], rows[col]
         top = rows[col]
         pivot = top[col]
@@ -235,7 +229,7 @@ def varpro(basis, y, theta0, lower, upper, scale, tol,
     cost, nfev, mu, nu = ev.cost, 1, None, 2.0
     second = [[0.0] * k for _ in range(k)]
     eps = np.finfo(float).eps
-    floor = (4.0 * eps) ** 2 * float(_sums(y[None], y[None])[0, 0])
+    floor = (4.0 * eps) ** 2 * float(np.dot(y, y))
 
     def done(success):
         return Solution(at(u), np.array(ev.coef), ev.rows[-1], cost, nfev, success)

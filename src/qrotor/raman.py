@@ -317,24 +317,36 @@ class Lineshape:
 _BLOCK_CELLS = 2**16
 _RING_CHUNK = 256
 # The fewest cells (grid points x distinct shifts) in a chunk of
-# `lineshape_from_rabi`'s grid: the break-even size of a thread.  At 1601
+# `stack_average`'s grid: the break-even size of a thread.  At 1601
 # points (min of 15, interleaved, with both cores free), two workers took
 # 0.96x as long as one on 161 distinct shifts (two chunks of 129K cells),
 # 0.68x on 1001 (1.6M cells) and 1.46x on 41 (66K); on 11 they took 2.4x.
 _PARALLEL_CHUNK_CELLS = 2**17
 
 
-def stack_average(delta, omega_r: float, tau: float, ring_shifts) -> np.ndarray:
+def stack_average(delta, omega_r: float, tau: float, ring_shifts,
+                  workers: int = 1) -> np.ndarray:
     """Mean of P0(delta + shift_j) over the ring stack.
 
     Equal shifts are folded into (value, count) pairs first, so a symmetric
     profile such as s j^2 costs j_max + 1 rings instead of 2 j_max + 1, and an
     unshifted stack costs one.  The weighted sum then runs over cache-sized
-    blocks of grid points and sorted shifts (`_folded_average`).  A point's
-    value depends only on that point, so splitting the grid across workers
-    gives bit-identical results.
+    blocks of grid points and sorted shifts (`_folded_average`).  The points
+    are split into contiguous chunks averaged on a thread pool: at most
+    ``workers`` of them, and no more than give each chunk
+    _PARALLEL_CHUNK_CELLS cells (points x distinct shifts), so a stack too
+    small to pay for a thread runs on the calling one.  A point's value
+    depends only on that point, so the result is bit-identical at every
+    worker count.
     """
-    return _folded_average(delta, omega_r, tau, *_fold(ring_shifts))[0]
+    shifts, counts = _fold(ring_shifts)
+    d = np.asarray(delta, dtype=float)
+    chunks = max(1, min(workers, d.size * shifts.size // _PARALLEL_CHUNK_CELLS))
+    parts = parallel_map(
+        lambda sub: _folded_average(sub, omega_r, tau, shifts, counts)[0],
+        np.array_split(d.reshape(-1), chunks), workers,
+    )
+    return np.concatenate(parts).reshape(d.shape)
 
 
 def _fold(ring_shifts) -> tuple[np.ndarray, np.ndarray]:
@@ -357,7 +369,7 @@ def _folded_average(delta, omega_r: float, tau: float, shifts, counts, order: in
     rest of the grid; one einsum per block weights every order by the counts
     and sums over the block's shifts.  The blocks are computed in contiguous
     views of the detunings' buffer and `_p0_terms`' work rows, made once per
-    call (not per module: `lineshape_from_rabi` runs this function on
+    call (not per module: `stack_average` runs this function on
     threads), so memory stays at 2 MB at order 0 and 4.5 MB at order 2
     whatever the inputs.
     """
@@ -386,22 +398,13 @@ def lineshape_from_rabi(omega_r: float, tau: float, ring_shifts, delta_grid,
 
     The stack holds one singly occupied ring per entry of ``ring_shifts``,
     that ring's resonance shift; the function `ring_shifts` gives the 2 j_max
-    + 1 rings |j| <= j_max of each profile.
-    The grid is split into contiguous chunks averaged on a thread pool: at
-    most ``workers`` of them, and no more than give each chunk
-    _PARALLEL_CHUNK_CELLS cells (grid points x distinct shifts), so a stack
-    too small to pay for a thread runs on the calling one.  A point's value
-    does not depend on its chunk, so the curve is bit-identical at every
+    + 1 rings |j| <= j_max of each profile.  The curve is `stack_average`
+    over ``delta_grid`` on up to ``workers`` threads, bit-identical at every
     worker count.
     """
     grid = np.asarray(delta_grid, dtype=float)
-    cells = grid.size * _fold(ring_shifts)[0].size
-    chunks = max(1, min(workers, cells // _PARALLEL_CHUNK_CELLS))
-    parts = parallel_map(
-        lambda sub: stack_average(sub, omega_r, tau, ring_shifts),
-        np.array_split(grid, chunks), workers,
-    )
-    return Lineshape(delta_grid=grid, probability=np.concatenate(parts), Omega_R=omega_r)
+    probability = stack_average(grid, omega_r, tau, ring_shifts, workers)
+    return Lineshape(delta_grid=grid, probability=probability, Omega_R=omega_r)
 
 
 # Peak search window in units of Omega_R, and scan steps per narrowest feature.
