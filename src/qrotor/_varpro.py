@@ -1,13 +1,12 @@
-"""Separable nonlinear least squares by variable projection.
+"""Separable nonlinear least squares by variable projection, on one basis function.
 
 Minimises 0.5 ||c Phi(theta) - y||^2 over a box on theta, where the model is
-linear in its coefficients c (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
-(1973)).  At each theta, c solves the small linear least-squares problem
-through its normal equations (the bases here have one or two well-conditioned
-functions), optionally clipped to a box.  The residual then depends on theta
-alone; its Kaufman Jacobian P (dPhi/dtheta) c, P the projector off the basis
-functions, gives the exact gradient.  When c is clipped, c is held and the
-plain Jacobian (dPhi/dtheta) c is used instead.
+linear in its one coefficient c (Golub & Pereyra, SIAM J. Numer. Anal. 10,
+413 (1973)).  At each theta, c = <Phi, y> / <Phi, Phi>, optionally clipped to
+a box.  The residual then depends on theta alone; its Kaufman Jacobian P
+(dPhi/dtheta) c, P the projector off Phi, gives the exact gradient (Kaufman,
+BIT 15, 49 (1975)).  When c is clipped, c is held and the plain Jacobian
+(dPhi/dtheta) c is used instead.
 
 theta moves by damped Newton steps in units of ``scale`` (Levenberg-Marquardt
 with Nielsen's damping update).  The Hessian is the Gauss-Newton J^T J plus a
@@ -31,27 +30,25 @@ the parameters where the cost no longer tells them apart (~1e-8 relative).
 A clipped step is always evaluated: the box, not the minimum, made its
 prediction small, and the coordinates left free may still have far to go.
 
-Each evaluation copies the basis rows Phi and their derivative rows dPhi into
-one block of rows, followed by a row that holds y and then the residual r = c
-Phi - y, and takes every sum over the samples from that block in two passes:
-[Phi; dPhi; y] against [Phi; dPhi] (Phi Phi^T and Phi y give c, the rest J
-J^T), then [Phi; dPhi; r] against r (the cost and J r).  As y only passes
-through the residual's row, each of the two blocks (the evaluation at the
-current theta and the trial) has n (k + 1) + 1 rows, one less than with y
-kept in it (0.5 MB less per block on a 65,848-sample Rabi trace).  The
+Each evaluation's block holds k + 2 rows: Phi, its k derivative rows dPhi,
+which the basis writes in place, and a row that holds y and then the
+residual r = c Phi - y.  Every sum over the samples comes from that block in
+two passes: [Phi; dPhi; y] against [Phi; dPhi] (<Phi, Phi> and <Phi, y> give
+c, the rest J J^T), then [Phi; dPhi; r] against r (the cost and J r).  The
 Jacobian is never formed: its rows, J_i = c dPhi_i - b_i Phi with Kaufman's
-b_i (0 when c is clipped), are coefficients over the block, so J r and J J^T
-are small products of those sums, and the old Jacobian at the new residual,
-which gives the secant its change of the Jacobian, is one more pass of the
-old block against the new r.  The passes are BLAS products over blocks of
-_SAMPLE_BLOCK samples, which OpenBLAS keeps on the calling thread (CPU/wall
-1.00 on Rabi traces of 31,784 and 65,848 samples; an unblocked 5 x 4 product
-of 65,848 samples took 4x as long); a 4 x 3 block of sums over 1,601 samples
-takes 3.7 us so, against 11.4 us as an einsum.  The n x n normal equations,
-the k x k damped Newton system and the secant update (n, k <= 2 in both fits)
-run on Python floats.  A singular or non-finite Gram matrix leaves c NaN, and
-so the cost: the fit fails when that happens at its start, and a trial step
-that meets it is rejected.
+b_i = c <Phi, dPhi_i> / <Phi, Phi> (0 when c is clipped), are coefficients
+over the block, so J r and J J^T are small products of those sums, and the
+old Jacobian at the new residual, which gives the secant its change of the
+Jacobian, is one more pass of the old block against the new r.  A fit keeps
+two blocks, the evaluation at the current theta and the trial.  The passes
+are BLAS products over blocks of _SAMPLE_BLOCK samples, which OpenBLAS keeps
+on the calling thread (CPU/wall 1.00 on Rabi traces of 31,784 and 65,848
+samples; an unblocked 5 x 4 product of 65,848 samples took 4x as long); a
+4 x 3 block of sums over 1,601 samples takes 3.7 us so, against 11.4 us as
+an einsum.  The k x k damped Newton system and the secant update (k <= 2 in
+both fits) run on Python floats.  A zero or non-finite <Phi, Phi> leaves c
+NaN, and so the cost: the fit fails when that happens at its start, and a
+trial step that meets it is rejected.
 """
 
 from __future__ import annotations
@@ -72,7 +69,7 @@ _SAMPLE_BLOCK = 2**13
 @dataclass(frozen=True)
 class Solution:
     theta: np.ndarray
-    coef: np.ndarray
+    coef: float
     residual: np.ndarray   # c Phi - y
     cost: float            # 0.5 |residual|^2
     nfev: int
@@ -123,8 +120,8 @@ def _solve(a, b):
 
 @dataclass
 class _Evaluation:
-    rows: np.ndarray    # the n basis rows Phi, their k n derivative rows dPhi, r
-    coef: list          # clipped to the coefficient box
+    rows: np.ndarray    # the basis row Phi, its k derivative rows dPhi, r
+    coef: float         # clipped to the coefficient box
     unclipped: bool
     gram: list          # [Phi; dPhi] [Phi; dPhi]^T
     dots: list          # [Phi; dPhi; r] r
@@ -132,25 +129,21 @@ class _Evaluation:
 
 
 @np.errstate(invalid="ignore", over="ignore")
-def _project(phi, dphi, y, rows, coef_bounds) -> _Evaluation:
-    """Evaluate the basis ``phi``, ``dphi`` against ``y`` into ``rows``.
+def _project(basis, theta, y, rows, coef_bounds) -> _Evaluation:
+    """Evaluate ``basis`` at ``theta`` against ``y`` in the block ``rows``.
 
-    ``phi`` and ``dphi`` are copied into their rows, and the last row is
+    The basis writes Phi and dPhi into ``rows[:-1]``, and the last row is
     filled with the residual r = c Phi - y.  A non-finite basis leaves NaN
     sums without a warning: `varpro` fails or rejects the step on them.
     """
-    n = len(phi)
-    rows[:n] = phi
-    for i, d in enumerate(dphi):
-        rows[n + i * n:n + (i + 1) * n] = d
+    basis(theta, rows[:-1])
     rows[-1] = y   # until the residual is written: y [Phi; dPhi]^T with the Gram matrix
     *gram, y_sums = _sums(rows, rows[:-1]).tolist()
-    coef = _solve([row[:n] for row in gram[:n]], y_sums[:n]) or [math.nan] * n
-    held = [min(max(c, coef_bounds[0]), coef_bounds[1]) for c in coef]
+    phi_phi = gram[0][0]
+    coef = y_sums[0] / phi_phi if phi_phi != 0.0 and math.isfinite(phi_phi) else math.nan
+    held = min(max(coef, coef_bounds[0]), coef_bounds[1])
     residual = rows[-1]
-    np.multiply(rows[0], held[0], out=residual)
-    for c, row in zip(held[1:], rows[1:n]):
-        residual += c * row
+    np.multiply(rows[0], held, out=residual)
     residual -= y
     dots = _sums(rows, rows[-1:])[:, 0].tolist()
     return _Evaluation(rows, held, held == coef, gram, dots, 0.5 * dots[-1])
@@ -159,21 +152,17 @@ def _project(phi, dphi, y, rows, coef_bounds) -> _Evaluation:
 def _jacobian(ev: _Evaluation, k: int) -> list:
     """Kaufman's Jacobian (the plain one when c is clipped) as coefficients.
 
-    Row i holds the coefficients of J_i over the rows [Phi; dPhi]: c on the
-    derivatives in coordinate i, D_i = sum_j c_j dPhi_ij, and -b_i on Phi,
-    where b_i solves Phi Phi^T b_i = Phi D_i^T (b_i = 0 when c is clipped).
+    Row i holds the coefficients of J_i over the rows [Phi; dPhi]: c on
+    dPhi_i and -b_i on Phi, b_i = c <Phi, dPhi_i> / <Phi, Phi> (b_i = 0 when
+    c is clipped).
     """
     c, gram = ev.coef, ev.gram
-    n = len(c)
-    phi_phi = [g[:n] for g in gram[:n]]
     jac = []
     for i in range(k):
-        row = [0.0] * len(gram)
-        derivs = slice(n + i * n, n + (i + 1) * n)
-        row[derivs] = c
+        row = [0.0] * (k + 1)
+        row[1 + i] = c
         if ev.unclipped:
-            d_phi = [_vdot(c, col) for col in zip(*(g[:n] for g in gram[derivs]))]
-            row[:n] = [-b for b in _solve(phi_phi, d_phi)]
+            row[0] = -c * gram[1 + i][0] / gram[0][0]
         jac.append(row)
     return jac
 
@@ -201,16 +190,17 @@ def _secant(second, step, dgrad, dgrad_jac):
 
 def varpro(basis, y, theta0, lower, upper, scale, tol,
            coef_bounds=(-np.inf, np.inf)) -> Solution:
-    """Fit ``c basis(theta)[0]`` to ``y`` from ``theta0``.
+    """Fit ``c Phi(theta)`` to ``y`` from ``theta0``.
 
-    ``basis(theta)`` returns the basis functions sampled at y's points,
-    shape (n, m), and their derivatives in each of the k coordinates of
-    theta, shape (k, n, m) or k arrays of shape (n, m).  Stops, successfully, when the cost is
-    at rounding level (an exact fit), when every free gradient component is
-    below ``tol``, when a step is below ``tol`` relative to the scaled theta,
-    when an accepted step lowers the cost by less than ``tol`` of it, or when
-    an unclipped trial step predicts a reduction of at most 4 eps of the cost
-    (the rounding floor).  It fails after MAX_NFEV evaluations of ``basis``,
+    ``basis(theta, out)`` writes Phi, sampled at y's points, into ``out[0]``
+    and its derivative in the i-th of the k coordinates of theta into
+    ``out[1 + i]``; ``out`` is a (k + 1, len(y)) view of the evaluation's
+    block.  Stops, successfully, when the cost is at rounding level (an
+    exact fit), when every free gradient component is below ``tol``, when a
+    step is below ``tol`` relative to the scaled theta, when an accepted
+    step lowers the cost by less than ``tol`` of it, or when an unclipped
+    trial step predicts a reduction of at most 4 eps of the cost (the
+    rounding floor).  It fails after MAX_NFEV evaluations of ``basis``,
     on a non-finite cost or Jacobian, or on a singular damped Newton system.
     """
     k = len(theta0)
@@ -222,17 +212,16 @@ def varpro(basis, y, theta0, lower, upper, scale, tol,
     def at(v):
         return np.array([vi * s for vi, s in zip(v, scale)])
 
-    phi, dphi = basis(at(u))
     # two blocks of rows: the evaluation at u and the trial
-    rows, spare = np.empty((2, 1 + len(phi) * (k + 1), len(y)))
-    ev = _project(phi, dphi, y, rows, coef_bounds)
+    rows, spare = np.empty((2, k + 2, len(y)))
+    ev = _project(basis, at(u), y, rows, coef_bounds)
     cost, nfev, mu, nu = ev.cost, 1, None, 2.0
     second = [[0.0] * k for _ in range(k)]
     eps = np.finfo(float).eps
     floor = (4.0 * eps) ** 2 * float(np.dot(y, y))
 
     def done(success):
-        return Solution(at(u), np.array(ev.coef), ev.rows[-1], cost, nfev, success)
+        return Solution(at(u), ev.coef, ev.rows[-1], cost, nfev, success)
 
     while math.isfinite(cost):
         jac = _jacobian(ev, k)
@@ -281,7 +270,7 @@ def varpro(basis, y, theta0, lower, upper, scale, tol,
                     return done(True)
                 if nfev >= MAX_NFEV:
                     return done(False)
-                new = _project(*basis(at(trial)), y, spare, coef_bounds)
+                new = _project(basis, at(trial), y, spare, coef_bounds)
                 nfev += 1
                 gain = (cost - new.cost) / predicted
                 if gain > 0:

@@ -268,18 +268,14 @@ def _centred_fit(times, population, guess: float):
     t = np.ascontiguousarray(times, dtype=float)
     # centred into a contiguous copy: a strided column of the populations is read slower
     y = population - population.mean()
-    phi = np.empty((1, t.size))
-    dphi = np.empty((1, 1, t.size))
-    row, deriv = phi[0], dphi[0, 0]
 
-    def basis(theta):
-        # varpro reads both arrays before it asks for the next theta
+    def basis(theta, out):
+        row, deriv = out
         np.multiply(t, 0.5 * theta[0], out=deriv)
         _rabi_terms(deriv, row)
         np.multiply(deriv, t, out=deriv)
         np.subtract(deriv, deriv.mean(), out=deriv)
         np.subtract(row, row.mean(), out=row)
-        return phi, dphi
 
     return varpro(basis, y, [guess], [-np.inf], [np.inf], abs(guess), 1e-10)
 
@@ -292,8 +288,8 @@ def oscillation_frequency(times, population, guess: float) -> tuple[float, float
     least-squares problem, so variable projection (`_varpro`) sees one basis
     row and leaves a 1-D search in Omega.  The row and its Omega-derivative,
     t sin cos less its mean (the derivative of the centred row), come from
-    one tan(Omega t / 2) per sample (`_rabi_terms`), written into two
-    buffers made once per fit.
+    one tan(Omega t / 2) per sample (`_rabi_terms`), written straight into
+    the solver's rows.
 
     A trace of at least 2 _COARSE_SAMPLES = 8,192 samples is fitted in two
     stages.  The same fit first runs from ``guess`` on every
@@ -303,7 +299,8 @@ def oscillation_frequency(times, population, guess: float) -> tuple[float, float
     of about four.  It starts from ``guess`` when the subsample holds fewer
     than three distinct times or its fit does not converge; a shorter trace
     is fitted once, from ``guess``.  Returns ``(Omega, A)``; feed roughly
-    one to two Rabi periods of data, at three or more distinct times.
+    one to two Rabi periods of data, at three or more distinct times.  A
+    constant trace holds no oscillation and raises `InvalidInputError`.
     """
     if not guess or not math.isfinite(guess):
         raise InvalidInputError("guess must be a finite, nonzero frequency: "
@@ -315,6 +312,9 @@ def oscillation_frequency(times, population, guess: float) -> tuple[float, float
                                 f"got shapes {t.shape} and {y.shape}")
     if not _three_distinct(t):
         raise InvalidInputError("times must hold at least three distinct values")
+    if np.ptp(y) == 0:
+        # the centred trace is exactly 0, so the fit would stop at its start
+        raise InvalidInputError("population is constant: it holds no oscillation to fit")
     start, stride = guess, t.size // _COARSE_SAMPLES
     if stride >= 2 and _three_distinct(t[::stride]):
         coarse = _centred_fit(t[::stride], y[::stride], guess)
@@ -324,7 +324,7 @@ def oscillation_frequency(times, population, guess: float) -> tuple[float, float
     if not sol.success:
         raise ConvergenceError("oscillation fit did not converge",
                                diagnostics={"Omega": sol.theta[0]})
-    return float(abs(sol.theta[0])), float(sol.coef[0])
+    return float(abs(sol.theta[0])), float(sol.coef)
 
 
 def tuned_model(model: FiveLevelModel) -> FiveLevelModel:

@@ -332,8 +332,8 @@ def stack_average(delta, omega_r: float, tau: float, ring_shifts,
     profile such as s j^2 costs j_max + 1 rings instead of 2 j_max + 1, and an
     unshifted stack costs one.  The weighted sum then runs over cache-sized
     blocks of grid points and sorted shifts (`_folded_average`).  The points
-    are split into contiguous chunks averaged on a thread pool: at most
-    ``workers`` of them, and no more than give each chunk
+    are split into contiguous chunks averaged on a thread pool of one thread
+    per chunk: at most ``workers`` of them, and no more than give each chunk
     _PARALLEL_CHUNK_CELLS cells (points x distinct shifts), so a stack too
     small to pay for a thread runs on the calling one.  A point's value
     depends only on that point, so the result is bit-identical at every
@@ -344,7 +344,7 @@ def stack_average(delta, omega_r: float, tau: float, ring_shifts,
     chunks = max(1, min(workers, d.size * shifts.size // _PARALLEL_CHUNK_CELLS))
     parts = parallel_map(
         lambda sub: _folded_average(sub, omega_r, tau, shifts, counts)[0],
-        np.array_split(d.reshape(-1), chunks), workers,
+        np.array_split(d.reshape(-1), chunks), chunks,
     )
     return np.concatenate(parts).reshape(d.shape)
 
@@ -813,9 +813,8 @@ def fit_lineshape(ls: Lineshape) -> FitResult:
             f"with at least {FIT_MIN_POINTS} points"
         )
 
-    def basis(theta):
-        profile, d_delta_0, d_omega = fit_model(delta, 1.0, *theta)
-        return profile[None, :], (d_delta_0[None, :], d_omega[None, :])
+    def basis(theta, out):
+        out[0], out[1], out[2] = fit_model(delta, 1.0, *theta)
 
     w_lo, w_hi = FIT_WIDTH_BOUNDS
     lower = [peak - FIT_CENTRE_RANGE * ls.Omega_R, w_lo * ls.Omega_R]
@@ -831,7 +830,7 @@ def fit_lineshape(ls: Lineshape) -> FitResult:
         start = min(screened, key=lambda sol: sol.cost).theta
     best = solve(start, 1e-15)
     result = FitResult(
-        amplitude_A=float(best.coef[0]),
+        amplitude_A=float(best.coef),
         delta_0=float(best.theta[0]),
         Omega_R_eff=float(best.theta[1]),
         rms_residual=float(np.sqrt(np.mean(best.residual**2))),

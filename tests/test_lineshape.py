@@ -157,19 +157,20 @@ def test_grid_splits_only_into_chunks_that_pay_for_a_thread(monkeypatch, j_max, 
                                                             chunks):
     # 1,601 points x 2,001 distinct shifts of the j_max 2000 stack make 24
     # chunks of at least _PARALLEL_CHUNK_CELLS however many workers are
-    # asked for; 81 or 11 distinct shifts make one.  The recorder maps on
-    # this thread, so no pool is started.
+    # asked for; 81 or 11 distinct shifts (the 21-ring stack) make one, and
+    # parallel_map is asked for one worker per chunk, the threads it starts.
+    # The recorder maps on this thread, so no pool is started.
     handed = []
 
     def recording(fn, items, workers=1):
-        handed.append(len(items))
+        handed.append((len(items), workers))
         return [fn(item) for item in items]
 
     monkeypatch.setattr(qrotor.raman, "parallel_map", recording)
     shifts = quadratic(j_max, 2e-6 * OMEGA_R)
     grid = np.linspace(-8 * OMEGA_R, 8 * OMEGA_R, 1601)
     curve = lineshape_from_rabi(OMEGA_R, TAU, shifts, grid, workers).probability
-    assert handed == [chunks]
+    assert handed == [(chunks, chunks)]
     assert chunks == min(workers, max(1, grid.size * (j_max + 1)
                                       // qrotor.raman._PARALLEL_CHUNK_CELLS))
     assert np.array_equal(curve, stack_average(grid, OMEGA_R, TAU, shifts))
