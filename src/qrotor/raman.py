@@ -283,7 +283,8 @@ def ring_shifts(model: str, j_max: int, scale_s: float | None = None,
     """
     j = np.arange(-j_max, j_max + 1, dtype=float)
     if model == "quadratic":
-        return scale_s * j**2
+        with np.errstate(over="ignore"):   # an infinite shift is refused by `_fold`
+            return scale_s * j**2
     if model == "physical":
         c0 = rotational_constant(beam.ring_radius(beam.ring_z(0)), species)
         cj = rotational_constant(beam.ring_radius(beam.ring_z(j)), species)
@@ -308,7 +309,7 @@ class Lineshape:
             raise InvalidInputError("probabilities must lie in [0, 1]")
 
 
-# Blocks of the stack average: grid rows x up to _RING_CHUNK sorted shifts,
+# Blocks of the stack average: grid rows x up to _RING_CHUNK averaged shifts,
 # at most _BLOCK_CELLS cells, 512 KB per float64 work buffer, so each step of
 # the order-0 path (two or three buffers) stays within a 2 MiB L2 cache.  On
 # a 2000-ring, 1601-point curve (min of 7), 32K to 128K cells agree within the
@@ -316,30 +317,48 @@ class Lineshape:
 # 2.7x on two, where each block's Python steps hold the interpreter lock.
 _BLOCK_CELLS = 2**16
 _RING_CHUNK = 256
-# The fewest cells (grid points x distinct shifts) in a chunk of
-# `stack_average`'s grid: the break-even size of a thread.  At 1601
-# points (min of 15, interleaved, with both cores free), two workers took
-# 0.96x as long as one on 161 distinct shifts (two chunks of 129K cells),
-# 0.68x on 1001 (1.6M cells) and 1.46x on 41 (66K); on 11 they took 2.4x.
+# The fewest cells (grid points x averaged shifts, the nodes or distinct
+# shifts `_fold` returns) in a chunk of `stack_average`'s grid: the
+# break-even size of a thread.  At 1601 points (min of 15, interleaved, with
+# both cores free), two workers took 0.96x as long as one on 161 distinct
+# shifts (two chunks of 129K cells), 0.68x on 1001 (1.6M cells) and 1.46x on
+# 41 (66K); on 11 they took 2.4x.
 _PARALLEL_CHUNK_CELLS = 2**17
+# Chebyshev compression of the ring shifts (`_fold`): _CHEB_NODES first-kind
+# Chebyshev points on each of equal panels at most _PANEL_PHASE / tau wide,
+# taken when that makes fewer shifts than the distinct ones.  P0 is an entire
+# function of the shift: P0(delta + s) = (tau Omega_R / 2)^2 sinc^2(tau g / 2),
+# g = sqrt(Omega_R^2 + (delta + s)^2), and sinc^2 is even in g.  As
+# |sinc z| <= e^|Im z| and |Im g| <= |Im s|, on the Bernstein ellipse of
+# parameter rho about a panel of half-width h,
+# |P0| <= M = (tau Omega_R / 2)^2 e^(tau h (rho - 1/rho) / 2).  The degree
+# K - 1 interpolant in K Chebyshev points is then within 4 M rho^(1 - K) /
+# (rho - 1) of P0 on the panel (Trefethen, Approximation Theory and
+# Approximation Practice, thm 8.2); at tau h <= 2 pi, rho = 10 and K = 32
+# that is 1.4e-18 (tau Omega_R / 2)^2, 1.4e-15 of P0's top at tau Omega_R =
+# 20 pi.  The delta-derivatives of P0 are entire with like bounds, so the
+# interpolant's ring sum serves the slope and the curvature as well.
+_CHEB_NODES = 32
+_PANEL_PHASE = 4.0 * np.pi
 
 
 def stack_average(delta, omega_r: float, tau: float, ring_shifts,
                   workers: int = 1) -> np.ndarray:
     """Mean of P0(delta + shift_j) over the ring stack.
 
-    Equal shifts are folded into (value, count) pairs first, so a symmetric
-    profile such as s j^2 costs j_max + 1 rings instead of 2 j_max + 1, and an
-    unshifted stack costs one.  The weighted sum then runs over cache-sized
-    blocks of grid points and sorted shifts (`_folded_average`).  The points
-    are split into contiguous chunks averaged on a thread pool of one thread
-    per chunk: at most ``workers`` of them, and no more than give each chunk
-    _PARALLEL_CHUNK_CELLS cells (points x distinct shifts), so a stack too
+    The ring shifts are first reduced to weighted shifts by `_fold`: the
+    distinct shifts with their ring counts, or, on a stack of more distinct
+    shifts than that, Chebyshev nodes whose weighted sum equals the ring sum
+    to rounding.  The weighted sum then runs over cache-sized blocks of grid
+    points and those shifts (`_folded_average`).  The points are split into
+    contiguous chunks averaged on a thread pool of one thread per chunk: at
+    most ``workers`` of them, and no more than give each chunk
+    _PARALLEL_CHUNK_CELLS cells (points x averaged shifts), so a stack too
     small to pay for a thread runs on the calling one.  A point's value
     depends only on that point, so the result is bit-identical at every
     worker count.
     """
-    shifts, counts = _fold(ring_shifts)
+    shifts, counts = _fold(ring_shifts, tau)
     d = np.asarray(delta, dtype=float)
     chunks = max(1, min(workers, d.size * shifts.size // _PARALLEL_CHUNK_CELLS))
     parts = parallel_map(
@@ -349,29 +368,76 @@ def stack_average(delta, omega_r: float, tau: float, ring_shifts,
     return np.concatenate(parts).reshape(d.shape)
 
 
-def _fold(ring_shifts) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ring shifts, sorted, and how many rings carry each (as floats)."""
+def _fold(ring_shifts, tau: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Shifts and weights (floats) whose weighted sum of P0 is the ring sum.
+
+    Without ``tau``: the distinct ring shifts, sorted, and how many rings
+    carry each, so a symmetric profile such as s j^2 costs j_max + 1 shifts
+    and an unshifted stack one.  With the pulse length ``tau``, a stack of
+    more distinct shifts than _CHEB_NODES per panel gets Chebyshev nodes
+    instead: the span of the shifts is cut into the fewest equal panels at
+    most _PANEL_PHASE / tau wide, and P0 on each panel is its interpolant in
+    the panel's _CHEB_NODES first-kind Chebyshev points sigma_i.  The ring
+    sum of that interpolant is sum_i w_i P0(delta + sigma_i) with
+    w_i = sum_j c_j l_i(s_j), c_j the count of distinct shift s_j and l_i
+    the Lagrange basis in barycentric form (Berrut and Trefethen, SIAM Rev.
+    46, 501 (2004)); a shift on a node gives that node its count.  The
+    weights sum to the ring count to rounding and depend on the shifts and
+    tau alone, never on the grid.  Nodes are sorted; panels without a shift
+    give none.
+    """
     shifts, counts = np.unique(np.asarray(ring_shifts, dtype=float), return_counts=True)
     if shifts.size == 0:
         raise InvalidInputError("the ring stack is empty (j_max must be non-negative)")
-    return shifts, counts.astype(float)
+    if not (math.isfinite(shifts[0]) and math.isfinite(shifts[-1])):   # sorted, NaN last
+        raise InvalidInputError(
+            f"ring shifts must be finite, got shifts from {shifts[0]:.3g} to "
+            f"{shifts[-1]:.3g} rad/s (a shift scale too large for the stack?)"
+        )
+    counts = counts.astype(float)
+    span = shifts[-1] - shifts[0]   # inf, hence the exact fold, where it overflows
+    panels = max(1.0, np.ceil(abs(tau) * span / _PANEL_PHASE)) if tau is not None else np.inf
+    if not panels * _CHEB_NODES < shifts.size:
+        return shifts, counts
+    panels = int(panels)
+    half = 0.5 * span / panels
+    scaled = (shifts - shifts[0]) / half   # 0 to 2 panels
+    panel = np.minimum((0.5 * scaled).astype(int), panels - 1)
+    first = np.flatnonzero(np.diff(panel, prepend=-1))   # each used panel's first shift
+    centres = shifts[0] + (2.0 * panel[first] + 1.0) * half
+    theta = (np.arange(_CHEB_NODES) + 0.5) * (np.pi / _CHEB_NODES)
+    nodes = -np.cos(theta)   # increasing in [-1, 1]
+    barycentric = np.sin(theta) * (-1.0) ** np.arange(_CHEB_NODES)
+    # (node, shift) layout, so that every step runs along the shifts
+    gap = scaled - (2.0 * panel + 1.0) - nodes[:, None]
+    node, ring = np.divmod(np.flatnonzero(gap == 0.0), shifts.size)
+    gap[:, ring] = np.inf   # a shift on a node takes no part in the quotients
+    quotients = np.divide(barycentric[:, None], gap, out=gap)
+    totals = quotients.sum(axis=0)
+    totals[ring] = np.inf
+    share = counts / totals
+    weights = np.array([np.einsum("kj,j->k", quotients[:, a:b], share[a:b])
+                        for a, b in zip(first, [*first[1:], shifts.size])])
+    np.add.at(weights, (np.searchsorted(first, ring, side="right") - 1, node), counts[ring])
+    return (centres[:, None] + half * nodes).reshape(-1), weights.reshape(-1)
 
 
 def _folded_average(delta, omega_r: float, tau: float, shifts, counts, order: int = 0):
     """Stack means of P0 and of its first ``order`` delta derivatives.
 
-    Over shifts already folded by `_fold`: row k of the result, shaped
-    ``(order + 1, *delta.shape)``, is the count-weighted mean of the k-th
-    derivative (`_p0_terms`) of P0(delta + shift).  Each block holds the grid
-    rows that _BLOCK_CELLS allows against one block of _RING_CHUNK sorted
-    shifts.  Every point's sum goes through the ring blocks in the same fixed
-    order, whatever its grid block, so a point's value does not depend on the
-    rest of the grid; one einsum per block weights every order by the counts
-    and sums over the block's shifts.  The blocks are computed in contiguous
-    views of the detunings' buffer and `_p0_terms`' work rows, made once per
-    call (not per module: `stack_average` runs this function on
-    threads), so memory stays at 2 MB at order 0 and 4.5 MB at order 2
-    whatever the inputs.
+    Over the shifts and weights `_fold` returns (distinct shifts and their
+    ring counts, or Chebyshev nodes and their weights): row k of the result,
+    shaped ``(order + 1, *delta.shape)``, is the weighted sum of the k-th
+    derivative (`_p0_terms`) of P0(delta + shift) over the sum of the
+    weights, the ring count.  Each block holds the grid rows that
+    _BLOCK_CELLS allows against one block of _RING_CHUNK shifts.  Every
+    point's sum goes through the shift blocks in the same fixed order,
+    whatever its grid block, so a point's value does not depend on the rest
+    of the grid; one einsum per block weights every order and sums over the
+    block's shifts.  The blocks are computed in contiguous views of the
+    detunings' buffer and `_p0_terms`' work rows, made once per call (not per
+    module: `stack_average` runs this function on threads), so memory stays
+    at 2 MB at order 0 and 4.5 MB at order 2 whatever the inputs.
     """
     d = np.asarray(delta, dtype=float)
     points = d.reshape(-1)
@@ -448,14 +514,15 @@ def lineshape_peak(omega_r: float, tau: float, ring_shifts):
     LOBE_TIE_RTOL tie (an unshifted stack under a long pulse has two lobes
     at +/- delta, equal to rounding); of tied lobes the one at the lowest
     delta is taken, the side that positive ring shifts push the line to.
-    The ring shifts are folded once, for the scan and every refinement step.
+    The ring shifts are folded once (`_fold`, given tau), for the scan and
+    every refinement step.
 
     A scan whose values differ by no more than sqrt(eps) of its maximum has
     no peak that rounding does not move across the window (a pulse with
     tau Omega_R below ~1e-4 leaves P0 that flat, or underflows it to 0):
     that raises ConvergenceError.
     """
-    folded = _fold(ring_shifts)
+    folded = _fold(ring_shifts, tau)
     lo_edge, hi_edge = PEAK_WINDOW
     xs = np.linspace(lo_edge * omega_r, hi_edge * omega_r, int(peak_scan_points(omega_r, tau)))
     ys, slopes = _folded_average(xs, omega_r, tau, *folded, order=1)

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -713,6 +714,26 @@ def test_non_finite_number_exits_2_naming_it(runner, tmp_path, config_dir,
     assert res.exit_code == 2, res.output
     assert f"'{section}.{key}' must be a finite number" in res.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scale_s, message", [
+    (1e305, "ring shifts must be finite"),   # s j^2 overflows to inf at j = 2000
+    # finite shifts whose panels overflow take the exact fold; P0 is then
+    # one ring's, too narrow for the grid's peak check
+    (1e300, "lineshape grid must span"),
+], ids=["overflowing", "finite"])
+def test_huge_shift_scale_exits_2_without_a_traceback(runner, tmp_path, scale_s, message):
+    cfg = fast_lineshape_config(model="quadratic", scale_s=scale_s)
+    p = write_config(tmp_path, "huge.json", cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(cli, ["lineshape", "--config", str(p), "--jmax", "2000",
+                                  "--out", str(tmp_path / "l.csv")])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert "Traceback" not in res.output
+    if scale_s == 1e305:   # refused before any P0 is computed
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_lineshape_zero_kick_exits_2(runner, tmp_path, config_dir):

@@ -4,6 +4,7 @@ from scipy.optimize import minimize_scalar
 
 import qrotor._varpro
 import qrotor.raman
+from qrotor.config import parse_config
 from qrotor.exceptions import CalibrationTargetError, ConvergenceError, InvalidInputError
 from qrotor.raman import (
     LOBE_TIE_RTOL,
@@ -67,6 +68,8 @@ RING_SHIFTS = {
     "repeated": np.repeat([0.0, -0.3, 1.1], [5, 1, 7]),
     "beyond_one_chunk": 2e-5 * np.arange(-700, 701) ** 2.0,  # 701 distinct shifts
     "distinct_beyond_one_chunk": np.random.default_rng(4).normal(0.0, 1.0, 600),
+    # 10 panels of Chebyshev nodes at tau Omega_R = pi: 320 nodes, two ring blocks
+    "nodes_beyond_one_chunk": np.random.default_rng(5).uniform(-40 * OMEGA_R, 0.0, 3000),
 }
 
 
@@ -85,15 +88,19 @@ def test_stack_average_matches_naive_ring_mean(name):
         assert abs(float(got) - float(naive_stack_average(d, OMEGA_R, TAU, shifts))) < 1e-13
 
 
-def grid_beyond_one_block(shifts):
-    """A grid of more than one block of the stack average, not a whole number of them."""
-    width = min(np.unique(shifts).size, qrotor.raman._RING_CHUNK)
+def grid_beyond_one_block(shifts, tau=None):
+    """A grid of more than one block of the stack average, not a whole number of them.
+
+    The blocks are those of the shifts `_fold` averages over: the distinct
+    ones, or with ``tau`` its Chebyshev nodes where it compresses the stack.
+    """
+    width = min(qrotor.raman._fold(shifts, tau)[0].size, qrotor.raman._RING_CHUNK)
     rows = qrotor.raman._BLOCK_CELLS // width
     return np.linspace(-8 * OMEGA_R, 8 * OMEGA_R, 2 * rows + 37)
 
 
 def assert_split_invariant(shifts, splits):
-    grid = grid_beyond_one_block(shifts)
+    grid = grid_beyond_one_block(shifts, TAU)
     whole = stack_average(grid, OMEGA_R, TAU, shifts)
     for pieces in splits:
         parts = [stack_average(g, OMEGA_R, TAU, shifts) for g in np.array_split(grid, pieces)]
@@ -142,24 +149,136 @@ def test_stack_slopes_match_the_count_weighted_ring_mean(rings):
             assert np.array_equal(np.concatenate(parts, axis=1), whole), (order, pieces)
 
 
+def shift_sets(span, rings=2001):
+    """Shift profiles spanning ``span``: quadratic, negative, saturating, one-sided, random."""
+    u = np.linspace(-1.0, 1.0, rings)
+    return {"quadratic": span * u**2, "negative": -span * u**2,
+            "saturating": span * np.tanh(3.0 * u**2), "one-sided": span * np.abs(u),
+            "random": np.random.default_rng(rings).uniform(-0.5 * span, 0.5 * span, rings)}
+
+
+def largest_terms(grid, tau, shifts):
+    """The largest |d^k P0 / d delta^k| any ring contributes on ``grid``, k = 0..2.
+
+    The scale of the rounding in a ring sum: a broad stack's mean can cancel
+    far below it (the mean curvature of a one-sided stack 10 Omega_R wide
+    under a 20 pi pulse is 1/500 of a ring's).
+    """
+    xs = np.linspace(grid[0] + shifts.min(), grid[-1] + shifts.max(), 100_001)
+    return np.abs(qrotor.raman._p0_terms(xs, OMEGA_R, tau, 2)).max(axis=1)
+
+
+@pytest.mark.parametrize("tau_omega", [0.1 * np.pi, np.pi, 5 * np.pi, 20 * np.pi],
+                         ids=["0.1pi", "pi", "5pi", "20pi"])
+def test_chebyshev_nodes_match_the_exact_fold(tau_omega):
+    # the compressed mean of P0, its slope and its curvature stay within 1e-13
+    # of the largest term (measured over the 60 stacks, 55 of them
+    # compressed: 1.2e-15 for P0, 2.9e-15 for the slope, 9.6e-15 for the
+    # curvature, the last at tau Omega_R = 0.1 pi, where both folds carry the
+    # slopes' eps / u^2 rounding)
+    tau = tau_omega / OMEGA_R
+    grid = np.linspace(-8 * OMEGA_R, 8 * OMEGA_R, 401)
+    compressed = 0
+    for span in (0.1, 3.0, 30.0):
+        for name, shifts in shift_sets(span * OMEGA_R).items():
+            exact, nodes = qrotor.raman._fold(shifts), qrotor.raman._fold(shifts, tau)
+            compressed += nodes[0].size < exact[0].size
+            want = qrotor.raman._folded_average(grid, OMEGA_R, tau, *exact, order=2)
+            got = qrotor.raman._folded_average(grid, OMEGA_R, tau, *nodes, order=2)
+            errors = np.max(np.abs(got - want), axis=1) / largest_terms(grid, tau, shifts)
+            assert np.all(errors <= 1e-13), (span, name, errors)
+    assert compressed >= 10
+
+
+def test_a_shift_on_a_chebyshev_node_gets_finite_weights():
+    # shifts spanning [-1, 1] make one panel whose nodes are the Chebyshev
+    # points themselves, so the shift added on the sixth one hits it exactly
+    # (measured error: 3.7e-16 of the largest term)
+    nodes = -np.cos((np.arange(32) + 0.5) * np.pi / 32)
+    shifts = np.concatenate([[-1.0, 1.0, nodes[5], nodes[5]],
+                             np.random.default_rng(6).uniform(-1.0, 1.0, 60)])
+    sigma, weights = qrotor.raman._fold(shifts, TAU)
+    assert np.array_equal(sigma, nodes)
+    assert np.all(np.isfinite(weights))
+    grid = np.linspace(-8 * OMEGA_R, 8 * OMEGA_R, 401)
+    want = qrotor.raman._folded_average(grid, OMEGA_R, TAU, *qrotor.raman._fold(shifts),
+                                        order=2)
+    got = qrotor.raman._folded_average(grid, OMEGA_R, TAU, sigma, weights, order=2)
+    errors = np.max(np.abs(got - want), axis=1) / largest_terms(grid, TAU, shifts)
+    assert np.all(errors <= 1e-13), errors
+
+
+@pytest.mark.parametrize("tau_omega", [1e-3, np.pi, 20 * np.pi, 1e6],
+                         ids=["1e-3", "pi", "20pi", "1e6"])
+@pytest.mark.parametrize("j_max", [0, 9, 15, 30])
+def test_stacks_of_few_distinct_shifts_stay_uncompressed(tau_omega, j_max):
+    # up to 31 distinct shifts (the benchmark's calibrated stacks, j_max <= 30)
+    # are fewer than one panel's 32 nodes
+    shifts = quadratic(j_max, 0.7 * OMEGA_R / max(j_max, 1) ** 2)
+    exact = qrotor.raman._fold(shifts)
+    for got, want in zip(qrotor.raman._fold(shifts, tau_omega / OMEGA_R), exact):
+        assert np.array_equal(got, want)
+
+
+def test_the_shipped_stack_averages_over_one_panel_of_nodes(config_dir):
+    job = parse_config(config_dir / "fig4_lineshape.json").lineshape
+    tau = job.tau
+    cal = calibrate_quadratic_scale(job.Omega_R, tau, job.j_max,
+                                    job.calibrate_delta_max_over_OmegaR * job.Omega_R)
+    shifts = ring_shifts("quadratic", job.j_max, cal.scale_s)
+    assert qrotor.raman._fold(shifts)[0].size == 81
+    assert qrotor.raman._fold(shifts, tau)[0].size == qrotor.raman._CHEB_NODES
+
+
+def test_node_weights_sum_to_the_ring_count():
+    shifts = quadratic(2000, 1.5e-6)
+    sigma, weights = qrotor.raman._fold(shifts, TAU)
+    assert sigma.size == qrotor.raman._CHEB_NODES
+    assert weights.sum() == pytest.approx(shifts.size, rel=1e-14, abs=0)
+    grid = np.linspace(-6 * OMEGA_R, 2 * OMEGA_R, 301)
+    # the plain ring mean, dividing by 4,001 rings
+    assert np.allclose(stack_average(grid, OMEGA_R, TAU, shifts),
+                       naive_stack_average(grid, OMEGA_R, TAU, shifts), rtol=0.0, atol=1e-14)
+
+
+def test_non_finite_shifts_are_refused():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(InvalidInputError, match="ring shifts must be finite"):
+            stack_average(GRID, OMEGA_R, TAU, np.r_[quadratic(40, 1e-3), bad])
+    # a finite span whose panels overflow keeps the exact fold
+    shifts = quadratic(2000, 1e300)
+    for got, want in zip(qrotor.raman._fold(shifts, TAU), qrotor.raman._fold(shifts)):
+        assert np.array_equal(got, want)
+
+
 def test_lineshape_bit_identical_at_every_worker_count():
+    # 20,001 points x 64 Chebyshev nodes: 1.3M cells, split over real threads
     shifts = quadratic(2000, 2e-6 * OMEGA_R)
-    grid = np.linspace(-8 * OMEGA_R, 8 * OMEGA_R, 1601)
+    grid = np.linspace(-8 * OMEGA_R, 8 * OMEGA_R, 20_001)
+    assert grid.size * qrotor.raman._fold(shifts, TAU)[0].size >= (
+        3 * qrotor.raman._PARALLEL_CHUNK_CELLS)
     one, *more = (lineshape_from_rabi(OMEGA_R, TAU, shifts, grid, workers).probability
                   for workers in (1, 2, 3))
     for curve in more:
         assert np.array_equal(curve, one)
 
 
-@pytest.mark.parametrize("j_max, workers, chunks", [
-    (2000, 100_000, 24), (2000, 2, 2), (80, 100_000, 1), (10, 2, 1)])
-def test_grid_splits_only_into_chunks_that_pay_for_a_thread(monkeypatch, j_max, workers,
-                                                            chunks):
-    # 1,601 points x 2,001 distinct shifts of the j_max 2000 stack make 24
-    # chunks of at least _PARALLEL_CHUNK_CELLS however many workers are
-    # asked for; 81 or 11 distinct shifts (the 21-ring stack) make one, and
-    # parallel_map is asked for one worker per chunk, the threads it starts.
-    # The recorder maps on this thread, so no pool is started.
+@pytest.mark.parametrize("j_max, points, workers, chunks", [
+    pytest.param(2000, 33_001, 100_000, 24, id="2000-100000-24"),
+    pytest.param(2000, 33_001, 2, 2, id="2000-2-2"),
+    pytest.param(80, 1601, 100_000, 1, id="80-100000-1"),
+    pytest.param(10, 1601, 2, 1, id="10-2-1"),
+    pytest.param(2000, 1601, 2, 1, id="2000-1601-points-2-1")])
+def test_grid_splits_only_into_chunks_that_pay_for_a_thread(monkeypatch, j_max, points,
+                                                            workers, chunks):
+    # cells are grid points x the shifts `_fold` averages over: the j_max
+    # 2000 stack's 2,001 distinct shifts compress to 96 Chebyshev nodes (three
+    # panels), so 33,001 points make 24 chunks of at least
+    # _PARALLEL_CHUNK_CELLS however many workers are asked for, and the
+    # shipped 1,601-point grid makes one (51K cells at 32 nodes per panel);
+    # 81 shifts (32 nodes) or 11 distinct ones (the 21-ring stack) make one,
+    # and parallel_map is asked for one worker per chunk, the threads it
+    # starts.  The recorder maps on this thread, so no pool is started.
     handed = []
 
     def recording(fn, items, workers=1):
@@ -167,11 +286,12 @@ def test_grid_splits_only_into_chunks_that_pay_for_a_thread(monkeypatch, j_max, 
         return [fn(item) for item in items]
 
     monkeypatch.setattr(qrotor.raman, "parallel_map", recording)
-    shifts = quadratic(j_max, 2e-6 * OMEGA_R)
-    grid = np.linspace(-8 * OMEGA_R, 8 * OMEGA_R, 1601)
+    shifts = quadratic(j_max, 2.5e-6 * OMEGA_R)
+    grid = np.linspace(-8 * OMEGA_R, 8 * OMEGA_R, points)
     curve = lineshape_from_rabi(OMEGA_R, TAU, shifts, grid, workers).probability
+    averaged = qrotor.raman._fold(shifts, TAU)[0].size
     assert handed == [(chunks, chunks)]
-    assert chunks == min(workers, max(1, grid.size * (j_max + 1)
+    assert chunks == min(workers, max(1, grid.size * averaged
                                       // qrotor.raman._PARALLEL_CHUNK_CELLS))
     assert np.array_equal(curve, stack_average(grid, OMEGA_R, TAU, shifts))
 

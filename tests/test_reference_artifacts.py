@@ -8,7 +8,7 @@ logs the diff.
 The shipped lineshape config is a calibrated quadratic stack.  The other ring
 shift models are pinned through the small configs of ``LOCAL_CASES``, written
 here to a temporary file; their references are the outputs of ``qrotor
-lineshape`` on those configs.  The fig2 table has 66 rows, so a 620-level
+lineshape`` on those configs, as is the 2000-ring stack of ``STACK_2000``.  The fig2 table has 66 rows, so a 620-level
 spectrum on the same trap (``SPECTRUM_620``) is pinned too, as CSV and JSON.
 """
 
@@ -48,6 +48,12 @@ LOCAL_CASES = [
     ("lineshape_quadratic.csv",
      _lineshape_config(40, {"model": "quadratic", "scale_s": 0.0025})),
 ]
+
+# a 2000-ring fixed-scale stack on the shipped 1601-point grid: the shape of
+# the benchmark's largest lineshape jobs, whose shifts the stack average
+# compresses to Chebyshev nodes (its reference was written by the exact fold)
+STACK_2000 = _lineshape_config(2000, {"model": "quadratic", "scale_s": 1.5e-6})
+STACK_2000["lineshape"]["grid_points"] = 1601
 
 # fig2's trap at the largest limits of the benchmark's spectrum jobs
 SPECTRUM_620 = {
@@ -92,6 +98,12 @@ def test_shipped_config_reproduces_reference(tmp_path, config_dir, command, conf
 @pytest.mark.parametrize("workers", ["1", "3"])
 def test_shift_model_config_reproduces_reference(tmp_path, artifact, config, workers):
     _run_local_config(tmp_path, "lineshape", config, artifact, "--parallel", workers)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_2000_ring_stack_reproduces_reference(tmp_path, workers):
+    _run_local_config(tmp_path, "lineshape", STACK_2000, "lineshape_2000_rings.csv",
+                      "--parallel", workers)
 
 
 @pytest.mark.parametrize("artifact, fmt", [("spectrum_620.csv", "csv"),
